@@ -79,15 +79,8 @@ def build_carousel(n: int, e: int, sgn: int, twist: CycNumber) -> CarouselModel:
     if twist.root_of_unity_order() is None:
         raise DomainError(f"wrap-around scalar {twist!r} must be a root of unity")
     sign = CycNumber.rational(sgn)
-    cols = []
-    for j in range(n):
-        col = [ZERO] * n
-        if j < n - 1:
-            col[j + 1] = sign
-        else:
-            col[0] = sign * twist
-        cols.append(col)
-    lambda_inv = CycMatrix(tuple(zip(*cols)))
+    shift = [(j + 1, j, sign) for j in range(n - 1)]
+    lambda_inv = CycMatrix.from_triples(n, n, shift + [(0, n - 1, sign * twist)])
     mu_e = (lambda_inv**e) * CycNumber.rational(sgn**e)
     model = CarouselModel(n, e, sgn, twist, lambda_inv, mu_e)
     _certify_model(model)
@@ -97,14 +90,10 @@ def build_carousel(n: int, e: int, sgn: int, twist: CycNumber) -> CarouselModel:
 def _certify_model(m: CarouselModel):
     n = m.n
     sign = CycNumber.rational(m.sgn)
+    columns = m.lambda_inv.transpose().sparse_rows
     for j in range(n):
-        col = tuple(m.lambda_inv.entries[i][j] for i in range(n))
-        expected = [ZERO] * n
-        if j < n - 1:
-            expected[j + 1] = sign
-        else:
-            expected[0] = sign * m.twist
-        if col != tuple(expected):
+        expected = ((j + 1, sign),) if j < n - 1 else ((0, sign * m.twist),)
+        if columns[j] != expected:
             raise IntegrityError(f"shift structure violated at basis vector {j}")
     if m.mu_e != (m.lambda_inv**m.e) * CycNumber.rational(m.k):
         raise IntegrityError("family monodromy is not the signed power")

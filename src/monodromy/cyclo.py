@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields, monic polynomials, dense matrices.
+"""Exact arithmetic in cyclotomic fields, monic polynomials, sparse matrices.
 
 Scalars are elements of Q(zeta_N) stored as rational coefficient vectors of
 length phi(N), reduced modulo the N-th cyclotomic polynomial and then pushed
@@ -421,10 +421,11 @@ class CycNumber:
     def from_json(obj) -> "CycNumber":
         if not isinstance(obj, dict) or "order" not in obj or "terms" not in obj:
             raise DomainError(f"bad cyclotomic number encoding: {obj!r}")
-        return CycNumber.from_terms(
-            int(obj["order"]),
-            [(int(e), Fraction(int(num), int(den))) for num, den, e in obj["terms"]],
-        )
+        try:
+            terms = [(int(e), Fraction(int(num), int(den))) for num, den, e in obj["terms"]]
+        except ZeroDivisionError as exc:
+            raise DomainError(f"zero denominator in cyclotomic number {obj!r}") from exc
+        return CycNumber.from_terms(int(obj["order"]), terms)
 
 
 def zeta(n: int, k: int = 1) -> CycNumber:
@@ -623,9 +624,15 @@ def poly_divides(a: CycPoly, b: CycPoly) -> bool:
 
 
 class CycMatrix:
-    """A dense rectangular matrix over the cyclotomic scalars."""
+    """A rectangular matrix over the cyclotomic scalars, stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    Row i of ``sparse_rows`` is a tuple of (column, value) pairs sorted by
+    column and holding no zero value, so equality and hashing are
+    structural.  Every operation visits nonzero entries only and drops sums
+    that cancel to zero.  ``entries`` is a dense read-only view.
+    """
+
+    __slots__ = ("rows", "cols", "sparse_rows", "_hash")
 
     def __init__(self, entries):
         entries = tuple(tuple(CycNumber._coerce(x) for x in row) for row in entries)
@@ -636,19 +643,73 @@ class CycMatrix:
             raise DomainError("ragged matrix rows")
         self.rows = len(entries)
         self.cols = cols
-        self.entries = entries
+        self.sparse_rows = tuple(
+            tuple((j, x) for j, x in enumerate(row) if not x.is_zero()) for row in entries
+        )
         self._hash = None
+
+    @classmethod
+    def _from_sparse(cls, rows: int, cols: int, sparse_rows) -> "CycMatrix":
+        # internal: sparse_rows must already be canonical
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.sparse_rows = sparse_rows
+        m._hash = None
+        return m
+
+    @staticmethod
+    def from_triples(rows: int, cols: int, triples) -> "CycMatrix":
+        """The matrix with the given (row, column, value) entries and zeros
+        elsewhere; zero values are dropped."""
+        if rows < 1 or cols < 1:
+            raise DomainError("matrices must be nonempty")
+        buckets: list[dict] = [{} for _ in range(rows)]
+        for i, j, x in triples:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DomainError(f"entry ({i}, {j}) outside a {rows} x {cols} matrix")
+            if j in buckets[i]:
+                raise DomainError(f"entry ({i}, {j}) given twice")
+            buckets[i][j] = CycNumber._coerce(x)
+        return CycMatrix._from_sparse(
+            rows,
+            cols,
+            tuple(
+                tuple((j, row[j]) for j in sorted(row) if not row[j].is_zero())
+                for row in buckets
+            ),
+        )
+
+    @staticmethod
+    def diagonal(values) -> "CycMatrix":
+        """The square matrix with the given diagonal and zeros elsewhere."""
+        values = [CycNumber._coerce(c) for c in values]
+        if not values:
+            raise DomainError("matrices must be nonempty")
+        return CycMatrix._from_sparse(
+            len(values),
+            len(values),
+            tuple(() if c.is_zero() else ((i, c),) for i, c in enumerate(values)),
+        )
 
     @staticmethod
     def identity(n: int) -> "CycMatrix":
-        return CycMatrix.scalar(n, ONE)
+        return CycMatrix.diagonal([ONE] * n)
 
     @staticmethod
     def scalar(n: int, c) -> "CycMatrix":
-        c = CycNumber._coerce(c)
-        return CycMatrix(
-            tuple(tuple(c if i == j else ZERO for j in range(n)) for i in range(n))
-        )
+        return CycMatrix.diagonal([c] * n)
+
+    @property
+    def entries(self) -> tuple:
+        """Dense view: a tuple of rows, each a tuple of CycNumber."""
+        out = []
+        for row in self.sparse_rows:
+            dense = [ZERO] * self.cols
+            for j, x in row:
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -658,66 +719,77 @@ class CycMatrix:
             isinstance(other, CycMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.entries)
+            self._hash = hash((self.cols, self.sparse_rows))
         return self._hash
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise DomainError("matrix shape mismatch in addition")
-        return CycMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        out = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            if not ra or not rb:
+                out.append(ra or rb)
+                continue
+            acc = dict(ra)
+            for j, y in rb:
+                x = acc.get(j)
+                acc[j] = y if x is None else x + y
+            out.append(tuple((j, acc[j]) for j in sorted(acc) if not acc[j].is_zero()))
+        return CycMatrix._from_sparse(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return CycMatrix(tuple(tuple(-x for x in row) for row in self.entries))
+        return CycMatrix._from_sparse(
+            self.rows,
+            self.cols,
+            tuple(tuple((j, -x) for j, x in row) for row in self.sparse_rows),
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
             c = CycNumber._coerce(other)
-            return CycMatrix(tuple(tuple(x * c for x in row) for row in self.entries))
+            if c.is_one():
+                return self
+            if c.is_zero():
+                rows = ((),) * self.rows
+            else:
+                rows = tuple(tuple((j, x * c) for j, x in row) for row in self.sparse_rows)
+            return CycMatrix._from_sparse(self.rows, self.cols, rows)
         if not isinstance(other, CycMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DomainError("matrix shape mismatch in product")
-        bt = other.entries
+        # row by row: row i of the product combines the rows of other
+        # selected by the nonzero entries of row i of self
+        b = other.sparse_rows
         out = []
-        for ra in self.entries:
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    a = ra[k]
-                    if a.is_zero():
-                        continue
-                    b = bt[k][j]
-                    if b.is_zero():
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                row.append(ZERO if acc is None else acc)
-            out.append(tuple(row))
-        return CycMatrix(tuple(out))
+        for ra in self.sparse_rows:
+            acc: dict = {}
+            for k, a in ra:
+                for j, y in b[k]:
+                    term = a * y
+                    x = acc.get(j)
+                    acc[j] = term if x is None else x + term
+            out.append(tuple((j, acc[j]) for j in sorted(acc) if not acc[j].is_zero()))
+        return CycMatrix._from_sparse(self.rows, other.cols, tuple(out))
 
     __rmul__ = __mul__
 
     def apply(self, vec):
         """Matrix times column vector (tuple of CycNumber)."""
         out = []
-        for row in self.entries:
+        for row in self.sparse_rows:
             acc = None
-            for a, v in zip(row, vec):
-                if a.is_zero() or v.is_zero():
+            for k, a in row:
+                v = vec[k]
+                if v.is_zero():
                     continue
                 term = a * v
                 acc = term if acc is None else acc + term
@@ -725,7 +797,24 @@ class CycMatrix:
         return tuple(out)
 
     def transpose(self) -> "CycMatrix":
-        return CycMatrix(tuple(zip(*self.entries)))
+        cols: list[list] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row:
+                cols[j].append((i, x))
+        return CycMatrix._from_sparse(self.cols, self.rows, tuple(map(tuple, cols)))
+
+    def kron(self, other: "CycMatrix") -> "CycMatrix":
+        """Kronecker product: block (i, j) is self[i][j] * other."""
+        width = other.cols
+        return CycMatrix._from_sparse(
+            self.rows * other.rows,
+            self.cols * width,
+            tuple(
+                tuple((j * width + l, a * b) for j, a in ra for l, b in rb)
+                for ra in self.sparse_rows
+                for rb in other.sparse_rows
+            ),
+        )
 
     def __pow__(self, k: int):
         if not self.is_square():
@@ -743,52 +832,39 @@ class CycMatrix:
         return acc
 
     def rank(self) -> int:
-        rows = [list(r) for r in self.entries]
+        rows = [dict(r) for r in self.sparse_rows if r]
         rank = 0
         for col in range(self.cols):
-            sel = None
-            for r in range(rank, self.rows):
-                if not rows[r][col].is_zero():
-                    sel = r
-                    break
+            if rank == len(rows):
+                break
+            sel = next((r for r in range(rank, len(rows)) if col in rows[r]), None)
             if sel is None:
                 continue
             rows[rank], rows[sel] = rows[sel], rows[rank]
-            inv = rows[rank][col].inverse()
-            rows[rank] = [x * inv for x in rows[rank]]
-            for r in range(self.rows):
-                if r != rank and not rows[r][col].is_zero():
-                    f = rows[r][col]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+            _make_pivot(rows, rank, col)
             rank += 1
-            if rank == self.rows:
-                break
         return rank
 
     def inverse(self) -> "CycMatrix":
+        """Gauss-Jordan elimination on the rows augmented by the identity."""
         if not self.is_square():
             raise DomainError("only square matrices are invertible")
         n = self.rows
-        a = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(self.entries)]
+        a = [dict(r) for r in self.sparse_rows]
+        for i, row in enumerate(a):
+            row[n + i] = ONE
         for col in range(n):
-            sel = None
-            for r in range(col, n):
-                if not a[r][col].is_zero():
-                    sel = r
-                    break
+            sel = next((r for r in range(col, n) if col in a[r]), None)
             if sel is None:
                 raise DomainError("matrix is singular")
             a[col], a[sel] = a[sel], a[col]
-            inv = a[col][col].inverse()
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return CycMatrix(tuple(tuple(row[n:]) for row in a))
+            _make_pivot(a, col, col)
+        return CycMatrix._from_sparse(
+            n, n, tuple(tuple((j - n, row[j]) for j in sorted(row) if j >= n) for row in a)
+        )
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not any(self.sparse_rows)
 
     def __repr__(self):
         body = "; ".join(", ".join(repr(x) for x in row) for row in self.entries)
@@ -800,6 +876,35 @@ class CycMatrix:
     @staticmethod
     def from_json(obj) -> "CycMatrix":
         return CycMatrix([[CycNumber.from_json(x) for x in row] for row in obj])
+
+
+def _make_pivot(rows: list[dict], p: int, col: int):
+    """Scale rows[p] so its entry in col is one, then clear col from every
+    other row; entries that cancel are removed."""
+    pivot = rows[p]
+    inv = pivot[col].inverse()
+    pivot[col] = ONE
+    if not inv.is_one():
+        for j in pivot:
+            if j != col:
+                pivot[j] = pivot[j] * inv
+    for r, row in enumerate(rows):
+        f = row.get(col)
+        if r == p or f is None:
+            continue
+        del row[col]
+        for j, y in pivot.items():
+            if j == col:
+                continue
+            x = row.get(j)
+            if x is None:
+                row[j] = -(f * y)
+                continue
+            x = x - f * y
+            if x.is_zero():
+                del row[j]
+            else:
+                row[j] = x
 
 
 class _Echelon:

@@ -220,6 +220,8 @@ class ExtensionDatum:
             raise ParseError("projection map must cover the whole covering group")
         if any(not 0 <= w < len(group) for w in q):
             raise ParseError("projection map image out of range")
+        if any(not 0 <= r < wtilde.order for r in splitting.values()):
+            raise ParseError("splitting value outside the covering group")
         self.group = group
         self.arrangement = arrangement
         self.wtilde = wtilde
@@ -644,6 +646,13 @@ def datum_to_json(e: ExtensionDatum) -> dict:
     return out
 
 
+def _object_items(value, what: str):
+    """The items of a JSON object; any other JSON value is a parse error."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value.items()
+
+
 def datum_from_json(obj, group: ReflectionGroup | None = None) -> ExtensionDatum:
     from .cyclo import CycMatrix
     from .reflgrp import enumerate_group, hyperplanes
@@ -658,20 +667,24 @@ def datum_from_json(obj, group: ReflectionGroup | None = None) -> ExtensionDatum
         wtilde = CayleyGroup(wspec["table"], wspec.get("generators"))
         if wspec.get("order") is not None and wspec["order"] != wtilde.order:
             raise ParseError("declared covering group order disagrees with table")
-        splitting = {int(a): int(r) for a, r in obj["splitting"].items()}
+        splitting = {int(a): int(r) for a, r in _object_items(obj["splitting"], "splitting")}
         tau = (
-            {int(x): int(v) for x, v in obj["tau"].items()}
+            {int(x): int(v) for x, v in _object_items(obj["tau"], "tau")}
             if obj.get("tau")
             else None
         )
         wtilde_alpha = (
-            {int(a): frozenset(v) for a, v in obj["wtilde_alpha"].items()}
+            {
+                int(a): frozenset(v)
+                for a, v in _object_items(obj["wtilde_alpha"], "wtilde_alpha")
+            }
             if obj.get("wtilde_alpha")
             else None
         )
-        sgn = {int(a): int(v) for a, v in obj.get("sgn", {}).items()} or None
+        sgn = {int(a): int(v) for a, v in _object_items(obj.get("sgn", {}), "sgn")} or None
         twist = {
-            int(a): CycNumber.from_json(v) for a, v in obj.get("twist", {}).items()
+            int(a): CycNumber.from_json(v)
+            for a, v in _object_items(obj.get("twist", {}), "twist")
         } or None
         relations = [
             (
@@ -716,7 +729,9 @@ def character_from_spec(e: ExtensionDatum, spec) -> Character:
         raw = spec.get("values")
         if raw is None:
             raw = {k: v for k, v in spec.items() if k != "modulus"}
-        values = {int(x): zeta(modulus, int(exp)) for x, exp in raw.items()}
+        values = {
+            int(x): zeta(modulus, int(exp)) for x, exp in _object_items(raw, "values")
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad character spec: {exc}") from exc
     if not values:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cyclo import ONE, ZERO, CycMatrix, CycPoly, minpoly_matrix
+from .cyclo import ONE, CycMatrix, CycPoly, minpoly_matrix
 from .errors import DomainError, IntegrityError, ParameterError, RegimeError
 from .reflgrp import Arrangement, ReflectionGroup, hyperplanes, subgroup_generated
 
@@ -29,6 +29,8 @@ class HeckeAlgebra:
         self.dimension = len(self.basis_labels)
         self.generators: dict[str, CycMatrix] = dict(generators)
         self.params: dict[str, CycPoly] = dict(params)
+        # generator key -> minimal polynomial, filled by _certify_generators
+        self.minimal_polynomials: dict[str, CycPoly] = {}
         # filled by the quadratic-regime builder
         self.group: ReflectionGroup | None = None
         self.arrangement: Arrangement | None = None
@@ -65,9 +67,9 @@ class HeckeAlgebra:
             "generators": {
                 key: {
                     "relation": self.params[key].to_json(),
-                    "minimal_polynomial": minpoly_matrix(m).to_json(),
+                    "minimal_polynomial": self.minimal_polynomials[key].to_json(),
                 }
-                for key, m in sorted(self.generators.items())
+                for key in sorted(self.generators)
             },
         }
 
@@ -88,6 +90,7 @@ def _certify_generators(h: HeckeAlgebra):
                 f"the declared relation {h.params[key]!r}"
             )
         m.inverse()  # invertibility; DomainError would signal a broken build
+        h.minimal_polynomials[key] = got
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +102,9 @@ def build_cyclic(rbar: CycPoly) -> HeckeAlgebra:
     companion-matrix regular representation on the power basis."""
     _check_relation(rbar, "cyclic relation")
     d = rbar.degree
-    cols = []
-    for j in range(d):
-        col = [ZERO] * d
-        if j < d - 1:
-            col[j + 1] = ONE
-        else:
-            col = [-c for c in rbar.coeffs[:-1]]
-        cols.append(col)
-    t = CycMatrix(tuple(zip(*cols)))
+    shift = [(j + 1, j, ONE) for j in range(d - 1)]
+    last = [(i, d - 1, -c) for i, c in enumerate(rbar.coeffs[:-1])]
+    t = CycMatrix.from_triples(d, d, shift + last)
     h = HeckeAlgebra(
         "cyclic",
         [f"t^{k}" for k in range(d)],
@@ -150,17 +147,15 @@ def _descent_matrices(group, simple, polys):
     mats = []
     for s, poly in zip(simple, polys):
         c0, c1 = poly.coeffs[0], poly.coeffs[1]
-        cols = []
+        triples = []
         for w in range(n):
             sw = group.mul(s, w)
-            col = [ZERO] * n
             if lengths[sw] > lengths[w]:
-                col[sw] = ONE
+                triples.append((sw, w, ONE))
             else:
-                col[w] = -c1
-                col[sw] = -c0
-            cols.append(col)
-        mats.append(CycMatrix(tuple(zip(*cols))))
+                triples.append((w, w, -c1))
+                triples.append((sw, w, -c0))
+        mats.append(CycMatrix.from_triples(n, n, triples))
     return mats, lengths
 
 
@@ -203,8 +198,12 @@ def _element_operators(group, mats, simple, lengths, words):
         slot = words[w][0]
         rest = group.mul(simple[slot], w)  # strip the first letter
         t_of[w] = mats[slot] * t_of[rest]
-        col = tuple(t_of[w].entries[i][0] for i in range(n))
-        if col != tuple(ONE if i == w else ZERO for i in range(n)):
+        first_column = [
+            (i, row[0][1])
+            for i, row in enumerate(t_of[w].sparse_rows)
+            if row and row[0][0] == 0
+        ]
+        if first_column != [(w, ONE)]:
             return None
     return t_of
 
@@ -308,21 +307,6 @@ def _closure_certificate(group, mats, simple, polys, lengths, t_of) -> bool:
 # products
 
 
-def _kron(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    rows = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                aij = a.entries[i][j]
-                if aij.is_zero():
-                    row.extend([ZERO] * b.cols)
-                else:
-                    row.extend(aij * b.entries[k][l] for l in range(b.cols))
-            rows.append(tuple(row))
-    return CycMatrix(tuple(rows))
-
-
 def build_product(parts: list[HeckeAlgebra]) -> HeckeAlgebra:
     """Tensor product; generators act on their own leg."""
     if not parts:
@@ -340,7 +324,7 @@ def build_product(parts: list[HeckeAlgebra]) -> HeckeAlgebra:
             full = None
             for j, other in enumerate(parts):
                 leg = m if j == i else CycMatrix.identity(other.dimension)
-                full = leg if full is None else _kron(full, leg)
+                full = leg if full is None else full.kron(leg)
             generators[f"leg{i}.{key}"] = full
             params[f"leg{i}.{key}"] = part.params[key]
     h = HeckeAlgebra("product", labels, generators, params)

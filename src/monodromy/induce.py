@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cyclo import CycMatrix, CycNumber, CycPoly, ZERO, minpoly_matrix
+from .cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix
 from .errors import DomainError, IntegrityError, RegimeError
 from .extension import Character, CheckResult, ExtensionDatum, FiberElement
 from .hecke import HeckeAlgebra
@@ -136,17 +136,8 @@ class InertiaAction:
 
     def matrix(self, x: int) -> CycMatrix:
         """Diagonal matrix on the element basis (index order)."""
-        n = self.ledger.dim_mchi
         per_block = self.scalars[x]
-        return CycMatrix(
-            tuple(
-                tuple(
-                    per_block[self.ledger.block_of[i]] if i == j else ZERO
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
+        return CycMatrix.diagonal(per_block[b] for b in self.ledger.block_of)
 
     def to_json(self) -> dict:
         return {
@@ -360,7 +351,7 @@ def build_full_r1(
     for alpha in range(len(datum.arrangement)):
         sigma = datum.r_tilde(((alpha, 1),))
         s = datum.arrangement[alpha].distinguished_generator
-        cols = []
+        triples = []
         for w in range(n):
             if convention == "left":
                 target = group.mul(group.inv(s), w)
@@ -370,10 +361,8 @@ def build_full_r1(
             scalar = datum.eval_chi_hat(chi, h) * CycNumber.rational(
                 datum.eval_tau_hat(h)
             )
-            col = [ZERO] * n
-            col[target] = scalar
-            cols.append(col)
-        gen_matrices[alpha] = CycMatrix(tuple(zip(*cols)))
+            triples.append((target, w, scalar))
+        gen_matrices[alpha] = CycMatrix.from_triples(n, n, triples)
 
     i_matrices = {}
     for x in datum.kernel:
@@ -385,12 +374,7 @@ def build_full_r1(
                 datum.eval_chi_hat(chi, h)
                 * CycNumber.rational(datum.eval_tau_hat(h))
             )
-        i_matrices[x] = CycMatrix(
-            tuple(
-                tuple(entries[i] if i == j else ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
+        i_matrices[x] = CycMatrix.diagonal(entries)
 
     module = InducedModule(
         "R1", ledger, i_action, gen_matrices, i_matrices, checks, datum, chi,
@@ -408,15 +392,11 @@ def build_full_r1(
 
 
 def _is_monomial_of_roots(m: CycMatrix) -> bool:
-    n = m.rows
-    for rows in (m.entries, tuple(zip(*m.entries))):
-        for row in rows:
-            nonzero = [x for x in row if not x.is_zero()]
-            if len(nonzero) != 1:
-                return False
-            if nonzero[0].root_of_unity_order() is None:
-                return False
-    return True
+    """One nonzero entry per row and per column, each a root of unity."""
+    for rows in (m.sparse_rows, m.transpose().sparse_rows):
+        if any(len(row) != 1 for row in rows):
+            return False
+    return all(row[0][1].root_of_unity_order() is not None for row in m.sparse_rows)
 
 
 def build_full_r2(

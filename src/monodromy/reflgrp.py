@@ -94,8 +94,8 @@ class ReflectionGroup:
         orders = [
             x.order
             for g in self.generator_indices
-            for row in self.elements[g].entries
-            for x in row
+            for row in self.elements[g].sparse_rows
+            for _, x in row
         ]
         return {
             "name": name,
@@ -178,7 +178,7 @@ class Arrangement:
         """The hyperplane index of w applied to hyperplane alpha."""
         m_inv = self.group.elements[self.group.inv(w)]
         normal = self.hyperplanes[alpha].normal
-        moved = _row_times_matrix(normal, m_inv)
+        moved = m_inv.transpose().apply(normal)  # the covector normal * m_inv
         return self._by_normal[_canonical_normal(moved)]
 
     def orbits(self) -> list[list[int]]:
@@ -202,22 +202,6 @@ class Arrangement:
             }
             for a, h in enumerate(self.hyperplanes)
         ]
-
-
-def _row_times_matrix(row, m: CycMatrix):
-    out = []
-    for j in range(m.cols):
-        acc = None
-        for k, r in enumerate(row):
-            if r.is_zero():
-                continue
-            b = m.entries[k][j]
-            if b.is_zero():
-                continue
-            term = r * b
-            acc = term if acc is None else acc + term
-        out.append(ZERO if acc is None else acc)
-    return tuple(out)
 
 
 def _canonical_normal(row):
@@ -264,7 +248,9 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
         diff = m - CycMatrix.identity(group.rank)
         if diff.rank() != 1:
             continue
-        row = next(r for r in diff.entries if any(not c.is_zero() for c in r))
+        row = [ZERO] * group.rank
+        for j, c in next(r for r in diff.sparse_rows if r):
+            row[j] = c
         normal = _canonical_normal(row)
         if normal not in seen:
             seen.add(normal)
@@ -308,7 +294,7 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
     for h in hps:
         row = []
         for m_inv in gen_inverses:
-            moved = _canonical_normal(_row_times_matrix(h.normal, m_inv))
+            moved = _canonical_normal(m_inv.transpose().apply(h.normal))
             row.append(by_normal[moved])
         neighbors.append(row)
     orbit = 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,10 @@ import pytest
 from monodromy.cli import main, run_analyze, run_carousel, run_catalog, render_report
 from monodromy.fixtures import corpus, negative_fixtures, write_corpus
 
-REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+REPO_FIXTURES = REPO_ROOT / "fixtures"
+# report digests recorded from the seed code; read here, never written
+REFERENCE_DIGESTS = REPO_ROOT / "bench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,32 @@ def test_exit_codes_across_manifest(fixture_dir):
 def test_negative_controls_cover_all_nonzero_exits(fixture_dir):
     codes = {e["expected_exit"] for e in manifest(fixture_dir) if e["expected_exit"]}
     assert codes == {2, 3, 4}
+
+
+def _set_splitting_list(datum):
+    datum["splitting"] = list(datum["splitting"].values())
+
+
+def _set_zero_denominator(datum):
+    datum["group"]["generators"][0][0][0]["terms"][0][1] = 0
+
+
+def _set_splitting_out_of_range(datum):
+    datum["splitting"][next(iter(datum["splitting"]))] = 10**6
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_set_splitting_list, _set_zero_denominator, _set_splitting_out_of_range],
+    ids=["splitting_as_list", "zero_denominator", "splitting_out_of_range"],
+)
+def test_malformed_datum_is_parse_error(mutate, tmp_path, capsys):
+    datum = json.loads((REPO_FIXTURES / "s3_split_z2.json").read_text())
+    mutate(datum)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(datum))
+    assert main(["analyze", str(path), "--chi", "trivial"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_file_is_parse_error(tmp_path):
@@ -102,6 +132,28 @@ def test_reports_byte_identical_across_runs(fixture_dir):
             a = render_report(run_analyze(path, spec_string(spec))[0])
             b = render_report(run_analyze(path, spec_string(spec))[0])
             assert a == b
+
+
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_reports_match_reference_digests():
+    """Every positive manifest run renders the exact bytes recorded in the
+    benchmark reference, so no refactor changes a report unnoticed."""
+    digests = json.loads(REFERENCE_DIGESTS.read_text())["digests"]
+    runs = [
+        (entry["file"], spec)
+        for entry in json.loads((REPO_FIXTURES / "manifest.json").read_text())
+        if entry["expected_exit"] == 0
+        for spec in entry["chi_specs"]
+    ]
+    assert len(runs) == 33
+    for name, spec in runs:
+        report, code, _ = run_analyze(str(REPO_FIXTURES / name), spec_string(spec))
+        assert code == 0, name
+        got = hashlib.sha256(render_report(report).encode()).hexdigest()
+        assert got == digests[f"{name}|{canonical_json(spec)}"], (name, spec)
 
 
 def test_committed_corpus_matches_builders(fixture_dir):

@@ -326,3 +326,210 @@ def test_matrix_hash_consistency():
     a = CycMatrix([[zeta(12, 4)]])
     b = CycMatrix([[zeta(3)]])
     assert a == b and hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# sparse matrices against the dense reference loops
+#
+# The loops below are the dense implementations the sparse type replaced.
+# They act on dense row tuples; exact arithmetic makes the results equal.
+
+
+def dense_mul(a, b):
+    out = []
+    for ra in a:
+        row = []
+        for j in range(len(b[0])):
+            acc = None
+            for k in range(len(ra)):
+                x = ra[k]
+                if x.is_zero():
+                    continue
+                y = b[k][j]
+                if y.is_zero():
+                    continue
+                term = x * y
+                acc = term if acc is None else acc + term
+            row.append(rat(0) if acc is None else acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def dense_apply(a, vec):
+    out = []
+    for row in a:
+        acc = None
+        for x, v in zip(row, vec):
+            if x.is_zero() or v.is_zero():
+                continue
+            term = x * v
+            acc = term if acc is None else acc + term
+        out.append(rat(0) if acc is None else acc)
+    return tuple(out)
+
+
+def dense_rank(a):
+    rows = [list(r) for r in a]
+    rank = 0
+    for col in range(len(rows[0])):
+        sel = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def dense_inverse(a):
+    """The inverse as dense rows, or None when a is singular."""
+    n = len(a)
+    rows = [list(r) + [rat(1) if i == j else rat(0) for j in range(n)] for i, r in enumerate(a)]
+    for col in range(n):
+        sel = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        if sel is None:
+            return None
+        rows[col], rows[sel] = rows[sel], rows[col]
+        inv = rows[col][col].inverse()
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            if r != col and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def dense_kron(a, b):
+    return tuple(
+        tuple(x * y for x in ra for y in rb) for ra in a for rb in b
+    )
+
+
+def sparse_entries():
+    """Mostly zeros; the rest rational, roots of unity, or their sums."""
+    nonzero = st.one_of(
+        small_rationals.filter(bool).map(rat),
+        st.builds(zeta, st.sampled_from([2, 3, 4, 6, 8, 12]), st.integers(0, 11)),
+        cyc_numbers().filter(lambda x: not x.is_zero()),
+    )
+    return st.one_of(st.just(rat(0)), st.just(rat(0)), nonzero)
+
+
+def dense_matrices(rows, cols):
+    return st.lists(
+        st.lists(sparse_entries(), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(lambda rs: tuple(map(tuple, rs)))
+
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+def assert_canonical(m: CycMatrix):
+    """Columns strictly increasing and no stored zero in any row."""
+    assert len(m.sparse_rows) == m.rows
+    for row in m.sparse_rows:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns)) and all(0 <= j < m.cols for j in columns)
+        assert all(not x.is_zero() for _, x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(dims, dims, dims).flatmap(
+    lambda s: st.tuples(dense_matrices(s[0], s[1]), dense_matrices(s[1], s[2]))
+))
+def test_sparse_product_matches_dense(pair):
+    a, b = pair
+    got = CycMatrix(a) * CycMatrix(b)
+    assert_canonical(got)
+    assert got.entries == dense_mul(a, b)
+    assert got == CycMatrix(dense_mul(a, b))
+    assert hash(got) == hash(CycMatrix(dense_mul(a, b)))
+    # [a | a] times [b ; -b] cancels to zero in every entry
+    left = CycMatrix([ra + ra for ra in a])
+    right = CycMatrix(b + tuple(tuple(-y for y in rb) for rb in b))
+    assert (left * right).sparse_rows == ((),) * len(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(dims, dims).flatmap(
+    lambda s: st.tuples(dense_matrices(s[0], s[1]), dense_matrices(1, s[1]))
+))
+def test_sparse_apply_matches_dense(pair):
+    a, (vec,) = pair
+    assert CycMatrix(a).apply(vec) == dense_apply(a, vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(dims, dims).flatmap(lambda s: dense_matrices(*s)))
+def test_sparse_rank_and_transpose_match_dense(a):
+    m = CycMatrix(a)
+    assert m.rank() == dense_rank(a)
+    assert_canonical(m.transpose())
+    assert m.transpose().entries == tuple(zip(*a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims.flatmap(lambda n: dense_matrices(n, n)))
+def test_sparse_inverse_matches_dense(a):
+    expected = dense_inverse(a)
+    if expected is None:
+        with pytest.raises(DomainError):
+            CycMatrix(a).inverse()
+    else:
+        inverse = CycMatrix(a).inverse()
+        assert_canonical(inverse)
+        assert inverse.entries == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(dims, dims, dims, dims).flatmap(
+    lambda s: st.tuples(dense_matrices(s[0], s[1]), dense_matrices(s[2], s[3]))
+))
+def test_sparse_kron_matches_dense(pair):
+    a, b = pair
+    got = CycMatrix(a).kron(CycMatrix(b))
+    assert_canonical(got)
+    assert got.entries == dense_kron(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(dims, dims).flatmap(
+    lambda s: st.tuples(dense_matrices(*s), dense_matrices(*s))
+))
+def test_sparse_equality_hash_and_encodings(pair):
+    a, b = pair
+    m, other = CycMatrix(a), CycMatrix(b)
+    # sums that cancel leave no stored zeros behind
+    zero = CycMatrix([[rat(0)] * m.cols for _ in range(m.rows)])
+    assert m - m == zero and hash(m - m) == hash(zero) and (m - m).is_zero()
+    back = (m + other) - other
+    assert back == m and hash(back) == hash(m)
+    assert_canonical(m + other)
+    assert_canonical(m * zeta(3))
+    assert (m * 0).sparse_rows == ((),) * m.rows
+    # the dense view and the JSON encoding round-trip
+    assert m.entries == a
+    assert CycMatrix(m.entries) == m
+    assert m.to_json() == [[x.to_json() for x in row] for row in a]
+    assert CycMatrix.from_json(m.to_json()) == m
+    triples = [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row)]
+    assert CycMatrix.from_triples(m.rows, m.cols, triples) == m
+
+
+def test_sparse_constructors():
+    assert CycMatrix.identity(3).sparse_rows == (((0, rat(1)),), ((1, rat(1)),), ((2, rat(1)),))
+    assert CycMatrix.scalar(2, rat(0)).sparse_rows == ((), ())
+    assert CycMatrix.diagonal([zeta(3), rat(0)]) == CycMatrix([[zeta(3), rat(0)], [rat(0), rat(0)]])
+    with pytest.raises(DomainError):
+        CycMatrix.from_triples(2, 2, [(0, 0, rat(1)), (0, 0, rat(2))])
+    with pytest.raises(DomainError):
+        CycMatrix.from_triples(2, 2, [(2, 0, rat(1))])
