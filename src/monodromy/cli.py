@@ -33,7 +33,7 @@ from .extension import (
 )
 from .hecke import build_coxeter, build_cyclic
 from .induce import build_full_r1, build_full_r2, build_i_action
-from .invariants import compute_chi_invariants, check_generation
+from .invariants import check_generation, compute_chi_invariants, with_relation_character
 from .reflgrp import catalog, catalog_order, enumerate_group, hyperplanes
 
 SCHEMA_VERSION = 1
@@ -325,7 +325,7 @@ def run_analyze(datum_path, chi_spec, rbar_path=None, convention=None):
         )
         carousel_sections, rbar_by_alpha = _carousel_stage(datum, chi, inv, overrides)
         rbar_params = {orbit[0]: rbar_by_alpha[orbit[0]] for orbit in inv.chi_orbits}
-        inv = compute_chi_invariants(datum, chi, rbar_params=rbar_params)
+        inv = with_relation_character(inv, rbar_params)
         verdicts.extend(inv.checks)
         gen_ok, gen_witness = check_generation(datum, inv)
         verdicts.append(
@@ -454,9 +454,6 @@ def main(argv=None) -> int:
     p_car.add_argument("--twist", default="0/1", help="j/k for a k-th root of unity")
     p_car.add_argument("--out")
 
-    p_self = sub.add_parser("selftest", help="run the module property suites")
-    p_self.add_argument("scope", nargs="?", default="all")
-
     args = parser.parse_args(argv)
 
     try:
@@ -493,11 +490,6 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(payload)
             return EXIT_OK
-        if args.command == "selftest":
-            from .selftest import run_selftest
-
-            ok = run_selftest(args.scope)
-            return EXIT_OK if ok else 1
     except (ParseError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -478,7 +478,11 @@ def build_full_r2(
     )
     if rbar_by_alpha:
         for alpha, rbar in sorted(rbar_by_alpha.items()):
-            got = minpoly_matrix(gen_matrices[alpha])
+            m = gen_matrices[alpha]
+            # a generator used as is keeps the polynomial certified for it
+            # when the algebra was built; conjugates are computed here
+            key = next((k for k, g in hecke.generators.items() if g is m), None)
+            got = minpoly_matrix(m) if key is None else hecke.minimal_polynomials[key]
             _check(
                 checks,
                 f"generator_relation[alpha={alpha}]",

@@ -6,7 +6,7 @@ relation character on the full-jump hyperplanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cyclo import CycNumber, CycPoly
 from .errors import IntegrityError, ParameterError
@@ -207,15 +207,34 @@ def compute_chi_invariants(
 
     zero_orbits = _orbits_under(datum, w_chi_zero)
 
-    # degree-one relation character on full-jump hyperplanes
+    inv = ChiInvariants(
+        w_chi=w_chi,
+        per_hyperplane=per,
+        w_chi_zero=w_chi_zero,
+        chi_orbits=chi_orbits,
+        zero_orbits=zero_orbits,
+        rho_values={},
+        rho_trivial=True,
+        checks=checks,
+    )
+    return with_relation_character(inv, rbar_params)
+
+
+def with_relation_character(
+    inv: ChiInvariants,
+    rbar_params: dict[int, CycPoly] | None,
+) -> ChiInvariants:
+    """The invariants with the degree-one relation character on full-jump
+    hyperplanes set from rbar_params (keyed as in compute_chi_invariants);
+    hyperplanes without a polynomial get the trivial value."""
     rho_values: dict[int, CycNumber] = {}
     one = CycNumber.rational(1)
     params = (
-        _normalize_rbar_params(chi_orbits, rbar_params) if rbar_params else {}
+        _normalize_rbar_params(inv.chi_orbits, rbar_params) if rbar_params else {}
     )
-    for orbit in zero_orbits:
+    for orbit in inv.zero_orbits:
         rep = orbit[0]
-        if per[rep].a_class != "A1":
+        if inv.per_hyperplane[rep].a_class != "A1":
             continue
         poly = params.get(rep)
         if poly is None:
@@ -233,17 +252,7 @@ def compute_chi_invariants(
             )
         rho_values[rep] = root
     rho_trivial = all(v.is_one() for v in rho_values.values())
-
-    return ChiInvariants(
-        w_chi=w_chi,
-        per_hyperplane=per,
-        w_chi_zero=w_chi_zero,
-        chi_orbits=chi_orbits,
-        zero_orbits=zero_orbits,
-        rho_values=rho_values,
-        rho_trivial=rho_trivial,
-        checks=checks,
-    )
+    return replace(inv, rho_values=rho_values, rho_trivial=rho_trivial)
 
 
 def _power(group, i: int, k: int) -> int:

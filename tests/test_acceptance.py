@@ -4,6 +4,7 @@ Every identity here is exact (integer or cyclotomic equality, zero
 tolerance); the runtime bounds are asserted as part of the criteria.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -32,6 +33,8 @@ from monodromy.invariants import compute_chi_invariants
 from monodromy.reflgrp import catalog, catalog_order, enumerate_group, hyperplanes
 
 rat = CycNumber.rational
+
+REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -116,19 +119,26 @@ def test_criterion_2_block_decomposition(corpus_dir):
 
 def test_criterion_3_carousel_sweep():
     start = time.time()
+    # polynomial digests recorded from the seed code; read, never written
+    digests = json.loads(REFERENCE_DIGESTS.read_text())["digests"]
+    # (order, exponent) of each primitive root of unity used as a twist
     twists = [
-        zeta(k, j)
-        for k in range(1, 13)
-        for j in range(k)
-        if math.gcd(j, k) == 1 or (j == 0 and k == 1)
+        (m, j)
+        for m in range(1, 13)
+        for j in range(m)
+        if math.gcd(j, m) == 1 or (j == 0 and m == 1)
     ]
     count = 0
     for n in range(1, 13):
         for e in (e for e in range(1, n + 1) if n % e == 0):
             for sgn in (1, -1):
-                for twist in twists:
-                    model = build_carousel(n, e, sgn, twist)
+                for m, j in twists:
+                    model = build_carousel(n, e, sgn, zeta(m, j))
                     polys = carousel_minpolys(model)
+                    # the three polynomials, byte for byte
+                    encoded = json.dumps(polys.to_json(), sort_keys=True, separators=(",", ":"))
+                    got = hashlib.sha256(encoded.encode()).hexdigest()
+                    assert got == digests[f"{n},{e},{sgn},{m},{j}"], (n, e, sgn, m, j)
                     # degree identity
                     assert polys.r.degree == n
                     # exponent-support factorization

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from monodromy.cli import main, run_analyze, run_carousel, run_catalog, render_report
-from monodromy.fixtures import corpus, negative_fixtures, write_corpus
+from monodromy.extension import datum_to_json
+from monodromy.fixtures import corpus, direct_product_datum, negative_fixtures, write_corpus
+from monodromy.reflgrp import catalog
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_FIXTURES = REPO_ROOT / "fixtures"
@@ -138,22 +140,33 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def test_reports_match_reference_digests():
-    """Every positive manifest run renders the exact bytes recorded in the
-    benchmark reference, so no refactor changes a report unnoticed."""
+# Z/2 x G(m,p,r) covers with the sign tau, as in the benchmark's ladder
+LADDER = (("z2_g114", (1, 1, 4)), ("z2_g213", (2, 1, 3)))
+
+
+def test_reports_match_reference_digests(tmp_path):
+    """Every positive manifest run, and both characters of each ladder
+    cover, render the exact bytes recorded in the benchmark reference, so
+    no refactor changes a report unnoticed."""
     digests = json.loads(REFERENCE_DIGESTS.read_text())["digests"]
     runs = [
-        (entry["file"], spec)
+        (REPO_FIXTURES / entry["file"], spec)
         for entry in json.loads((REPO_FIXTURES / "manifest.json").read_text())
         if entry["expected_exit"] == 0
         for spec in entry["chi_specs"]
     ]
     assert len(runs) == 33
-    for name, spec in runs:
-        report, code, _ = run_analyze(str(REPO_FIXTURES / name), spec_string(spec))
-        assert code == 0, name
+    for name, mpr in LADDER:
+        datum = direct_product_datum(name, catalog(*mpr), 2, tau_exponent=1)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(datum_to_json(datum)))
+        generator = next(x for x in datum.kernel if x != datum.wtilde.identity)
+        runs += [(path, "trivial"), (path, {str(generator): 1, "modulus": 2})]
+    for path, spec in runs:
+        report, code, _ = run_analyze(str(path), spec_string(spec))
+        assert code == 0, path.name
         got = hashlib.sha256(render_report(report).encode()).hexdigest()
-        assert got == digests[f"{name}|{canonical_json(spec)}"], (name, spec)
+        assert got == digests[f"{path.name}|{canonical_json(spec)}"], (path.name, spec)
 
 
 def test_committed_corpus_matches_builders(fixture_dir):

@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monodromy import cyclo
 from monodromy.cyclo import (
+    ONE,
+    ZERO,
     CycMatrix,
     CycNumber,
     CycPoly,
@@ -149,6 +155,82 @@ def test_field_axioms_on_sampled_triples(a, b, c):
     assert a + b == b + a and a * b == b * a
     if not a.is_zero():
         assert (a * a.inverse()).is_one()
+
+
+# ---------------------------------------------------------------------------
+# interning and memoized operations
+
+
+def mixed_numbers():
+    """Rationals, roots of unity, and sums of a scaled root with another
+    root of a different order, so results land in various fields."""
+    orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12])
+    return st.one_of(
+        small_rationals.map(rat),
+        st.builds(zeta, orders, st.integers(0, 11)),
+        st.builds(
+            lambda q, n, k, m, j: rat(q) * zeta(n, k) + zeta(m, j),
+            small_rationals, orders, st.integers(0, 11), orders, st.integers(0, 11),
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_numbers(), mixed_numbers())
+def test_memoized_operations_match_uncached_bodies(a, b):
+    assert a * b is cyclo._mul.__wrapped__(a, b)
+    assert b * a is cyclo._mul.__wrapped__(b, a)
+    assert a + b is cyclo._add.__wrapped__(a, b)
+    assert -a is cyclo._neg.__wrapped__(a)
+    assert a - b is cyclo._add.__wrapped__(a, cyclo._neg.__wrapped__(b))
+    if not a.is_zero():
+        assert a.inverse() is cyclo._inverse.__wrapped__(a)
+        assert b / a is cyclo._mul.__wrapped__(b, cyclo._inverse.__wrapped__(a))
+
+
+def test_equal_values_are_one_object():
+    x = zeta(12, 7) + rat(Fraction(3, 4))
+    assert CycNumber.from_json(x.to_json()) is x
+    assert CycNumber.from_json({"order": 12, "terms": [[1, 1, 4]]}) is zeta(3)
+    assert CycNumber.from_terms(12, [(4, 1)]) is zeta(3)
+    assert CycNumber.from_terms(4, [(2, 1)]) is rat(-1)
+    assert rat(Fraction(2, 4)) is rat(Fraction(1, 2))
+    assert zeta(6) is rat(1) + zeta(3)
+    assert zeta(2) is rat(-1) is -ONE
+    assert x - x is ZERO and rat(0) is ZERO and zeta(7, 7) is ONE
+    assert zeta(5, 2) * zeta(5, 2).inverse() is ONE
+    assert zeta(8) ** 8 is ONE and (x * 2) / 2 is x
+    assert x == x.conjugate().conjugate() and x != x.conjugate()
+    assert ZERO == 0 and ONE == 1 and rat(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_copies_return_the_interned_instance():
+    x = zeta(8, 3) + rat(Fraction(1, 3))
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert pickle.loads(pickle.dumps([x, ZERO, ONE])) == [x, ZERO, ONE]
+    assert pickle.loads(pickle.dumps(ZERO)) is ZERO
+
+
+def test_intern_table_holds_values_weakly():
+    x = CycNumber.from_terms(7, [(1, Fraction(1234567, 3))])
+    key = (x.order, x.coeffs)
+    assert cyclo._INTERNED[key] is x
+    data = pickle.dumps(x)
+    del x
+    gc.collect()
+    assert key not in cyclo._INTERNED
+    # a value rebuilt after its last instance died is interned again
+    y = pickle.loads(data)
+    assert cyclo._INTERNED[key] is y
+    assert CycNumber.from_terms(7, [(1, Fraction(1234567, 3))]) is y
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_numbers())
+def test_hash_is_structural(x):
+    assert hash(x) == hash((x.order, x.coeffs))
 
 
 # ---------------------------------------------------------------------------
