@@ -124,7 +124,8 @@ def carousel_minpolys(m: CarouselModel) -> CarouselPolys:
     """The three minimal polynomials with their identities certified."""
     forward = m.lambda_inv.inverse()
     r = minpoly_matrix(forward)
-    rbar = minpoly_matrix(forward**m.e)
+    # the first power is forward itself, whose polynomial is r
+    rbar = r if m.e == 1 else minpoly_matrix(forward**m.e)
     rbar_mu = minpoly_matrix(m.mu_e)
     if r.degree != m.n:
         raise IntegrityError(

@@ -187,7 +187,8 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
         algebra = build_cyclic(rbar_by_alpha[cyclic_alpha])
         return algebra, algebra.to_json()
     # quadratic: all nontrivial meets have order two; over the whole group
-    # the datum's own enumeration is reused so module builders can share it
+    # the datum's own enumeration and arrangement are reused so module
+    # builders can share them
     gens = []
     for a in range(len(datum.arrangement)):
         meet = inv.per_hyperplane[a].stabilizer_meet
@@ -196,11 +197,8 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
         if len(meet) == 2:
             gens.append(next(i for i in meet if i != group.identity_index))
     if len(sub) == len(group):
-        subgroup = group
-        params = {
-            datum.arrangement[a].orbit_id: rbar_by_alpha[a]
-            for a in range(len(datum.arrangement))
-        }
+        arr = datum.arrangement
+        params = {arr[a].orbit_id: rbar_by_alpha[a] for a in range(len(arr))}
     else:
         subgroup = enumerate_group([group.elements[g] for g in sorted(set(gens))])
         if len(subgroup) != len(sub):
@@ -208,12 +206,12 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
                 f"re-enumerated reflection subgroup has order {len(subgroup)}, "
                 f"expected {len(sub)}"
             )
-        sub_arr = hyperplanes(subgroup)
+        arr = hyperplanes(subgroup)
         params = {}
-        for b in range(len(sub_arr)):
-            normal = sub_arr[b].normal
+        for b in range(len(arr)):
+            normal = arr[b].normal
             alpha = datum.arrangement.index_of_normal(normal)
-            oid = sub_arr[b].orbit_id
+            oid = arr[b].orbit_id
             poly = rbar_by_alpha[alpha]
             if oid in params and params[oid] != poly:
                 raise IntegrityError(
@@ -221,7 +219,7 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
                 )
             params[oid] = poly
     try:
-        algebra = build_coxeter(subgroup, params)
+        algebra = build_coxeter(arr, params)
     except RegimeError as exc:
         return None, _unsupported_hecke(inv, str(exc))
     return algebra, algebra.to_json()

@@ -6,6 +6,15 @@ down to the smallest cyclotomic field containing them.  Canonical orders are
 never congruent to 2 mod 4, so the pair (order, coeffs) determines the value.
 Everything is immutable.
 
+The push-down needs no linear algebra.  For each prime p | n, m = n/p, the
+vector is rewritten along a basis of Q(zeta_n) over Q(zeta_m) that contains
+1, by exponent bookkeeping alone: when p | m the power basis already is
+zeta_m^j * zeta_n^r (r < p), and when p does not divide m each zeta_n^e
+splits as zeta_m^a * zeta_p^b by the Chinese remainder theorem.  The value
+lies in Q(zeta_m) exactly when its parts off 1 vanish, and the part on 1
+gives its coordinates there (moved to m/2 when m = 2 mod 4).  This repeats
+while some prime descends.
+
 Scalars are interned (hash-consed): each canonical value has a single live
 instance, found through a weak table keyed on (order, coeffs), so equality
 is identity and ``ZERO``/``ONE`` are tested with ``is``.  The hash is the
@@ -135,65 +144,45 @@ def _reduce_exponents(n: int, terms) -> tuple[Fraction, ...]:
     return tuple(acc)
 
 
-@lru_cache(maxsize=None)
-def _subfield_solver(n: int, m: int):
-    """Echelon data deciding membership of Q(zeta_n)-vectors in Q(zeta_m).
+def _reduce_canonical(m: int, terms):
+    """(order, vector) of sum coeff * zeta_m^exp at the canonical order of Q(zeta_m)."""
+    if m % 4 != 2:
+        return m, _reduce_exponents(m, terms)
+    # zeta_2k = -zeta_k^((k+1)/2) for odd k
+    k = m // 2
+    step = (k + 1) // 2
+    return k, _reduce_exponents(k, ((e * step, -c if e % 2 else c) for e, c in terms))
 
-    Returns (transform, pivots) where transform is a phi(n) x phi(n) row
-    operation matrix bringing the embedding matrix of the subfield basis to
-    echelon form, and pivots maps each subfield basis column to its pivot row.
+
+def _descend(n: int, p: int, vec):
+    """(order, vector) of vec in Q(zeta_{n/p}) if it lies there, else None.
+
+    With m = n/p, vec is split along a basis of Q(zeta_n) over Q(zeta_m)
+    that contains 1; it descends exactly when its other parts vanish.
     """
-    dn, dm = _phi(n), _phi(m)
-    step = n // m
-    cols = [_power_table(n)[(j * step) % n] for j in range(dm)]
-    # matrix rows: A[i][j] = cols[j][i]
-    a = [[cols[j][i] for j in range(dm)] for i in range(dn)]
-    t = [[_ONE if i == k else _ZERO for k in range(dn)] for i in range(dn)]
-    pivots = []
-    row = 0
-    for col in range(dm):
-        sel = None
-        for r in range(row, dn):
-            if a[r][col] != 0:
-                sel = r
-                break
-        assert sel is not None  # embedding matrix has full column rank
-        a[row], a[sel] = a[sel], a[row]
-        t[row], t[sel] = t[sel], t[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        t[row] = [x * inv for x in t[row]]
-        for r in range(dn):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-                t[r] = [x - f * y for x, y in zip(t[r], t[row])]
-        pivots.append(row)
-        row += 1
-    return tuple(tuple(r) for r in t), tuple(pivots)
-
-
-def _descend_target(m: int) -> int:
-    return m // 2 if m % 4 == 2 else m
-
-
-def _try_subfield(n: int, m: int, vec):
-    """Coefficients of vec in Q(zeta_m) if it lies there, else None."""
-    t, pivots = _subfield_solver(n, m)
-    dn, dm = _phi(n), _phi(m)
-    w = []
-    for i in range(dn):
-        s = _ZERO
-        row = t[i]
-        for j in range(dn):
-            if row[j] and vec[j]:
-                s += row[j] * vec[j]
-        w.append(s)
-    pivot_set = set(pivots)
-    for i in range(dn):
-        if i not in pivot_set and w[i] != 0:
+    m = n // p
+    if m % p == 0:
+        # basis 1, zeta_n, ..., zeta_n^(p-1), since zeta_n^p = zeta_m: the
+        # power-basis index p*j + r is zeta_m^j * zeta_n^r
+        if any(c for i, c in enumerate(vec) if i % p):
             return None
-    return tuple(w[pivots[j]] for j in range(dm))
+        return _reduce_canonical(m, enumerate(vec[::p]))
+    # linearly disjoint: basis 1, zeta_p, ..., zeta_p^(p-2), where
+    # zeta_n^e = zeta_m^a * zeta_p^b for a = e/p mod m, b = e/m mod p, and
+    # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2))
+    inv_p, inv_m = pow(p, -1, m), pow(m, -1, p)
+    parts = [[] for _ in range(p - 1)]
+    for e, c in enumerate(vec):
+        if c:
+            a, b = e * inv_p % m, e * inv_m % p
+            if b == p - 1:
+                for part in parts:
+                    part.append((a, -c))
+            else:
+                parts[b].append((a, c))
+    if any(any(_reduce_exponents(m, part)) for part in parts[1:]):
+        return None
+    return _reduce_canonical(m, parts[0])
 
 
 def _minimalize(n: int, vec):
@@ -201,11 +190,10 @@ def _minimalize(n: int, vec):
     while n > 1:
         if all(c == 0 for c in vec[1:]):
             return 1, (vec[0],)
-        targets = sorted({_descend_target(n // p) for p in _prime_factors(n)}, reverse=True)
-        for m in targets:
-            down = _try_subfield(n, m, vec)
+        for p in _prime_factors(n):
+            down = _descend(n, p, vec)
             if down is not None:
-                n, vec = m, down
+                n, vec = down
                 break
         else:
             break
@@ -275,16 +263,8 @@ class CycNumber:
     def is_zero(self) -> bool:
         return self is ZERO
 
-    def is_rational(self) -> bool:
-        return self.order == 1
-
     def is_one(self) -> bool:
         return self is ONE
-
-    def as_rational(self) -> Fraction:
-        if self.order != 1:
-            raise DomainError(f"{self!r} is not rational")
-        return self.coeffs[0]
 
     def root_of_unity_order(self):
         """Multiplicative order if self is a root of unity, else None."""

@@ -35,6 +35,9 @@ class CayleyGroup:
         self.table = tuple(tuple(row) for row in table)
         self.order = n
         self.generators = list(generators) if generators else list(range(n))
+        for g in self.generators:
+            if not isinstance(g, int) or not 0 <= g < n:
+                raise ParseError(f"covering group generator {g!r} out of range")
         self._identity = None
         self._inv: list[int | None] = [None] * n
 

@@ -17,7 +17,7 @@ import itertools
 
 from .cyclo import ONE, CycMatrix, CycPoly, minpoly_matrix
 from .errors import DomainError, IntegrityError, ParameterError, RegimeError
-from .reflgrp import Arrangement, ReflectionGroup, hyperplanes, subgroup_generated
+from .reflgrp import Arrangement, ReflectionGroup, subgroup_generated
 
 
 class HeckeAlgebra:
@@ -38,13 +38,6 @@ class HeckeAlgebra:
         self.simple_hyperplanes: list[int] = []
         self.simple_words: list[tuple[int, ...]] = []
         self._element_matrices: dict[int, CycMatrix] = {}
-
-    @property
-    def unit_index(self) -> int:
-        return 0
-
-    def generator_inverse(self, key: str) -> CycMatrix:
-        return self.generators[key].inverse()
 
     def t_of_element(self, w: int) -> CycMatrix:
         """Basis operator for a group element (quadratic regime only)."""
@@ -208,15 +201,15 @@ def _element_operators(group, mats, simple, lengths, words):
     return t_of
 
 
-def build_coxeter(group: ReflectionGroup, params: dict[int, CycPoly]) -> HeckeAlgebra:
-    """Quadratic-relation algebra over a real reflection group.
+def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
+    """Quadratic-relation algebra over the real reflection group of arr.
 
     params maps arrangement orbit ids to monic quadratic relations with
     nonzero constant term.  The simple system is found by certified
     search: the lexicographically first set of reflections that generates
     the group and passes the basis, braid, and relation certificates.
     """
-    arr = hyperplanes(group)
+    group = arr.group
     if len(arr) == 0:
         raise RegimeError("the trivial group has no quadratic regime; use cyclic")
     for h in arr.hyperplanes:

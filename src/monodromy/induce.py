@@ -227,7 +227,6 @@ class InducedModule:
     datum: ExtensionDatum
     chi: Character
     hecke: HeckeAlgebra | None = None
-    coset_lifts: list[FiberElement] | None = None  # per basis label (R1)
 
     def represent(self, g: FiberElement) -> CycMatrix:
         """Evaluate the module action on a fiber element by splitting it
@@ -377,8 +376,7 @@ def build_full_r1(
         i_matrices[x] = CycMatrix.diagonal(entries)
 
     module = InducedModule(
-        "R1", ledger, i_action, gen_matrices, i_matrices, checks, datum, chi,
-        coset_lifts=lifts,
+        "R1", ledger, i_action, gen_matrices, i_matrices, checks, datum, chi
     )
     for alpha, m in gen_matrices.items():
         _check(

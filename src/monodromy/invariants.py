@@ -32,9 +32,6 @@ class ChiInvariants:
     rho_trivial: bool
     checks: list[CheckResult] = field(default_factory=list)
 
-    def jump(self, alpha: int) -> int:
-        return self.per_hyperplane[alpha].jump
-
     def a_zero(self) -> list[int]:
         return [a for a, h in enumerate(self.per_hyperplane) if h.a_class == "A0"]
 

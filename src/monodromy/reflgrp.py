@@ -39,10 +39,6 @@ class ReflectionGroup:
     def identity_index(self) -> int:
         return 0
 
-    def rmul_generator(self, i: int, slot: int) -> int:
-        """Index of elements[i] * generator[slot]."""
-        return self._rmul_gen[i][slot]
-
     def mul(self, i: int, j: int) -> int:
         """Index-based multiplication via the stored word of j."""
         out = i
@@ -86,9 +82,6 @@ class ReflectionGroup:
             cur = self.mul(cur, i)
             n += 1
         return n
-
-    def matrix(self, i: int) -> CycMatrix:
-        return self.elements[i]
 
     def to_json(self, name: str = "group") -> dict:
         orders = [

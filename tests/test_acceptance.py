@@ -188,7 +188,7 @@ def test_criterion_4_hecke_dimensions():
         arr = hyperplanes(group)
         for rbar in quadratics:
             params = {arr[a].orbit_id: rbar for a in range(len(arr))}
-            h = build_coxeter(group, params)
+            h = build_coxeter(arr, params)
             assert h.dimension == len(group), name
             for key, m in h.generators.items():
                 assert minpoly_matrix(m) == h.params[key], name
@@ -200,7 +200,7 @@ def test_criterion_4_hecke_dimensions():
     for key, m in prod.generators.items():
         assert minpoly_matrix(m) == prod.params[key]
     g = enumerate_group(catalog(1, 1, 2))
-    cox = build_coxeter(g, {0: quadratics[1]})
+    cox = build_coxeter(hyperplanes(g), {0: quadratics[1]})
     mixed = build_product([build_cyclic(CycPoly([-zeta(4), one]))] + [cox])
     assert mixed.dimension == 2
     _stamp("4 hecke-dimensions", start, 60)

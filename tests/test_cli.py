@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodromy.cli import main, run_analyze, run_carousel, run_catalog, render_report
 from monodromy.extension import datum_to_json
@@ -61,10 +65,30 @@ def _set_splitting_out_of_range(datum):
     datum["splitting"][next(iter(datum["splitting"]))] = 10**6
 
 
+def _set_wtilde_generator_out_of_range(datum):
+    datum["wtilde"]["generators"][0] = 10**6
+
+
+def _set_wtilde_generator_object(datum):
+    datum["wtilde"]["generators"][0] = {}
+
+
 @pytest.mark.parametrize(
     "mutate",
-    [_set_splitting_list, _set_zero_denominator, _set_splitting_out_of_range],
-    ids=["splitting_as_list", "zero_denominator", "splitting_out_of_range"],
+    [
+        _set_splitting_list,
+        _set_zero_denominator,
+        _set_splitting_out_of_range,
+        _set_wtilde_generator_out_of_range,
+        _set_wtilde_generator_object,
+    ],
+    ids=[
+        "splitting_as_list",
+        "zero_denominator",
+        "splitting_out_of_range",
+        "wtilde_generator_out_of_range",
+        "wtilde_generator_object",
+    ],
 )
 def test_malformed_datum_is_parse_error(mutate, tmp_path, capsys):
     datum = json.loads((REPO_FIXTURES / "s3_split_z2.json").read_text())
@@ -73,6 +97,74 @@ def test_malformed_datum_is_parse_error(mutate, tmp_path, capsys):
     path.write_text(json.dumps(datum))
     assert main(["analyze", str(path), "--chi", "trivial"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# the two smallest positive data of the corpus
+FUZZ_FIXTURES = ["trivial_w_z2.json", "s3_over_s2.json"]
+WRONG_TYPES = [None, True, 1.5, "x", [], {}]
+# a negative index, the orders of W and of the covering group in these data
+# (one past their last index), and a huge index
+OUT_OF_RANGE = [-1, 1, 2, 6, 10**6]
+
+
+def _json_paths(node, prefix=()):
+    """Paths of every node below the root of a JSON value."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _node(datum, path):
+    for key in path:
+        datum = datum[key]
+    return datum
+
+
+def _mutate(data, datum):
+    """One random damage: a wrong JSON type, an out-of-range integer, a
+    deleted key or element, a truncated list, or a zero denominator.
+
+    Matrix coefficients under group.generators only get damage that cannot
+    parse (wrong non-numeric types, deletions, truncations, zero
+    denominators): changing them to other numbers usually makes the group
+    infinite, and reaching the closure cap then takes tens of seconds."""
+    paths = list(_json_paths(datum))
+    terms = [
+        p for p in paths
+        if len(p) > 1 and p[-2] == "terms" and isinstance(_node(datum, p), list) and len(_node(datum, p)) == 3
+    ]
+    kind = data.draw(st.sampled_from(["wrong_type", "out_of_range", "delete", "truncate", "zero_denominator"]))
+    if kind == "zero_denominator" and terms:
+        _node(datum, data.draw(st.sampled_from(terms)))[1] = 0
+        return
+    path = data.draw(st.sampled_from(paths))
+    parent, key = _node(datum, path[:-1]), path[-1]
+    coefficient = path[:2] == ("group", "generators")
+    if kind == "delete":
+        del parent[key]
+    elif kind == "truncate" and isinstance(parent[key], list):
+        del parent[key][data.draw(st.integers(0, len(parent[key]))):]
+    elif kind == "out_of_range" and not coefficient:
+        parent[key] = data.draw(st.sampled_from(OUT_OF_RANGE))
+    else:
+        wrong = [v for v in WRONG_TYPES if not coefficient or not isinstance(v, (int, float))]
+        parent[key] = data.draw(st.sampled_from(wrong))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_datum_ends_in_documented_exit(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(FUZZ_FIXTURES))
+    datum = json.loads((REPO_FIXTURES / name).read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, datum)
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "datum.json"
+    path.write_text(json.dumps(datum))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["analyze", str(path), "--chi", "trivial", "--out", str(directory / "report.json")])
+    assert code in (0, 2, 3, 4)
 
 
 def test_missing_file_is_parse_error(tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import gc
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -144,6 +145,48 @@ def cyc_numbers():
         st.sampled_from([1, 2, 3, 4, 6, 8, 12]),
         st.integers(min_value=0, max_value=11),
     )
+
+
+def prime_factors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def galois_image(x: CycNumber, k: int):
+    """The power-basis vector of x under zeta -> zeta^k, at x's own order."""
+    return cyclo._reduce_exponents(x.order, ((i * k, q) for i, q in enumerate(x.coeffs)))
+
+
+def lifted_elements():
+    """(n, d, terms): a canonical order n <= MAX_ORDER, a divisor d of n, and
+    a few (exponent, coefficient) terms at order d."""
+    canonical = [n for n in range(1, cyclo.MAX_ORDER + 1) if n % 4 != 2]
+    return st.sampled_from(canonical).flatmap(
+        lambda n: st.sampled_from([d for d in range(1, n + 1) if n % d == 0]).flatmap(
+            lambda d: st.tuples(
+                st.just(n),
+                st.just(d),
+                st.lists(st.tuples(st.integers(0, d - 1), small_rationals), min_size=1, max_size=4),
+            )
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(lifted_elements())
+def test_descent_reaches_the_minimal_field(case):
+    n, d, terms = case
+    x = CycNumber.from_terms(d, terms)
+    lifted_terms = [(e * (n // d), q) for e, q in terms]
+    assert CycNumber.from_terms(n, lifted_terms) is x
+    c = x.order
+    assert d % c == 0
+    # the value survives the descent
+    assert cyclo._reduce_exponents(n, x.lift_terms(n)) == cyclo._reduce_exponents(n, lifted_terms)
+    # minimal: for each prime p | c, x is moved by some element of
+    # Gal(Q(zeta_c)/Q(zeta_{c/p})), the units k = 1 mod c/p
+    for p in prime_factors(c):
+        units = [k for k in range(1, c, c // p) if math.gcd(k, c) == 1]
+        assert any(galois_image(x, k) != x.coeffs for k in units), (c, p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
 from monodromy.errors import ParameterError, RegimeError
 from monodromy.fixtures import s3_rank2_generators
 from monodromy.hecke import build_coxeter, build_cyclic, build_product
-from monodromy.reflgrp import catalog, enumerate_group
+from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
 
 
 def rat(x):
@@ -68,13 +68,13 @@ def test_cyclic_orders_up_to_twelve():
 
 def test_a1_group_algebra():
     g = enumerate_group(catalog(1, 1, 2))
-    h = build_coxeter(g, {0: poly(-1, 0, 1)})
+    h = build_coxeter(hyperplanes(g), {0: poly(-1, 0, 1)})
     assert h.dimension == 2
 
 
 def test_s3_group_algebra_specialization():
     g = enumerate_group(s3_rank2_generators())
-    h = build_coxeter(g, {0: poly(-1, 0, 1)})
+    h = build_coxeter(hyperplanes(g), {0: poly(-1, 0, 1)})
     assert h.dimension == 6
     # at z^2 - 1 the generators act as the left-regular permutations
     for key, m in h.generators.items():
@@ -86,13 +86,11 @@ def test_s3_group_algebra_specialization():
 def test_group_algebra_specialization_characters(gens):
     # with relation z^2 - 1 on every orbit, the basis operators carry the
     # left-regular character: trace |W| at the unit, zero elsewhere
-    from monodromy.reflgrp import hyperplanes
-
     g = enumerate_group(gens)
     assert len(g) <= 48
     arr = hyperplanes(g)
     params = {arr[a].orbit_id: poly(-1, 0, 1) for a in range(len(arr))}
-    h = build_coxeter(g, params)
+    h = build_coxeter(arr, params)
     for w in range(len(g)):
         t = h.t_of_element(w)
         trace = sum((t.entries[i][i] for i in range(len(g))), rat(0))
@@ -115,7 +113,7 @@ def test_cyclic_group_algebra_specialization():
 def test_b2_with_numeric_parameter():
     g = enumerate_group(catalog(2, 1, 2))
     params = {0: quadratic(3), 1: quadratic(3)}
-    h = build_coxeter(g, params)
+    h = build_coxeter(hyperplanes(g), params)
     assert h.dimension == 8
     for key, m in h.generators.items():
         assert minpoly_matrix(m) == h.params[key]
@@ -124,7 +122,7 @@ def test_b2_with_numeric_parameter():
 def test_b2_with_distinct_orbit_parameters():
     g = enumerate_group(catalog(2, 1, 2))
     params = {0: quadratic(3), 1: quadratic(zeta(3))}
-    h = build_coxeter(g, params)
+    h = build_coxeter(hyperplanes(g), params)
     assert h.dimension == 8
 
 
@@ -136,35 +134,33 @@ def test_a3_and_dihedral_dimensions():
     ]:
         g = enumerate_group(gens)
         orbit_ids = set()
-        from monodromy.reflgrp import hyperplanes
-
         arr = hyperplanes(g)
         params = {arr[a].orbit_id: quadratic(2) for a in range(len(arr))}
-        h = build_coxeter(g, params)
+        h = build_coxeter(arr, params)
         assert h.dimension == expected == len(g)
 
 
 def test_coxeter_rejects_higher_order_reflections():
     g = enumerate_group(catalog(3, 1, 2))
     with pytest.raises(RegimeError):
-        build_coxeter(g, {0: quadratic(2), 1: quadratic(2)})
+        build_coxeter(hyperplanes(g), {0: quadratic(2), 1: quadratic(2)})
 
 
 def test_coxeter_rejects_wrong_degree():
     g = enumerate_group(catalog(1, 1, 2))
     with pytest.raises(ParameterError):
-        build_coxeter(g, {0: poly(-1, 0, 0, 1)})
+        build_coxeter(hyperplanes(g), {0: poly(-1, 0, 0, 1)})
 
 
 def test_coxeter_rejects_missing_orbit():
     g = enumerate_group(catalog(2, 1, 2))
     with pytest.raises(ParameterError):
-        build_coxeter(g, {0: quadratic(2)})
+        build_coxeter(hyperplanes(g), {0: quadratic(2)})
 
 
 def test_element_operators_multiply():
     g = enumerate_group(s3_rank2_generators())
-    h = build_coxeter(g, {0: quadratic(2)})
+    h = build_coxeter(hyperplanes(g), {0: quadratic(2)})
     # T_s T_w = T_{sw} whenever the product is length-increasing, checked
     # through the unit column of the operators
     for w in range(len(g)):
@@ -175,7 +171,7 @@ def test_element_operators_multiply():
 
 def test_associativity_on_random_triples():
     g = enumerate_group(catalog(2, 1, 2))
-    h = build_coxeter(g, {0: quadratic(3), 1: quadratic(5)})
+    h = build_coxeter(hyperplanes(g), {0: quadratic(3), 1: quadratic(5)})
     rng = random.Random(5)
     ops = [h.t_of_element(w) for w in range(h.dimension)]
     for _ in range(200):
@@ -203,7 +199,7 @@ def test_product_single_factor_is_identity():
 def test_mixed_product_dimensions_and_commutation():
     cyc3 = build_cyclic(poly(-1, 0, 0, 1))  # z^3 - 1
     g = enumerate_group(catalog(1, 1, 2))
-    cox = build_coxeter(g, {0: quadratic(2)})
+    cox = build_coxeter(hyperplanes(g), {0: quadratic(2)})
     h = build_product([cyc3, cox])
     assert h.dimension == 6
     a = h.generators["leg0.t"]

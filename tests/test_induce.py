@@ -246,7 +246,7 @@ def test_r2_s3_group_algebra():
     inv = compute_chi_invariants(d, chi)
     rbar = CycPoly([rat(-1), rat(0), rat(1)])
     params = {oid: rbar for oid in {d.arrangement[a].orbit_id for a in range(3)}}
-    hecke = build_coxeter(d.group, params)
+    hecke = build_coxeter(d.arrangement, params)
     module = build_full_r2(d, chi, inv, hecke, {a: rbar for a in range(3)})
     assert module.ledger.dim_mchi == 6
     for alpha, m in module.gen_matrices.items():
@@ -262,7 +262,7 @@ def test_r2_q8_nontrivial_relation():
     z2_plus_1 = CycPoly([rat(1), rat(0), rat(1)])
     assert rbars == {0: z2_plus_1, 1: z2_plus_1}
     params = {d.arrangement[a].orbit_id: rbars[a] for a in range(2)}
-    hecke = build_coxeter(d.group, params)
+    hecke = build_coxeter(d.arrangement, params)
     module = build_full_r2(d, chi, inv, hecke, rbars)
     assert module.ledger.dim_mchi == 4
     # kernel scalar: character times sign gives plus one here
@@ -277,7 +277,7 @@ def test_r2_b2_split():
     inv = compute_chi_invariants(d, chi)
     rbar = CycPoly([rat(-1), rat(0), rat(1)])
     params = {d.arrangement[a].orbit_id: rbar for a in range(len(d.arrangement))}
-    hecke = build_coxeter(d.group, params)
+    hecke = build_coxeter(d.arrangement, params)
     module = build_full_r2(
         d, chi, inv, hecke, {a: rbar for a in range(len(d.arrangement))}
     )
