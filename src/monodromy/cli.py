@@ -99,6 +99,9 @@ def _carousel_stage(datum, chi, inv, rbar_overrides):
     the relation polynomial handed to the later stages."""
     sections = []
     rbar_by_alpha: dict[int, CycPoly] = {}
+    # (n, e, sgn, twist) -> (model, polys): orbits with equal parameters
+    # share one certified model
+    certified = {}
     for orbit in inv.chi_orbits:
         rep = orbit[0]
         n = datum.arrangement[rep].order
@@ -111,8 +114,11 @@ def _carousel_stage(datum, chi, inv, rbar_overrides):
         sgn = _orbit_constant(datum, orbit, datum.sgn, 1, "sign datum")
         twists = {a: datum.twist.get(a) or twist_from_extension(datum, a, chi) for a in orbit}
         twist = _orbit_constant(datum, orbit, twists, None, "wrap-around scalar")
-        model = build_carousel(n, e, sgn, twist)
-        polys = carousel_minpolys(model)
+        key = (n, e, sgn, twist)
+        if key not in certified:
+            model = build_carousel(n, e, sgn, twist)
+            certified[key] = model, carousel_minpolys(model)
+        model, polys = certified[key]
         applied = polys.rbar
         if rbar_overrides and rep in rbar_overrides:
             applied = rbar_overrides[rep]
@@ -419,6 +425,15 @@ def run_carousel(n, e, sgn, twist):
     }
 
 
+def _write_payload(payload: str, out: str | None):
+    """Write to the --out file when one is given, else to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="monodromy",
@@ -462,31 +477,18 @@ def main(argv=None) -> int:
             report, code, warnings = run_analyze(
                 args.datum, args.chi, args.rbar, convention
             )
-            payload = render_report(report)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-            else:
-                sys.stdout.write(payload)
+            _write_payload(render_report(report), args.out)
             for w in warnings:
                 print(f"warning: {w}", file=sys.stderr)
             return code
         if args.command == "catalog":
-            payload = render_report(run_catalog(args.family, args.m, args.p, args.r))
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-            else:
-                sys.stdout.write(payload)
+            report = run_catalog(args.family, args.m, args.p, args.r)
+            _write_payload(render_report(report), args.out)
             return EXIT_OK
         if args.command == "carousel":
             twist = _parse_twist(args.twist)
-            payload = render_report(run_carousel(args.n, args.e, args.sgn, twist))
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-            else:
-                sys.stdout.write(payload)
+            report = run_carousel(args.n, args.e, args.sgn, twist)
+            _write_payload(render_report(report), args.out)
             return EXIT_OK
     except (ParseError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,8 @@ Copying and unpickling go back through the table.
 
 Products, sums, negations and inverses are memoized on their interned
 operands, because the pipeline repeats a small set of them many times: the
-whole 3220-tuple carousel grid makes about 950 000 products over 348
-distinct operand pairs, 138 distinct sums and 68 distinct inverses, and
+whole 3220-tuple carousel grid makes about 980 000 products over 346
+distinct operand pairs, 68 distinct sums and 68 distinct inverses, and
 the R2 analyzes of Z/2 x G(1,1,4) and Z/2 x G(2,1,3) make tens of thousands
 of products over 11 pairs.  Each memo table is bounded at ``_MEMO_SIZE``
 entries, about six times the largest of those working sets, so a pass
@@ -33,6 +33,12 @@ evicts nothing it reuses, while a workload with many large-order values
 cannot grow the tables without limit.  The memoized bodies call no
 operator, so how often the operators are called does not depend on what
 the tables hold.
+
+Matrices are sparse rows, and one sparse Gauss-Jordan elimination serves
+rank, inverse and the minimal polynomial.  For the last, the powers I, m,
+m^2, ... are flattened into rows, each tagged by a column of its own, and
+reduced in turn; the first power that reduces to its tags alone gives the
+coefficients of the minimal polynomial.
 """
 
 from __future__ import annotations
@@ -51,6 +57,14 @@ _MEMO_SIZE = 2048
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def json_int(value) -> int:
+    """value itself if it is a JSON integer; a bool, float or string is
+    refused rather than converted."""
+    if type(value) is not int:
+        raise DomainError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -384,10 +398,13 @@ class CycNumber:
         if not isinstance(obj, dict) or "order" not in obj or "terms" not in obj:
             raise DomainError(f"bad cyclotomic number encoding: {obj!r}")
         try:
-            terms = [(int(e), Fraction(int(num), int(den))) for num, den, e in obj["terms"]]
+            terms = [
+                (json_int(e), Fraction(json_int(num), json_int(den)))
+                for num, den, e in obj["terms"]
+            ]
         except ZeroDivisionError as exc:
             raise DomainError(f"zero denominator in cyclotomic number {obj!r}") from exc
-        return CycNumber.from_terms(int(obj["order"]), terms)
+        return CycNumber.from_terms(json_int(obj["order"]), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +540,6 @@ class CycPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __mul__(self, other):
-        if not isinstance(other, CycPoly):
-            return NotImplemented
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return CycPoly(out)
-
     def evaluate(self, x):
         """Horner evaluation at a CycNumber or a square CycMatrix."""
         if isinstance(x, CycMatrix):
@@ -601,40 +606,6 @@ def detect_power_factor(r: CycPoly, e: int):
         if i % e and not c.is_zero():
             return None
     return CycPoly(r.coeffs[::e])
-
-
-def poly_gcd(a: CycPoly, b: CycPoly) -> CycPoly:
-    """Monic gcd via the Euclidean algorithm."""
-    ra, rb = list(a.coeffs), list(b.coeffs)
-
-    def trim(c):
-        while c and c[-1].is_zero():
-            c.pop()
-        return c
-
-    ra, rb = trim(ra), trim(rb)
-    while rb:
-        if len(ra) < len(rb):
-            ra, rb = rb, ra
-            continue
-        lead_inv = rb[-1].inverse()
-        rem = list(ra)
-        for i in range(len(ra) - len(rb), -1, -1):
-            f = rem[i + len(rb) - 1] * lead_inv
-            if not f.is_zero():
-                for j, d in enumerate(rb):
-                    rem[i + j] = rem[i + j] - f * d
-        ra, rb = rb, trim(rem)
-    return CycPoly.monic(ra)
-
-
-def poly_lcm(a: CycPoly, b: CycPoly) -> CycPoly:
-    g = poly_gcd(a, b)
-    prod = a * b
-    # exact division by g
-    out, rem = _cycpoly_divmod(prod, g)
-    assert rem is None
-    return out
 
 
 def _cycpoly_divmod(a: CycPoly, b: CycPoly):
@@ -948,91 +919,36 @@ def _make_pivot(rows: list[dict], p: int, col: int):
                 row[j] = x
 
 
-class _Echelon:
-    """Incremental exact row reduction for linear-dependence searches."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.pivot_cols: list[int] = []
-        self.rows: list[tuple] = []
-        self.history: list[tuple] = []  # row ops applied, for coefficient recovery
-
-    def reduce(self, vec, track=None):
-        """Reduce vec against the stored rows; returns (vec, track)."""
-        vec = list(vec)
-        for (col, row, trk) in zip(self.pivot_cols, self.rows, self.history):
-            f = vec[col]
-            if f.is_zero():
-                continue
-            for j in range(self.width):
-                if not row[j].is_zero():
-                    vec[j] = vec[j] - f * row[j]
-            if track is not None:
-                track = [a - f * b for a, b in zip(track, trk)]
-        return vec, track
-
-    def insert(self, vec, track):
-        """Insert a (already reduced) nonzero vector; returns False if zero."""
-        col = next((j for j in range(self.width) if not vec[j].is_zero()), None)
-        if col is None:
-            return False
-        inv = vec[col].inverse()
-        if not inv.is_one():
-            vec = [x if x.is_zero() else x * inv for x in vec]
-            track = [x if x.is_zero() else x * inv for x in track]
-        self.pivot_cols.append(col)
-        self.rows.append(tuple(vec))
-        self.history.append(tuple(track))
-        return True
-
-
-def _local_minpoly(m: CycMatrix, start) -> CycPoly:
-    """Minimal monic p with p(m) @ start == 0."""
-    n = m.rows
-    ech = _Echelon(n)
-    vec = start
-    for k in range(n + 1):
-        # track: coefficients of the reduced vector in terms of m^i @ start
-        track = [ONE if i == k else ZERO for i in range(n + 1)]
-        red, trk = ech.reduce(list(vec), track)
-        if all(x.is_zero() for x in red):
-            return CycPoly.monic(trk[: k + 1])
-        ech.insert(red, trk)
-        vec = m.apply(vec)
-    raise AssertionError("Krylov search exceeded dimension bound")
-
-
-def _apply_poly_vector(m: CycMatrix, p: CycPoly, vec):
-    """p(m) @ vec by Horner on vectors."""
-    acc = [c * p.coeffs[-1] for c in vec]
-    for coeff in reversed(p.coeffs[:-1]):
-        acc = list(m.apply(acc))
-        if not coeff.is_zero():
-            for j, c in enumerate(vec):
-                if not c.is_zero():
-                    acc[j] = acc[j] + c * coeff
-    return acc
 
 
 def minpoly_matrix(m: CycMatrix) -> CycPoly:
     """Exact minimal polynomial of a square matrix.
 
-    Computed as the lcm of the local minimal polynomials of the standard
-    basis vectors; vectors already annihilated by the accumulated
-    polynomial are skipped.
+    The first linear dependence among I, m, m^2, ...: power k is flattened
+    to a row (entry (i, j) at column i*n + j) with a tag one in column
+    n*n + k, and Gauss-Jordan reduced against the earlier powers.  The
+    first power that reduces to tags alone carries the coefficients of the
+    dependence in its tags.
     """
     if not m.is_square():
         raise DomainError("minimal polynomials need a square matrix")
     n = m.rows
-    acc: CycPoly | None = None
-    for i in range(n):
-        start = tuple(ONE if j == i else ZERO for j in range(n))
-        if acc is not None:
-            if acc.degree >= n:
-                break
-            if all(x.is_zero() for x in _apply_poly_vector(m, acc, start)):
-                continue
-        local = _local_minpoly(m, start)
-        acc = local if acc is None else poly_lcm(acc, local)
-    assert acc is not None
-    return acc
+    width = n * n
+    rows: list[dict] = []
+    pivot_row: dict[int, int] = {}  # pivot column -> index into rows
+    power = CycMatrix.identity(n)
+    for k in range(n + 1):
+        row = {i * n + j: x for i, r in enumerate(power.sparse_rows) for j, x in r}
+        row[width + k] = ONE
+        rows.append(row)
+        # earlier rows are fully reduced, so each clearing leaves the
+        # other pivot columns of the new row as they are
+        for col in [c for c in row if c in pivot_row]:
+            _make_pivot(rows, pivot_row[col], col)
+        col = next((c for c in row if c < width), None)
+        if col is None:
+            return CycPoly.monic([row.get(width + i, ZERO) for i in range(k + 1)])
+        pivot_row[col] = k
+        _make_pivot(rows, k, col)
+        power = m if k == 0 else power * m
+    raise AssertionError("n + 1 powers of an n x n matrix are dependent")

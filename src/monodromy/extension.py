@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import CycNumber
+from .cyclo import CycNumber, json_int
 from .errors import DomainError, IntegrityError, ParseError, ValidationError
 from .reflgrp import Arrangement, ReflectionGroup
 
@@ -30,13 +30,13 @@ class CayleyGroup:
             raise ParseError("multiplication table must be square and nonempty")
         for row in table:
             for x in row:
-                if not isinstance(x, int) or not 0 <= x < n:
+                if type(x) is not int or not 0 <= x < n:
                     raise ParseError(f"table entry {x!r} out of range")
         self.table = tuple(tuple(row) for row in table)
         self.order = n
         self.generators = list(generators) if generators else list(range(n))
         for g in self.generators:
-            if not isinstance(g, int) or not 0 <= g < n:
+            if type(g) is not int or not 0 <= g < n:
                 raise ParseError(f"covering group generator {g!r} out of range")
         self._identity = None
         self._inv: list[int | None] = [None] * n
@@ -516,6 +516,7 @@ def validate(e: ExtensionDatum) -> ValidationReport:
     )
     if missing or extra:
         return ValidationReport(checks)
+    local = [e.wtilde_alpha(a) for a in range(len(e.arrangement))]
 
     witness = None
     for a in range(len(e.arrangement)):
@@ -526,20 +527,18 @@ def validate(e: ExtensionDatum) -> ValidationReport:
     record("splitting.maps_to_inverse_generator", witness is None, witness)
 
     witness = None
-    for a in range(len(e.arrangement)):
-        if e.splitting[a] not in e.wtilde_alpha(a):
+    for a, sub in enumerate(local):
+        if e.splitting[a] not in sub:
             witness = f"hyperplane {a}"
             break
     record("splitting.in_local_subgroup", witness is None, witness)
 
     witness = None
-    for a in range(len(e.arrangement)):
-        sub = e.wtilde_alpha(a)
+    for a, sub in enumerate(local):
         if wt.identity not in sub:
             witness = f"hyperplane {a}: missing identity"
             break
-    for a in range(len(e.arrangement)):
-        sub = e.wtilde_alpha(a)
+    for a, sub in enumerate(local):
         if any(wt.mul(x, y) not in sub for x in sub for y in sub):
             witness = f"hyperplane {a}: not closed"
             break
@@ -550,8 +549,7 @@ def validate(e: ExtensionDatum) -> ValidationReport:
     record("local_subgroups.subgroup", witness is None, witness)
 
     witness = None
-    for a in range(len(e.arrangement)):
-        sub = e.wtilde_alpha(a)
+    for a, sub in enumerate(local):
         for x in e.kernel:
             if frozenset(wt.conjugate(x, y) for y in sub) != sub:
                 witness = f"hyperplane {a}, kernel element {x}"
@@ -670,29 +668,33 @@ def datum_from_json(obj, group: ReflectionGroup | None = None) -> ExtensionDatum
         wtilde = CayleyGroup(wspec["table"], wspec.get("generators"))
         if wspec.get("order") is not None and wspec["order"] != wtilde.order:
             raise ParseError("declared covering group order disagrees with table")
-        splitting = {int(a): int(r) for a, r in _object_items(obj["splitting"], "splitting")}
+        splitting = {
+            int(a): json_int(r) for a, r in _object_items(obj["splitting"], "splitting")
+        }
         tau = (
-            {int(x): int(v) for x, v in _object_items(obj["tau"], "tau")}
+            {int(x): json_int(v) for x, v in _object_items(obj["tau"], "tau")}
             if obj.get("tau")
             else None
         )
         wtilde_alpha = (
             {
-                int(a): frozenset(v)
+                int(a): frozenset(map(json_int, v))
                 for a, v in _object_items(obj["wtilde_alpha"], "wtilde_alpha")
             }
             if obj.get("wtilde_alpha")
             else None
         )
-        sgn = {int(a): int(v) for a, v in _object_items(obj.get("sgn", {}), "sgn")} or None
+        sgn = {
+            int(a): json_int(v) for a, v in _object_items(obj.get("sgn", {}), "sgn")
+        } or None
         twist = {
             int(a): CycNumber.from_json(v)
             for a, v in _object_items(obj.get("twist", {}), "twist")
         } or None
         relations = [
             (
-                tuple((int(a), int(x)) for a, x in w1),
-                tuple((int(a), int(x)) for a, x in w2),
+                tuple((json_int(a), json_int(x)) for a, x in w1),
+                tuple((json_int(a), json_int(x)) for a, x in w2),
             )
             for w1, w2 in obj.get("braid_relations", [])
         ] or None
@@ -703,7 +705,7 @@ def datum_from_json(obj, group: ReflectionGroup | None = None) -> ExtensionDatum
             group,
             arrangement,
             wtilde,
-            [int(w) for w in obj["q"]],
+            [json_int(w) for w in obj["q"]],
             splitting,
             tau=tau,
             wtilde_alpha=wtilde_alpha,
@@ -728,12 +730,13 @@ def character_from_spec(e: ExtensionDatum, spec) -> Character:
     if not isinstance(spec, dict):
         raise ParseError(f"bad character spec {spec!r}")
     try:
-        modulus = int(spec["modulus"])
+        modulus = json_int(spec["modulus"])
         raw = spec.get("values")
         if raw is None:
             raw = {k: v for k, v in spec.items() if k != "modulus"}
         values = {
-            int(x): zeta(modulus, int(exp)) for x, exp in _object_items(raw, "values")
+            int(x): zeta(modulus, json_int(exp))
+            for x, exp in _object_items(raw, "values")
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad character spec: {exc}") from exc

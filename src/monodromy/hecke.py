@@ -43,15 +43,7 @@ class HeckeAlgebra:
         """Basis operator for a group element (quadratic regime only)."""
         if self.group is None:
             raise DomainError("element operators exist only over a group basis")
-        cached = self._element_matrices.get(w)
-        if cached is not None:
-            return cached
-        out = CycMatrix.identity(self.dimension)
-        for slot in self.simple_words[w]:
-            key = f"s{self.simple_hyperplanes[slot]}"
-            out = out * self.generators[key]
-        self._element_matrices[w] = out
-        return out
+        return self._element_matrices[w]
 
     def to_json(self) -> dict:
         return {

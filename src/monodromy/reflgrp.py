@@ -153,9 +153,17 @@ class Hyperplane:
 class Arrangement:
     """The reflection hyperplanes of an enumerated group."""
 
-    def __init__(self, group: ReflectionGroup, hyperplanes: list[Hyperplane]):
+    def __init__(
+        self,
+        group: ReflectionGroup,
+        hyperplanes: list[Hyperplane],
+        moves: list[tuple[int, ...]],
+    ):
         self.group = group
         self.hyperplanes = hyperplanes
+        # moves[alpha][slot]: the hyperplane index of generator slot applied
+        # to hyperplane alpha
+        self._moves = moves
         self._by_normal = {h.normal: a for a, h in enumerate(hyperplanes)}
 
     def __len__(self) -> int:
@@ -168,11 +176,11 @@ class Arrangement:
         return self._by_normal[normal]
 
     def act(self, w: int, alpha: int) -> int:
-        """The hyperplane index of w applied to hyperplane alpha."""
-        m_inv = self.group.elements[self.group.inv(w)]
-        normal = self.hyperplanes[alpha].normal
-        moved = m_inv.transpose().apply(normal)  # the covector normal * m_inv
-        return self._by_normal[_canonical_normal(moved)]
+        """The hyperplane index of w applied to hyperplane alpha, one
+        generator of the word of w at a time, the last one first."""
+        for slot in reversed(self.group.words[w]):
+            alpha = self._moves[alpha][slot]
+        return alpha
 
     def orbits(self) -> list[list[int]]:
         out: dict[int, list[int]] = {}
@@ -280,16 +288,17 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
                 orbit_id=-1,
             )
         )
-    # orbit decomposition under the permutation action of the generators
+    # orbit decomposition under the permutation action of the generators:
+    # g sends the hyperplane with normal covector n to the one with n * g^-1
     by_normal = {h.normal: a for a, h in enumerate(hps)}
     gen_inverses = [group.elements[group.inv(g)] for g in group.generator_indices]
-    neighbors: list[list[int]] = []
-    for h in hps:
-        row = []
-        for m_inv in gen_inverses:
-            moved = _canonical_normal(m_inv.transpose().apply(h.normal))
-            row.append(by_normal[moved])
-        neighbors.append(row)
+    moves = [
+        tuple(
+            by_normal[_canonical_normal(m_inv.transpose().apply(h.normal))]
+            for m_inv in gen_inverses
+        )
+        for h in hps
+    ]
     orbit = 0
     for a in range(len(hps)):
         if hps[a].orbit_id >= 0:
@@ -298,12 +307,12 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
         hps[a].orbit_id = orbit
         while stack:
             b = stack.pop()
-            for c in neighbors[b]:
+            for c in moves[b]:
                 if hps[c].orbit_id < 0:
                     hps[c].orbit_id = orbit
                     stack.append(c)
         orbit += 1
-    return Arrangement(group, hps)
+    return Arrangement(group, hps, moves)
 
 
 # ---------------------------------------------------------------------------

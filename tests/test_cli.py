@@ -73,6 +73,35 @@ def _set_wtilde_generator_object(datum):
     datum["wtilde"]["generators"][0] = {}
 
 
+# entry (0, 1) of the first generator is 1, written [[1, 1, 0]]; the
+# spellings below would truncate to that same value
+
+
+def _set_float_numerator(datum):
+    datum["group"]["generators"][0][0][1]["terms"][0][0] = 1.0
+
+
+def _set_bool_numerator_string_denominator(datum):
+    datum["group"]["generators"][0][0][1]["terms"][0][:2] = [True, "1"]
+
+
+def _set_float_projection(datum):
+    datum["q"][0] = 0.0
+
+
+def _set_string_splitting_value(datum):
+    key = next(iter(datum["splitting"]))
+    datum["splitting"][key] = str(datum["splitting"][key])
+
+
+def _set_bool_tau_value(datum):
+    datum["tau"][next(iter(datum["tau"]))] = True
+
+
+def _set_float_sign(datum):
+    datum["sgn"] = {"0": 1.0}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -81,6 +110,12 @@ def _set_wtilde_generator_object(datum):
         _set_splitting_out_of_range,
         _set_wtilde_generator_out_of_range,
         _set_wtilde_generator_object,
+        _set_float_numerator,
+        _set_bool_numerator_string_denominator,
+        _set_float_projection,
+        _set_string_splitting_value,
+        _set_bool_tau_value,
+        _set_float_sign,
     ],
     ids=[
         "splitting_as_list",
@@ -88,6 +123,12 @@ def _set_wtilde_generator_object(datum):
         "splitting_out_of_range",
         "wtilde_generator_out_of_range",
         "wtilde_generator_object",
+        "float_numerator",
+        "bool_numerator_string_denominator",
+        "float_projection",
+        "string_splitting_value",
+        "bool_tau_value",
+        "float_sign",
     ],
 )
 def test_malformed_datum_is_parse_error(mutate, tmp_path, capsys):
@@ -174,6 +215,8 @@ def test_missing_file_is_parse_error(tmp_path):
 def test_bad_chi_spec_is_parse_error(fixture_dir):
     path = str(fixture_dir / "s3_over_s2.json")
     assert main(["analyze", path, "--chi", "{not json"]) == 2
+    # a float modulus is refused, not truncated
+    assert main(["analyze", path, "--chi", '{"modulus": 3.0, "values": {"3": 1}}']) == 2
 
 
 def test_inconsistent_chi_spec_is_validation_error(fixture_dir):

@@ -408,6 +408,27 @@ def test_minpoly_with_cyclotomic_entries():
     assert p.evaluate(zeta(3)).is_zero() and p.evaluate(zeta(4)).is_zero()
 
 
+def test_minpoly_of_blocks_with_different_local_polynomials():
+    # a Jordan block, a swap and a scalar: the standard basis vectors have
+    # local minimal polynomials z - 1, (z - 1)^2, z^2 - 1 and z - zeta_3,
+    # and the minimal polynomial is their lcm (z - 1)^2 (z + 1) (z - zeta_3)
+    o, i, w = rat(0), rat(1), zeta(3)
+    m = CycMatrix(
+        [
+            [i, i, o, o, o],
+            [o, i, o, o, o],
+            [o, o, o, i, o],
+            [o, o, i, o, o],
+            [o, o, o, o, w],
+        ]
+    )
+    p = minpoly_matrix(m)
+    assert p.degree == 4 == krylov_rank(m)
+    assert p.evaluate(m).is_zero()
+    for factor in ([i, rat(-2), i], [i, i], [-w, i]):
+        assert poly_divides(CycPoly(factor), p)
+
+
 def test_minpoly_divisor_search_small_dims():
     rng = random.Random(3)
     for dim in (2, 3, 4):
@@ -613,6 +634,15 @@ def test_sparse_inverse_matches_dense(a):
         inverse = CycMatrix(a).inverse()
         assert_canonical(inverse)
         assert inverse.entries == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims.flatmap(lambda n: dense_matrices(n, n)))
+def test_minpoly_annihilates_and_matches_krylov_rank(a):
+    m = CycMatrix(a)
+    p = minpoly_matrix(m)
+    assert p.evaluate(m).is_zero()
+    assert p.degree == krylov_rank(m)
 
 
 @settings(max_examples=30, deadline=None)

@@ -168,8 +168,8 @@ def test_distinguished_generator_powers():
 
 
 def test_conjugation_permutes_hyperplanes():
-    for gens in [catalog(2, 1, 2), catalog(3, 3, 2), catalog(1, 1, 3)]:
-        g = enumerate_group(gens)
+    for mpr in [(2, 1, 2), (3, 3, 2), (1, 1, 3), (3, 1, 2), (2, 1, 3)]:
+        g = enumerate_group(catalog(*mpr))
         arr = hyperplanes(g)
         for w in range(len(g)):
             for a, h in enumerate(arr.hyperplanes):
