@@ -1,9 +1,17 @@
 """Datum ingestion, pipeline orchestration, and report emission.
 
 Exit codes: 0 on success (including unsupported-regime downgrades, which
-only warn), 2 for parse and usage errors, 3 for datum validation and
-parameter errors, 4 for integrity failures.  Reports are deterministic:
-identical inputs produce byte-identical JSON.
+only warn), 2 for parse and usage errors (an unwritable ``--out`` among
+them), 3 for datum validation and parameter errors, 4 for integrity
+failures.  Reports are deterministic: identical inputs produce
+byte-identical JSON.
+
+A report is a dict of JSON values in which matrices may stay ``CycMatrix``
+objects (the R1/R2 ``m_chi.generator_matrices`` and ``inertia_matrices``
+do).  ``render_report`` is the one serializer: it writes the text of
+``json.dumps(report, indent=2, sort_keys=True)`` for the report with each
+matrix as its dense ``to_json`` lists, straight from the sparse rows, and
+the CLI streams the same chunks to ``--out`` or stdout.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import sys
 
 from . import __version__
 from .carousel import build_carousel, carousel_minpolys, twist_from_extension
-from .cyclo import CycNumber, CycPoly, zeta
+from .cyclo import ZERO, CycMatrix, CycNumber, CycPoly, zeta
 from .errors import (
     CapacityError,
     DomainError,
@@ -391,8 +399,85 @@ def run_analyze(datum_path, chi_spec, rbar_path=None, convention=None):
     return finish(EXIT_OK)
 
 
+# ---------------------------------------------------------------------------
+# report writer
+
+_NESTED = (dict, list, tuple, CycMatrix)
+
+
+def _chunks(obj, level, scalars):
+    """Yield the text of ``obj`` as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` writes it when ``obj`` sits ``level`` levels deep.
+
+    Dict keys must be ``str``.  A ``CycMatrix`` is written as the dense
+    nested list of its scalars' ``to_json`` dicts, one chunk per row;
+    ``scalars`` maps (scalar, level) to its text so each is rendered once.
+    Leaves go through ``json.dumps``, so their escaping is json's."""
+    if isinstance(obj, CycMatrix):
+        yield from _matrix_chunks(obj, level, scalars)
+        return
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        items = [(json.dumps(key) + ": ", obj[key]) for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [("", item) for item in obj]
+        brackets = "[]"
+    else:
+        yield json.dumps(obj)
+        return
+    if not items:
+        yield brackets
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = brackets[0] + inner
+    for head, value in items:
+        if isinstance(value, _NESTED):
+            yield sep + head
+            yield from _chunks(value, level + 1, scalars)
+        else:
+            yield sep + head + json.dumps(value)
+        sep = "," + inner
+    yield "\n" + "  " * level + brackets[1]
+
+
+def _matrix_chunks(m, level, scalars):
+    """The rows of ``m`` written from its sparse rows: every cell starts as
+    the zero scalar's text and the nonzero entries overwrite theirs."""
+    inner = "\n" + "  " * (level + 1)
+    cell_level = level + 2
+    cell_inner = "\n" + "  " * cell_level
+
+    def text(x):
+        key = (x, cell_level)
+        out = scalars.get(key)
+        if out is None:
+            out = scalars[key] = "".join(_chunks(x.to_json(), cell_level, scalars))
+        return out
+
+    zero = text(ZERO)
+    sep = "[" + inner
+    for row in m.sparse_rows:
+        cells = [zero] * m.cols
+        for j, x in row:
+            cells[j] = text(x)
+        yield sep + "[" + cell_inner + ("," + cell_inner).join(cells) + inner + "]"
+        sep = "," + inner
+    yield "\n" + "  " * level + "]"
+
+
+def _report_chunks(report):
+    yield from _chunks(report, 0, {})
+    yield "\n"
+
+
 def render_report(report) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as JSON text, byte for byte what ``json.dumps(report,
+    indent=2, sort_keys=True) + "\\n"`` gives once every ``CycMatrix`` is
+    replaced by its ``to_json`` lists."""
+    return "".join(_report_chunks(report))
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +510,17 @@ def run_carousel(n, e, sgn, twist):
     }
 
 
-def _write_payload(payload: str, out: str | None):
-    """Write to the --out file when one is given, else to stdout."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+def _write_report(report, out: str | None):
+    """Stream the rendered report to the --out file when one is given, else
+    to stdout; a destination that cannot be written is a usage error."""
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(_report_chunks(report))
+        else:
+            sys.stdout.writelines(_report_chunks(report))
+    except OSError as exc:
+        raise ParseError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -477,18 +566,18 @@ def main(argv=None) -> int:
             report, code, warnings = run_analyze(
                 args.datum, args.chi, args.rbar, convention
             )
-            _write_payload(render_report(report), args.out)
+            _write_report(report, args.out)
             for w in warnings:
                 print(f"warning: {w}", file=sys.stderr)
             return code
         if args.command == "catalog":
             report = run_catalog(args.family, args.m, args.p, args.r)
-            _write_payload(render_report(report), args.out)
+            _write_report(report, args.out)
             return EXIT_OK
         if args.command == "carousel":
             twist = _parse_twist(args.twist)
             report = run_carousel(args.n, args.e, args.sgn, twist)
-            _write_payload(render_report(report), args.out)
+            _write_report(report, args.out)
             return EXIT_OK
     except (ParseError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -243,10 +243,10 @@ class InducedModule:
             "regime": self.regime,
             "ledger": self.ledger.to_json(),
             "generator_matrices": {
-                str(a): m.to_json() for a, m in sorted(self.gen_matrices.items())
+                str(a): m for a, m in sorted(self.gen_matrices.items())
             },
             "inertia_matrices": {
-                str(x): m.to_json() for x, m in sorted(self.i_matrices.items())
+                str(x): m for x, m in sorted(self.i_matrices.items())
             },
             "checks": [c.to_json() for c in self.checks],
         }

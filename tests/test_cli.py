@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodromy.cli import main, run_analyze, run_carousel, run_catalog, render_report
+from monodromy.cyclo import CycMatrix, zeta
+from monodromy.errors import ParseError
 from monodromy.extension import datum_to_json
 from monodromy.fixtures import corpus, direct_product_datum, negative_fixtures, write_corpus
 from monodromy.reflgrp import catalog
+from test_cyclo import cyc_numbers, dense_matrices
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_FIXTURES = REPO_ROOT / "fixtures"
@@ -302,6 +305,128 @@ def test_reports_match_reference_digests(tmp_path):
         assert code == 0, path.name
         got = hashlib.sha256(render_report(report).encode()).hexdigest()
         assert got == digests[f"{path.name}|{canonical_json(spec)}"], (path.name, spec)
+
+
+# ---------------------------------------------------------------------------
+# report writer
+
+
+def _as_lists(obj):
+    """The report as it was before matrices stayed CycMatrix objects."""
+    if isinstance(obj, CycMatrix):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(value) for value in obj]
+    return obj
+
+
+def oracle_render(obj) -> str:
+    return json.dumps(_as_lists(obj), indent=2, sort_keys=True) + "\n"
+
+
+def test_render_matches_json_dumps_on_every_payload(tmp_path):
+    """Every manifest run that reaches a report (negative controls too),
+    both characters of each ladder cover, a catalog and a carousel payload
+    render to the bytes json.dumps gives for their list form."""
+    runs = [
+        (REPO_FIXTURES / entry["file"], spec)
+        for entry in json.loads((REPO_FIXTURES / "manifest.json").read_text())
+        for spec in entry["chi_specs"]
+    ]
+    for name, mpr in LADDER:
+        datum = direct_product_datum(name, catalog(*mpr), 2, tau_exponent=1)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(datum_to_json(datum)))
+        generator = next(x for x in datum.kernel if x != datum.wtilde.identity)
+        runs += [(path, "trivial"), (path, {str(generator): 1, "modulus": 2})]
+    payloads = []
+    for path, spec in runs:
+        try:
+            payloads.append(run_analyze(str(path), spec_string(spec))[0])
+        except ParseError:
+            assert path.name == "neg_parse_error.json"
+    assert len(payloads) == len(runs) - 1
+    assert sum(
+        isinstance(m, CycMatrix)
+        for p in payloads if "generator_matrices" in p.get("m_chi", {})
+        for m in p["m_chi"]["generator_matrices"].values()
+    ) > 0
+    payloads += [run_catalog("g", 2, 1, 3), run_carousel(6, 2, -1, zeta(4))]
+    for payload in payloads:
+        assert render_report(payload) == oracle_render(payload)
+
+
+json_keys = st.one_of(
+    st.text(max_size=6),
+    st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€😀a'), max_size=6),
+)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: dense_matrices(*shape)
+    ).map(CycMatrix),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(json_keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_trees)
+def test_render_matches_json_dumps_on_random_trees(tree):
+    assert render_report(tree) == oracle_render(tree)
+
+
+def test_render_edge_cases():
+    x = zeta(12, 5) + 1
+    matrices = [
+        CycMatrix([[x]]),  # 1 x 1
+        CycMatrix([[0, 0, 0], [x, 0, 0], [0, 0, x]]),  # zero row, trailing zeros
+        CycMatrix([[0]]),
+    ]
+    tree = {"a": {}, "b": [[], {"c": [], "d": {}}], "m": matrices, "": [[[matrices[1]]]]}
+    assert render_report(tree) == oracle_render(tree)
+    assert render_report([]) == "[]\n" and render_report({}) == "{}\n"
+    for bad in ({1: "x"}, {"a": [{None: 0}]}, {"a": {("b",): 0}}):
+        with pytest.raises(TypeError):
+            render_report(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", str(REPO_FIXTURES / "trivial_w_z2.json"), "--chi", "trivial"],
+        ["catalog", "g", "2", "1", "2"],
+        ["carousel", "--n", "4", "--e", "2"],
+    ],
+    ids=["analyze", "catalog", "carousel"],
+)
+def test_unwritable_out_is_usage_error(argv, tmp_path):
+    out = tmp_path / "no" / "such" / "dir" / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "monodromy.cli", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_out_file_holds_the_rendered_report(tmp_path):
+    path = str(REPO_FIXTURES / "b2_split_z2.json")
+    out = tmp_path / "report.json"
+    assert main(["analyze", path, "--chi", "trivial", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == render_report(run_analyze(path, "trivial")[0])
 
 
 def test_committed_corpus_matches_builders(fixture_dir):
