@@ -402,48 +402,59 @@ def run_analyze(datum_path, chi_spec, rbar_path=None, convention=None):
 # ---------------------------------------------------------------------------
 # report writer
 
-_NESTED = (dict, list, tuple, CycMatrix)
+_LEAVES = (str, int, type(None))  # bool is an int
 
 
-def _chunks(obj, level, scalars):
-    """Yield the text of ``obj`` as ``json.dumps(obj, indent=2,
+def _leaf(value, texts):
+    """``json.dumps(value)``, computed once per (type, value) in ``texts``;
+    equal values of one leaf type print alike."""
+    if not isinstance(value, _LEAVES):
+        raise TypeError(
+            f"report leaves must be str, int, bool or None, not {type(value).__name__}"
+        )
+    key = (type(value), value)
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = json.dumps(value)
+    return text
+
+
+def _write(obj, level, out, texts):
+    """Append to ``out`` the text of ``obj`` as ``json.dumps(obj, indent=2,
     sort_keys=True)`` writes it when ``obj`` sits ``level`` levels deep.
 
-    Dict keys must be ``str``.  A ``CycMatrix`` is written as the dense
-    nested list of its scalars' ``to_json`` dicts, one chunk per row;
-    ``scalars`` maps (scalar, level) to its text so each is rendered once.
-    Leaves go through ``json.dumps``, so their escaping is json's."""
+    Dict keys must be ``str``.  A ``CycMatrix`` is appended as the pair
+    (matrix, level), for ``_report_chunks`` to write row by row.  ``texts``
+    is the render call's cache of leaf texts by (type, value) and of
+    scalar texts by (scalar, level)."""
     if isinstance(obj, CycMatrix):
-        yield from _matrix_chunks(obj, level, scalars)
+        out.append((obj, level))
         return
     if isinstance(obj, dict):
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
-        items = [(json.dumps(key) + ": ", obj[key]) for key in sorted(obj)]
+        items = [(_leaf(key, texts) + ": ", obj[key]) for key in sorted(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
         items = [("", item) for item in obj]
         brackets = "[]"
     else:
-        yield json.dumps(obj)
+        out.append(_leaf(obj, texts))
         return
     if not items:
-        yield brackets
+        out.append(brackets)
         return
     inner = "\n" + "  " * (level + 1)
     sep = brackets[0] + inner
     for head, value in items:
-        if isinstance(value, _NESTED):
-            yield sep + head
-            yield from _chunks(value, level + 1, scalars)
-        else:
-            yield sep + head + json.dumps(value)
+        out.append(sep + head)
+        _write(value, level + 1, out, texts)
         sep = "," + inner
-    yield "\n" + "  " * level + brackets[1]
+    out.append("\n" + "  " * level + brackets[1])
 
 
-def _matrix_chunks(m, level, scalars):
+def _matrix_chunks(m, level, texts):
     """The rows of ``m`` written from its sparse rows: every cell starts as
     the zero scalar's text and the nonzero entries overwrite theirs."""
     inner = "\n" + "  " * (level + 1)
@@ -452,9 +463,11 @@ def _matrix_chunks(m, level, scalars):
 
     def text(x):
         key = (x, cell_level)
-        out = scalars.get(key)
+        out = texts.get(key)
         if out is None:
-            out = scalars[key] = "".join(_chunks(x.to_json(), cell_level, scalars))
+            pieces = []
+            _write(x.to_json(), cell_level, pieces, texts)
+            out = texts[key] = "".join(pieces)
         return out
 
     zero = text(ZERO)
@@ -469,8 +482,19 @@ def _matrix_chunks(m, level, scalars):
 
 
 def _report_chunks(report):
-    yield from _chunks(report, 0, {})
-    yield "\n"
+    """The report's text in chunks: the text between two matrices is one
+    chunk and each matrix row is one more."""
+    texts = {}
+    pieces = []
+    _write(report, 0, pieces, texts)
+    pieces.append("\n")
+    start = 0
+    for i, piece in enumerate(pieces):
+        if not isinstance(piece, str):
+            yield "".join(pieces[start:i])
+            yield from _matrix_chunks(*piece, texts)
+            start = i + 1
+    yield "".join(pieces[start:])
 
 
 def render_report(report) -> str:

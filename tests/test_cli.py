@@ -348,11 +348,14 @@ def test_render_matches_json_dumps_on_every_payload(tmp_path):
         except ParseError:
             assert path.name == "neg_parse_error.json"
     assert len(payloads) == len(runs) - 1
-    assert sum(
-        isinstance(m, CycMatrix)
-        for p in payloads if "generator_matrices" in p.get("m_chi", {})
-        for m in p["m_chi"]["generator_matrices"].values()
-    ) > 0
+    # the R1/R2 module sections hold matrices, not their JSON lists
+    matrices = [
+        m
+        for payload in payloads
+        for section in ("generator_matrices", "inertia_matrices")
+        for m in payload.get("m_chi", {}).get(section, {}).values()
+    ]
+    assert matrices and all(isinstance(m, CycMatrix) for m in matrices)
     payloads += [run_catalog("g", 2, 1, 3), run_carousel(6, 2, -1, zeta(4))]
     for payload in payloads:
         assert render_report(payload) == oracle_render(payload)
@@ -392,10 +395,14 @@ def test_render_edge_cases():
         CycMatrix([[0, 0, 0], [x, 0, 0], [0, 0, x]]),  # zero row, trailing zeros
         CycMatrix([[0]]),
     ]
-    tree = {"a": {}, "b": [[], {"c": [], "d": {}}], "m": matrices, "": [[[matrices[1]]]]}
+    tree = {
+        "a": {}, "b": [[], {"c": [], "d": {}}], "m": matrices, "": [[[matrices[1]]]],
+        "equal leaves of other types": [1, True, 0, False, None, "1", "true"],
+    }
     assert render_report(tree) == oracle_render(tree)
     assert render_report([]) == "[]\n" and render_report({}) == "{}\n"
-    for bad in ({1: "x"}, {"a": [{None: 0}]}, {"a": {("b",): 0}}):
+    # json.dumps would write a non-str key as a string; floats never enter
+    for bad in ({1: "x"}, {"a": [{None: 0}]}, {"a": {("b",): 0}}, {"a": [0.5]}, [zeta(3)]):
         with pytest.raises(TypeError):
             render_report(bad)
 
