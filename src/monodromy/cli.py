@@ -91,7 +91,7 @@ def _parse_twist(raw: str) -> CycNumber:
 # analyze pipeline
 
 
-def _orbit_constant(datum, orbit, mapping, default, what):
+def _orbit_constant(orbit, mapping, default, what):
     """The single value a per-hyperplane map takes on a stabilizer orbit."""
     values = {mapping.get(a, default) for a in orbit}
     if len(values) != 1:
@@ -119,9 +119,9 @@ def _carousel_stage(datum, chi, inv, rbar_overrides):
                     f"hyperplane orders differ along the stabilizer orbit {orbit}"
                 )
         e = inv.per_hyperplane[rep].jump
-        sgn = _orbit_constant(datum, orbit, datum.sgn, 1, "sign datum")
+        sgn = _orbit_constant(orbit, datum.sgn, 1, "sign datum")
         twists = {a: datum.twist.get(a) or twist_from_extension(datum, a, chi) for a in orbit}
-        twist = _orbit_constant(datum, orbit, twists, None, "wrap-around scalar")
+        twist = _orbit_constant(orbit, twists, None, "wrap-around scalar")
         key = (n, e, sgn, twist)
         if key not in certified:
             model = build_carousel(n, e, sgn, twist)
@@ -166,6 +166,9 @@ def _rbar_overrides_from_file(datum, inv, path):
             by_alpha[int(key)] = CycPoly.from_json(poly)
     except (ValueError, TypeError, DomainError) as exc:
         raise ParseError(f"bad relation override: {exc}") from exc
+    extra = sorted(a for a in by_alpha if not 0 <= a < len(datum.arrangement))
+    if extra:
+        raise ParameterError(f"override relations at {extra} name no hyperplane")
     # normalize to orbit representatives, enforcing orbit constancy
     out = {}
     for orbit in inv.chi_orbits:

@@ -82,8 +82,7 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @lru_cache(maxsize=None)
@@ -357,8 +356,8 @@ class CycNumber:
         while k:
             if k & 1:
                 result = result * base
-            base2 = base * base if k > 1 else base
-            base = base2
+            if k > 1:
+                base = base * base
             k >>= 1
         return result
 
@@ -540,21 +539,6 @@ class CycPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def evaluate(self, x):
-        """Horner evaluation at a CycNumber or a square CycMatrix."""
-        if isinstance(x, CycMatrix):
-            acc = CycMatrix.scalar(x.rows, self.coeffs[-1])
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * x
-                if not c.is_zero():
-                    acc = acc + CycMatrix.scalar(x.rows, c)
-            return acc
-        x = CycNumber._coerce(x)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         parts = []
         for i in range(self.degree, -1, -1):
@@ -606,29 +590,6 @@ def detect_power_factor(r: CycPoly, e: int):
         if i % e and not c.is_zero():
             return None
     return CycPoly(r.coeffs[::e])
-
-
-def _cycpoly_divmod(a: CycPoly, b: CycPoly):
-    """Quotient of monic a by monic b; remainder None when exact."""
-    rem = list(a.coeffs)
-    q = [ZERO] * (len(a.coeffs) - len(b.coeffs) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        f = rem[i + b.degree]
-        if f.is_zero():
-            continue
-        q[i] = f
-        for j, d in enumerate(b.coeffs):
-            rem[i + j] = rem[i + j] - f * d
-    exact = all(c.is_zero() for c in rem)
-    return CycPoly.monic(q), (None if exact else rem)
-
-
-def poly_divides(a: CycPoly, b: CycPoly) -> bool:
-    """Whether monic a divides monic b."""
-    if a.degree > b.degree:
-        return False
-    _, rem = _cycpoly_divmod(b, a)
-    return rem is None
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +878,6 @@ def _make_pivot(rows: list[dict], p: int, col: int):
                 del row[j]
             else:
                 row[j] = x
-
-
 
 
 def minpoly_matrix(m: CycMatrix) -> CycPoly:

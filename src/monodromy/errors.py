@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto process exit codes: ParseError -> 2,
-ValidationError (including ParameterError) -> 3, IntegrityError -> 4.
+The CLI maps these onto process exit codes: ParseError and CapacityError
+-> 2, ValidationError (including ParameterError) and DomainError -> 3,
+IntegrityError -> 4.
 RegimeError is not fatal; pipelines downgrade to ledger-only output.
 """
 

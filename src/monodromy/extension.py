@@ -225,6 +225,10 @@ class ExtensionDatum:
             raise ParseError("projection map image out of range")
         if any(not 0 <= r < wtilde.order for r in splitting.values()):
             raise ParseError("splitting value outside the covering group")
+        for what, keyed in (("wtilde_alpha", wtilde_alpha), ("sgn", sgn), ("twist", twist)):
+            extra = sorted(a for a in keyed or () if not 0 <= a < len(arrangement))
+            if extra:
+                raise ParseError(f"{what} keys {extra} name no hyperplane")
         self.group = group
         self.arrangement = arrangement
         self.wtilde = wtilde
@@ -654,15 +658,13 @@ def _object_items(value, what: str):
     return value.items()
 
 
-def datum_from_json(obj, group: ReflectionGroup | None = None) -> ExtensionDatum:
+def datum_from_json(obj) -> ExtensionDatum:
     from .cyclo import CycMatrix
     from .reflgrp import enumerate_group, hyperplanes
 
     try:
-        if group is None:
-            gspec = obj["group"]
-            gens = [CycMatrix.from_json(g) for g in gspec["generators"]]
-            group = enumerate_group(gens)
+        gens = [CycMatrix.from_json(g) for g in obj["group"]["generators"]]
+        group = enumerate_group(gens)
         arrangement = hyperplanes(group)
         wspec = obj["wtilde"]
         wtilde = CayleyGroup(wspec["table"], wspec.get("generators"))
@@ -701,6 +703,9 @@ def datum_from_json(obj, group: ReflectionGroup | None = None) -> ExtensionDatum
         convention = obj.get("convention", "left")
         if convention == "flip-inertia":
             convention = "inverse"
+        name = obj.get("name", "datum")
+        if not isinstance(name, str):
+            raise ParseError(f"datum name must be a string, got {type(name).__name__}")
         return ExtensionDatum(
             group,
             arrangement,
@@ -709,7 +714,7 @@ def datum_from_json(obj, group: ReflectionGroup | None = None) -> ExtensionDatum
             splitting,
             tau=tau,
             wtilde_alpha=wtilde_alpha,
-            name=obj.get("name", "datum"),
+            name=name,
             sgn=sgn,
             twist=twist,
             braid_relations=relations,

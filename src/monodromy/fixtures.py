@@ -1,30 +1,14 @@
-"""Bundled datum corpus: small covering-group data over cyclic, dihedral,
-symmetric, and monomial reflection groups, plus negative controls.
+"""Direct-product covers Z/k x W built from the generators of W.
 
-Builders construct each datum programmatically so hyperplane indices always
-match the enumeration order of the group engine.  ``write_corpus`` emits the
-JSON files shipped in the repository's fixtures/ directory.
+The committed ``fixtures/`` corpus is the only copy of the bundled data;
+this module builds the larger covers of the scaling ladder, whose hyperplane
+indices follow the enumeration order of the group engine.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-from pathlib import Path
-
-from .cyclo import CycMatrix, CycNumber, zeta
-from .extension import CayleyGroup, ExtensionDatum, datum_to_json
-from .reflgrp import ReflectionGroup, catalog, enumerate_group, hyperplanes
-
-
-def _mat(rows):
-    return CycMatrix(
-        [[CycNumber.rational(x) if isinstance(x, int) else x for x in row] for row in rows]
-    )
-
-
-def s3_rank2_generators():
-    return [_mat([[-1, 1], [0, 1]]), _mat([[1, 0], [1, -1]])]
+from .extension import CayleyGroup, ExtensionDatum
+from .reflgrp import enumerate_group, hyperplanes
 
 
 def table_from_elements(elements, mul, generators=None):
@@ -33,93 +17,6 @@ def table_from_elements(elements, mul, generators=None):
     table = [[index[mul(a, b)] for b in elements] for a in elements]
     gens = [index[g] for g in generators] if generators else None
     return CayleyGroup(table, gens), index
-
-
-def cyclic_table(n: int):
-    return table_from_elements(list(range(n)), lambda a, b: (a + b) % n, [1 % n])
-
-
-def symmetric_table(n: int):
-    """The symmetric group on n letters; permutations sorted lexicographically,
-    composition (p*q)(i) = p(q(i))."""
-    perms = sorted(itertools.permutations(range(n)))
-
-    def mul(p, q):
-        return tuple(p[q[i]] for i in range(n))
-
-    gens = [tuple(range(n))] if n == 1 else [
-        tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)
-    ]
-    return table_from_elements(perms, mul, gens), perms
-
-
-def _perm_parity(p) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
-def dihedral_pairs(n: int):
-    """Rotation/flip pairs (i, j) with flip acting by inversion."""
-    elements = [(i, j) for j in (0, 1) for i in range(n)]
-
-    def mul(a, b):
-        i, j = a
-        k, l = b
-        return ((i + k) % n, l) if j == 0 else ((i - k) % n, (j + l) % 2)
-
-    return elements, mul
-
-
-def dicyclic12_pairs():
-    """Order-12 group with a^6 = 1, b^2 = a^3, b a b^{-1} = a^{-1}."""
-    elements = [(i, j) for j in (0, 1) for i in range(6)]
-
-    def mul(a, b):
-        i, j = a
-        k, l = b
-        if j == 0:
-            return ((i + k) % 6, l)
-        i2, l2 = i - k, j + l
-        if l2 == 2:
-            return ((i2 + 3) % 6, 0)
-        return (i2 % 6, 1)
-
-    return elements, mul
-
-
-def quaternion_pairs():
-    """The eight units +-1, +-i, +-j, +-k as (sign, symbol) pairs."""
-    symbols = ["1", "i", "j", "k"]
-    base = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    elements = [(s, sym) for sym in symbols for s in (1, -1)]
-
-    def mul(a, b):
-        sa, xa = a
-        sb, xb = b
-        s, x = base[(xa, xb)]
-        return (sa * sb * s, x)
-
-    return elements, mul
-
-
-# ---------------------------------------------------------------------------
-# datum builders
 
 
 def direct_product_datum(name, w_generators, k, tau_exponent=0, relations=None):
@@ -152,419 +49,3 @@ def direct_product_datum(name, w_generators, k, tau_exponent=0, relations=None):
         group, arr, wtilde, q, splitting, tau=tau, name=name,
         braid_relations=relations,
     )
-
-
-def s3_over_s2_datum(name="s3_over_s2"):
-    group = enumerate_group([_mat([[-1]])])
-    arr = hyperplanes(group)
-    (wtilde, _), perms = symmetric_table(3)
-    q = [_perm_parity(p) for p in perms]
-    swap01 = perms.index((1, 0, 2))
-    return ExtensionDatum(group, arr, wtilde, q, {0: swap01}, name=name)
-
-
-def z8_over_z4_datum(name="cyclic_z8_over_z4"):
-    group = enumerate_group([CycMatrix([[zeta(4)]])])
-    arr = hyperplanes(group)
-    wtilde, _ = cyclic_table(8)
-    q = [k % 4 for k in range(8)]
-    # the distinguished generator is zeta_4 itself at index 1; its inverse
-    # has index 3, and 3 generates the covering cyclic group
-    return ExtensionDatum(group, arr, wtilde, q, {0: 3}, name=name)
-
-
-def dic12_over_s2_datum(name="dicyclic12_over_s2"):
-    group = enumerate_group([_mat([[-1]])])
-    arr = hyperplanes(group)
-    elements, mul = dicyclic12_pairs()
-    wtilde, index = table_from_elements(elements, mul, [(1, 0), (0, 1)])
-    q = [j for (_, j) in elements]
-    return ExtensionDatum(group, arr, wtilde, q, {0: index[(0, 1)]}, name=name)
-
-
-def q8_over_v4_datum(name="quaternion_over_v4", tau_faithful=True):
-    group = enumerate_group(catalog(2, 2, 2))
-    arr = hyperplanes(group)
-    elements, mul = quaternion_pairs()
-    wtilde, index = table_from_elements(
-        elements, mul, [(1, "i"), (1, "j")]
-    )
-    # the two reflections are the generators; quaternion i covers the first,
-    # j the second, and k covers their product
-    t = group.generator_indices[0]
-    s = group.generator_indices[1]
-    ts = group.mul(t, s)
-    image_of_symbol = {"1": 0, "i": t, "j": s, "k": ts}
-    q = [image_of_symbol[sym] for (_, sym) in elements]
-    alpha_t = next(a for a in range(len(arr)) if arr[a].distinguished_generator == t)
-    alpha_s = next(a for a in range(len(arr)) if arr[a].distinguished_generator == s)
-    splitting = {alpha_t: index[(1, "i")], alpha_s: index[(1, "j")]}
-    tau = None
-    if tau_faithful:
-        tau = {index[(1, "1")]: 1, index[(-1, "1")]: -1}
-    relations = [
-        (((alpha_t, 1), (alpha_s, 1)), ((alpha_s, 1), (alpha_t, 1))),
-    ]
-    return ExtensionDatum(
-        group, arr, wtilde, q, splitting, tau=tau, name=name,
-        braid_relations=relations,
-    )
-
-
-def d8_over_v4_datum(name="dihedral8_over_v4"):
-    """Order-8 dihedral cover of the rank-2 Klein group: one hyperplane
-    lifts to a rotation of order four, the other to an involution."""
-    group = enumerate_group(catalog(2, 2, 2))
-    arr = hyperplanes(group)
-    elements, mul = dihedral_pairs(4)
-    wtilde, index = table_from_elements(elements, mul, [(1, 0), (0, 1)])
-    t = group.generator_indices[0]
-    s = group.generator_indices[1]
-    ts = group.mul(t, s)
-    images = {(0, 0): 0, (1, 0): t, (0, 1): s, (1, 1): ts}
-    q = [images[(i % 2, j)] for (i, j) in elements]
-    alpha_t = next(a for a in range(len(arr)) if arr[a].distinguished_generator == t)
-    alpha_s = next(a for a in range(len(arr)) if arr[a].distinguished_generator == s)
-    splitting = {alpha_t: index[(1, 0)], alpha_s: index[(0, 1)]}
-    return ExtensionDatum(group, arr, wtilde, q, splitting, name=name)
-
-
-def _s4_to_w_map(group: ReflectionGroup, perms):
-    """The quotient of the symmetric group on four letters by its normal
-    Klein subgroup, identified with the rank-2 reflection group via the
-    permutation action on the three coordinate pairings."""
-    pairings = [
-        frozenset({frozenset({0, 1}), frozenset({2, 3})}),
-        frozenset({frozenset({0, 2}), frozenset({1, 3})}),
-        frozenset({frozenset({0, 3}), frozenset({1, 2})}),
-    ]
-
-    def induced(p):
-        out = []
-        for pairing in pairings:
-            moved = frozenset(frozenset(p[x] for x in pair) for pair in pairing)
-            out.append(pairings.index(moved))
-        return tuple(out)
-
-    # identify Sym({0,1,2}) with the reflection group by matching the two
-    # adjacent transpositions to the group generators
-    s3_perms = sorted(itertools.permutations(range(3)))
-    gen_map = {
-        (1, 0, 2): group.generator_indices[0],
-        (0, 2, 1): group.generator_indices[1],
-    }
-    iso = {(0, 1, 2): 0}
-    frontier = [(0, 1, 2)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for t, g in gen_map.items():
-                prod = tuple(p[t[i]] for i in range(3))
-                if prod not in iso:
-                    iso[prod] = group.mul(iso[p], g)
-                    nxt.append(prod)
-        frontier = nxt
-    assert len(iso) == 6
-    return [iso[induced(p)] for p in perms]
-
-
-def s4_over_s3_datum(name="s4_over_s3", mixed_lifts=False):
-    """The symmetric group on four letters covering the rank-2 reflection
-    group, with Klein kernel.  With mixed_lifts one hyperplane is split by
-    a 4-cycle instead of a transposition, which breaks twist constancy on
-    stabilizer orbits for some characters (a negative integrity control)."""
-    group = enumerate_group(s3_rank2_generators())
-    arr = hyperplanes(group)
-    (wtilde, _), perms = symmetric_table(4)
-    q = _s4_to_w_map(group, perms)
-    splitting = {}
-    for a in range(len(arr)):
-        target = group.inv(arr[a].distinguished_generator)
-        candidates = [
-            i for i, p in enumerate(perms)
-            if q[i] == target and _perm_parity(p) == 1 and wtilde.element_order(i) == 2
-        ]
-        splitting[a] = candidates[0]
-    if mixed_lifts:
-        target = group.inv(arr[2].distinguished_generator)
-        four_cycles = [
-            i for i, p in enumerate(perms)
-            if q[i] == target and wtilde.element_order(i) == 4
-        ]
-        splitting[2] = four_cycles[0]
-    return ExtensionDatum(group, arr, wtilde, q, splitting, name=name)
-
-
-def s3xs3_over_v4_datum(name="s3xs3_over_v4"):
-    group = enumerate_group(catalog(2, 2, 2))
-    arr = hyperplanes(group)
-    (s3_table, _), perms3 = symmetric_table(3)
-    elements = [(a, b) for a in range(6) for b in range(6)]
-
-    def mul(x, y):
-        return (s3_table.mul(x[0], y[0]), s3_table.mul(x[1], y[1]))
-
-    swap01 = perms3.index((1, 0, 2))
-    wtilde, index = table_from_elements(
-        elements, mul, [(swap01, 0), (0, swap01)]
-    )
-    t = group.generator_indices[0]
-    s = group.generator_indices[1]
-    ts = group.mul(t, s)
-    images = {(0, 0): 0, (1, 0): t, (0, 1): s, (1, 1): ts}
-    q = [
-        images[(_perm_parity(perms3[a]), _perm_parity(perms3[b]))]
-        for (a, b) in elements
-    ]
-    alpha_t = next(a for a in range(len(arr)) if arr[a].distinguished_generator == t)
-    alpha_s = next(a for a in range(len(arr)) if arr[a].distinguished_generator == s)
-    splitting = {alpha_t: index[(swap01, 0)], alpha_s: index[(0, swap01)]}
-    relations = [
-        (((alpha_t, 1), (alpha_s, 1)), ((alpha_s, 1), (alpha_t, 1))),
-    ]
-    return ExtensionDatum(
-        group, arr, wtilde, q, splitting, name=name, braid_relations=relations
-    )
-
-
-def trivial_w_datum(name="trivial_w_z2"):
-    group = enumerate_group([_mat([[1]])])
-    arr = hyperplanes(group)
-    wtilde, _ = cyclic_table(2)
-    return ExtensionDatum(
-        group, arr, wtilde, [0, 0], {}, tau={0: 1, 1: -1}, name=name
-    )
-
-
-def _adjacent_braid_relation(datum: ExtensionDatum, order: int):
-    """A braid-relation word pair for the first pair of hyperplanes whose
-    distinguished generators have product of the given order."""
-    group = datum.group
-    arr = datum.arrangement
-    for a in range(len(arr)):
-        for b in range(len(arr)):
-            if a == b:
-                continue
-            sa = arr[a].distinguished_generator
-            sb = arr[b].distinguished_generator
-            if group.element_order(group.mul(sa, sb)) == order:
-                w1 = tuple((a, 1) if i % 2 == 0 else (b, 1) for i in range(order))
-                w2 = tuple((b, 1) if i % 2 == 0 else (a, 1) for i in range(order))
-                return [(w1, w2)]
-    return None
-
-
-# ---------------------------------------------------------------------------
-# corpus
-
-
-def corpus() -> list[dict]:
-    """Every bundled positive fixture with its character specs."""
-    entries = []
-
-    def add(datum, chi_specs):
-        entries.append({"name": datum.name, "datum": datum, "chi_specs": chi_specs})
-
-    d = direct_product_datum(
-        "cyclic_z2_split_z4", [_mat([[-1]])], 4, tau_exponent=1
-    )
-    add(d, ["trivial",
-            {str(_kernel_generator(d)): 1, "modulus": 4},
-            {str(_kernel_generator(d)): 1, "modulus": 2}])
-
-    d = direct_product_datum("cyclic_z3_split_z3", [CycMatrix([[zeta(3)]])], 3)
-    add(d, ["trivial", {str(_kernel_generator(d)): 1, "modulus": 3}])
-
-    d = z8_over_z4_datum()
-    add(d, ["trivial", {"4": 1, "modulus": 2}])
-
-    d = dic12_over_s2_datum()
-    g = _kernel_generator(d)  # the order-6 rotation
-    add(d, ["trivial",
-            {str(g): 1, "modulus": 2},
-            {str(g): 1, "modulus": 3},
-            {str(g): 1, "modulus": 6}])
-
-    d = s3_over_s2_datum()
-    add(d, ["trivial", {str(_kernel_generator(d)): 1, "modulus": 3}])
-
-    d = direct_product_datum(
-        "s3_split_z2", s3_rank2_generators(), 2, tau_exponent=1
-    )
-    rel = _adjacent_braid_relation(d, 3)
-    d.braid_relations = rel or []
-    add(d, ["trivial", {str(_kernel_generator(d)): 1, "modulus": 2}])
-
-    d = s4_over_s3_datum()
-    add(d, ["trivial", _v4_partition_chi_spec(d)])
-
-    d = direct_product_datum("b2_split_z2", catalog(2, 1, 2), 2)
-    rel = _adjacent_braid_relation(d, 4)
-    d.braid_relations = rel or []
-    add(d, ["trivial", {str(_kernel_generator(d)): 1, "modulus": 2}])
-
-    d = direct_product_datum("dihedral5_split_z2", catalog(5, 5, 2), 2, tau_exponent=1)
-    add(d, ["trivial", {str(_kernel_generator(d)): 1, "modulus": 2}])
-
-    d = direct_product_datum("dihedral6_split_z3", catalog(6, 6, 2), 3)
-    add(d, ["trivial", {str(_kernel_generator(d)): 1, "modulus": 3}])
-
-    d = direct_product_datum("g312_split_z2", catalog(3, 1, 2), 2)
-    add(d, ["trivial", {str(_kernel_generator(d)): 1, "modulus": 2}])
-
-    d = q8_over_v4_datum()
-    add(d, ["trivial", {str(_q8_minus_one(d)): 1, "modulus": 2}])
-
-    d = d8_over_v4_datum()
-    add(d, ["trivial", {str(_kernel_nontrivial(d)): 1, "modulus": 2}])
-
-    d = s3xs3_over_v4_datum()
-    add(d, ["trivial", _s3xs3_faithful_chi_spec(d)])
-
-    d = trivial_w_datum()
-    add(d, ["trivial", {"1": 1, "modulus": 2}])
-
-    return entries
-
-
-def _kernel_generator(d: ExtensionDatum) -> int:
-    """A kernel element of maximal order (deterministic least index)."""
-    best = d.kernel[0]
-    best_order = 1
-    for x in d.kernel:
-        k = d.wtilde.element_order(x)
-        if k > best_order:
-            best, best_order = x, k
-    return best
-
-
-def _kernel_nontrivial(d: ExtensionDatum) -> int:
-    return next(x for x in d.kernel if x != d.wtilde.identity)
-
-
-def _q8_minus_one(d: ExtensionDatum) -> int:
-    return _kernel_nontrivial(d)
-
-
-def _v4_partition_chi_spec(d: ExtensionDatum) -> dict:
-    """A character of the Klein kernel with one nontrivial stabilizer
-    reflection: kernel of the character is the first involution."""
-    xs = [x for x in d.kernel if x != d.wtilde.identity]
-    # character with value 1 on xs[0], -1 on the others
-    return {str(xs[0]): 0, str(xs[1]): 1, str(xs[2]): 1, "modulus": 2}
-
-
-def _s3xs3_faithful_chi_spec(d: ExtensionDatum) -> dict:
-    """A character of the 3x3 kernel with trivial stabilizer in the Klein
-    base group (first such found over pairs of order-3 kernel elements)."""
-    from .errors import ValidationError
-
-    order3 = [x for x in d.kernel if d.wtilde.element_order(x) == 3]
-    for a, b in itertools.combinations(order3, 2):
-        try:
-            chi = d.character_from_values({a: zeta(3), b: zeta(3)})
-        except ValidationError:
-            continue
-        if len(d.stabilizer_of_character(chi)) == 1:
-            return {str(a): 1, str(b): 1, "modulus": 3}
-    raise AssertionError("no free character found on the 3x3 kernel")
-
-
-# ---------------------------------------------------------------------------
-# negative controls
-
-
-def negative_fixtures() -> list[dict]:
-    """The three canonical negative controls (exit codes 2, 3, 4) plus a
-    corrupted projection map."""
-    s3_bad_split = s3_over_s2_datum("neg_bad_splitting")
-    # a 3-cycle covers the identity, not the inverse generator
-    (_, _), perms = symmetric_table(3)
-    s3_bad_split.splitting = {0: perms.index((1, 2, 0))}
-
-    s3_bad_q = s3_over_s2_datum("neg_bad_q")
-    q = list(s3_bad_q.q)
-    q[3] = 1 - q[3]
-    s3_bad_q.q = tuple(q)
-
-    mixed = s4_over_s3_datum("neg_inconsistent_twist", mixed_lifts=True)
-
-    return [
-        {
-            "name": "neg_parse_error",
-            "raw": "{ this is not json",
-            "chi_spec": "trivial",
-            "expected_exit": 2,
-        },
-        {
-            "name": "neg_bad_splitting",
-            "datum": s3_bad_split,
-            "chi_spec": "trivial",
-            "expected_exit": 3,
-        },
-        {
-            "name": "neg_bad_q",
-            "datum": s3_bad_q,
-            "chi_spec": "trivial",
-            "expected_exit": 3,
-        },
-        {
-            "name": "neg_inconsistent_twist",
-            "datum": mixed,
-            "chi_spec": _v4_partition_chi_spec(mixed),
-            "expected_exit": 4,
-        },
-    ]
-
-
-def write_corpus(directory) -> list[str]:
-    """Write every fixture and a manifest; returns the file names."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    names = []
-    for entry in corpus():
-        fname = entry["name"] + ".json"
-        payload = json.dumps(
-            datum_to_json(entry["datum"]), indent=2, sort_keys=True
-        )
-        (directory / fname).write_text(payload + "\n")
-        manifest.append(
-            {"file": fname, "chi_specs": entry["chi_specs"], "expected_exit": 0}
-        )
-        names.append(fname)
-    for entry in negative_fixtures():
-        fname = entry["name"] + ".json"
-        if "raw" in entry:
-            (directory / fname).write_text(entry["raw"])
-        else:
-            payload = json.dumps(
-                datum_to_json(entry["datum"]), indent=2, sort_keys=True
-            )
-            (directory / fname).write_text(payload + "\n")
-        manifest.append(
-            {
-                "file": fname,
-                "chi_specs": [entry["chi_spec"]],
-                "expected_exit": entry["expected_exit"],
-            }
-        )
-        names.append(fname)
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-    return names
-
-
-def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description="write the bundled fixture corpus")
-    parser.add_argument("--write", default="fixtures", help="output directory")
-    args = parser.parse_args(argv)
-    names = write_corpus(args.write)
-    print(f"wrote {len(names)} fixtures to {args.write}")
-
-
-if __name__ == "__main__":
-    main()

@@ -14,6 +14,7 @@ naming the obstruction.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .cyclo import ONE, CycMatrix, CycPoly, minpoly_matrix
 from .errors import DomainError, IntegrityError, ParameterError, RegimeError
@@ -23,20 +24,16 @@ from .reflgrp import Arrangement, ReflectionGroup, subgroup_generated
 class HeckeAlgebra:
     """A finite-dimensional algebra given by its regular representation."""
 
-    def __init__(self, regime, basis_labels, generators, params):
+    def __init__(self, regime, dimension, generators, params):
         self.regime = regime
-        self.basis_labels = list(basis_labels)
-        self.dimension = len(self.basis_labels)
+        self.dimension = dimension
         self.generators: dict[str, CycMatrix] = dict(generators)
         self.params: dict[str, CycPoly] = dict(params)
         # generator key -> minimal polynomial, filled by _certify_generators
         self.minimal_polynomials: dict[str, CycPoly] = {}
         # filled by the quadratic-regime builder
         self.group: ReflectionGroup | None = None
-        self.arrangement: Arrangement | None = None
-        self.simple_elements: list[int] = []
         self.simple_hyperplanes: list[int] = []
-        self.simple_words: list[tuple[int, ...]] = []
         self._element_matrices: dict[int, CycMatrix] = {}
 
     def t_of_element(self, w: int) -> CycMatrix:
@@ -90,12 +87,7 @@ def build_cyclic(rbar: CycPoly) -> HeckeAlgebra:
     shift = [(j + 1, j, ONE) for j in range(d - 1)]
     last = [(i, d - 1, -c) for i, c in enumerate(rbar.coeffs[:-1])]
     t = CycMatrix.from_triples(d, d, shift + last)
-    h = HeckeAlgebra(
-        "cyclic",
-        [f"t^{k}" for k in range(d)],
-        {"t": t},
-        {"t": rbar},
-    )
+    h = HeckeAlgebra("cyclic", d, {"t": t}, {"t": rbar})
     _certify_generators(h)
     return h
 
@@ -252,15 +244,12 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
                 continue
             h = HeckeAlgebra(
                 "coxeter",
-                [f"T[{w}]" for w in range(len(group))],
+                len(group),
                 {f"s{a}": m for a, m in zip(alphas, mats)},
                 {f"s{a}": p for a, p in zip(alphas, polys)},
             )
             h.group = group
-            h.arrangement = arr
-            h.simple_elements = elems
             h.simple_hyperplanes = alphas
-            h.simple_words = words
             h._element_matrices = dict(enumerate(t_of))
             _certify_generators(h)
             return h
@@ -298,10 +287,6 @@ def build_product(parts: list[HeckeAlgebra]) -> HeckeAlgebra:
         raise DomainError("product of no algebras")
     if len(parts) == 1:
         return parts[0]
-    labels = [
-        " x ".join(combo)
-        for combo in itertools.product(*[p.basis_labels for p in parts])
-    ]
     generators = {}
     params = {}
     for i, part in enumerate(parts):
@@ -312,6 +297,7 @@ def build_product(parts: list[HeckeAlgebra]) -> HeckeAlgebra:
                 full = leg if full is None else full.kron(leg)
             generators[f"leg{i}.{key}"] = full
             params[f"leg{i}.{key}"] = part.params[key]
-    h = HeckeAlgebra("product", labels, generators, params)
+    dimension = math.prod(p.dimension for p in parts)
+    h = HeckeAlgebra("product", dimension, generators, params)
     _certify_generators(h)
     return h

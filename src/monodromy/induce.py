@@ -192,13 +192,12 @@ def generator_letter_decomposition(datum: ExtensionDatum):
     return out
 
 
-def braid_lift(datum: ExtensionDatum, w: int, letter_table=None) -> FiberElement:
-    """Lift a group element through the splitting along its stored word.
+def braid_lift(datum: ExtensionDatum, w: int, letter_table) -> FiberElement:
+    """Lift a group element through the splitting along its stored word;
+    ``letter_table`` is ``generator_letter_decomposition(datum)``.
 
     Each word letter contributes inverse braid letters for its hyperplane
     power, so the base image of the lift is exactly the element."""
-    if letter_table is None:
-        letter_table = generator_letter_decomposition(datum)
     word: list[tuple[int, int]] = []
     for slot in datum.group.words[w]:
         decomp = letter_table[slot]
@@ -226,7 +225,6 @@ class InducedModule:
     checks: list[CheckResult]
     datum: ExtensionDatum
     chi: Character
-    hecke: HeckeAlgebra | None = None
 
     def represent(self, g: FiberElement) -> CycMatrix:
         """Evaluate the module action on a fiber element by splitting it
@@ -402,11 +400,13 @@ def build_full_r2(
     chi: Character,
     inv: ChiInvariants,
     hecke: HeckeAlgebra,
-    rbar_by_alpha: dict[int, CycPoly] | None = None,
+    rbar_by_alpha: dict[int, CycPoly],
     convention: str = "left",
 ) -> InducedModule:
     """Deformed-group-algebra model, defined when the character is invariant
-    and every jump is one; braid generators act by the algebra generators."""
+    and every jump is one; braid generators act by the algebra generators.
+    The minimal polynomial of each generator is certified against its
+    relation in ``rbar_by_alpha``."""
     group = datum.group
     if len(inv.w_chi) != len(group):
         raise RegimeError("regime R2 needs an invariant character")
@@ -435,9 +435,8 @@ def build_full_r2(
             raise RegimeError(
                 "quadratic algebra must be built over the datum's group"
             )
-        simple = dict(zip(hecke.simple_hyperplanes, hecke.simple_elements))
         for alpha in range(len(arr)):
-            if alpha in simple:
+            if alpha in hecke.simple_hyperplanes:
                 gen_matrices[alpha] = hecke.generators[f"s{alpha}"]
                 continue
             conjugator = None
@@ -452,9 +451,11 @@ def build_full_r2(
                 raise IntegrityError(
                     f"hyperplane {alpha} is not in the orbit of any simple one"
                 )
+            # the inverse-letter braid lift of w maps to T_{w^-1}^-1, since
+            # reversing a reduced word of w gives one of w^-1
             w, beta = conjugator
-            u = _braid_word_image(hecke, w)
-            gen_matrices[alpha] = u * hecke.generators[f"s{beta}"] * u.inverse()
+            t = hecke.t_of_element(group.inv(w))
+            gen_matrices[alpha] = t.inverse() * hecke.generators[f"s{beta}"] * t
     else:
         raise RegimeError(
             f"no hyperplane mapping for algebra regime {hecke.regime!r}"
@@ -471,31 +472,19 @@ def build_full_r2(
     }
     checks: list[CheckResult] = []
     module = InducedModule(
-        "R2", ledger, i_action, gen_matrices, i_matrices, checks, datum, chi,
-        hecke=hecke,
+        "R2", ledger, i_action, gen_matrices, i_matrices, checks, datum, chi
     )
-    if rbar_by_alpha:
-        for alpha, rbar in sorted(rbar_by_alpha.items()):
-            m = gen_matrices[alpha]
-            # a generator used as is keeps the polynomial certified for it
-            # when the algebra was built; conjugates are computed here
-            key = next((k for k, g in hecke.generators.items() if g is m), None)
-            got = minpoly_matrix(m) if key is None else hecke.minimal_polynomials[key]
-            _check(
-                checks,
-                f"generator_relation[alpha={alpha}]",
-                got == rbar,
-                f"minimal polynomial {got!r} differs from the relation {rbar!r}",
-            )
+    for alpha, rbar in sorted(rbar_by_alpha.items()):
+        m = gen_matrices[alpha]
+        # a generator used as is keeps the polynomial certified for it
+        # when the algebra was built; conjugates are computed here
+        key = next((k for k, g in hecke.generators.items() if g is m), None)
+        got = minpoly_matrix(m) if key is None else hecke.minimal_polynomials[key]
+        _check(
+            checks,
+            f"generator_relation[alpha={alpha}]",
+            got == rbar,
+            f"minimal polynomial {got!r} differs from the relation {rbar!r}",
+        )
     _common_verifications(module)
     return module
-
-
-def _braid_word_image(hecke: HeckeAlgebra, w: int) -> CycMatrix:
-    """The algebra image of the inverse-letter braid lift of an element:
-    the product of inverse generators along its reduced word."""
-    out = CycMatrix.identity(hecke.dimension)
-    for slot in hecke.simple_words[w]:
-        key = f"s{hecke.simple_hyperplanes[slot]}"
-        out = out * hecke.generators[key].inverse()
-    return out

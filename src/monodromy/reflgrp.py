@@ -28,7 +28,6 @@ class ReflectionGroup:
         self.words: list[tuple[int, ...]] = words
         self._rmul_gen = rmul_gen  # element index x generator slot -> element index
         self.generator_indices: list[int] = generator_indices
-        self.index = {m: i for i, m in enumerate(elements)}
         self._inv: list[int | None] = [None] * len(elements)
         self._gen_inv: list[int] | None = None
 
@@ -70,10 +69,6 @@ class ReflectionGroup:
             out = self.mul(out, gen_inv[slot])
         self._inv[i] = out
         return out
-
-    def conjugate(self, w: int, x: int) -> int:
-        """w x w^{-1} as indices."""
-        return self.mul(self.mul(w, x), self.inv(w))
 
     def element_order(self, i: int) -> int:
         n = 1
@@ -361,20 +356,6 @@ def catalog_order(m: int, p: int, r: int) -> int:
 
 # ---------------------------------------------------------------------------
 # subgroups and cosets
-
-
-def conjugacy_classes(group: ReflectionGroup) -> list[tuple[int, ...]]:
-    """Conjugacy classes as sorted index tuples, ordered by least member."""
-    seen = [False] * len(group)
-    classes = []
-    for i in range(len(group)):
-        if seen[i]:
-            continue
-        cls = sorted({group.conjugate(w, i) for w in range(len(group))})
-        for x in cls:
-            seen[x] = True
-        classes.append(tuple(cls))
-    return classes
 
 
 def subgroup_generated(group: ReflectionGroup, elems) -> tuple[int, ...]:

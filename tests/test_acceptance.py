@@ -12,8 +12,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from monodromy.carousel import build_carousel, carousel_minpolys
 from monodromy.cli import main, render_report, run_analyze
 from monodromy.cyclo import (
@@ -26,33 +24,22 @@ from monodromy.cyclo import (
     zeta,
 )
 from monodromy.extension import character_from_spec
-from monodromy.fixtures import write_corpus
 from monodromy.hecke import build_coxeter, build_cyclic, build_product
 from monodromy.induce import build_full_r1, build_full_r2, build_i_action
 from monodromy.invariants import compute_chi_invariants
 from monodromy.reflgrp import catalog, catalog_order, enumerate_group, hyperplanes
+from corpus import FIXTURES, chi_specs, load_datum, manifest
 
 rat = CycNumber.rational
 
 REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
-@pytest.fixture(scope="module")
-def corpus_dir(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("acceptance_fixtures")
-    write_corpus(directory)
-    return directory
-
-
-def _manifest(corpus_dir):
-    return json.loads((corpus_dir / "manifest.json").read_text())
-
-
-def _positive_runs(corpus_dir):
-    for entry in _manifest(corpus_dir):
+def _positive_runs():
+    for entry in manifest():
         if entry["expected_exit"] != 0:
             continue
-        path = str(corpus_dir / entry["file"])
+        path = str(FIXTURES / entry["file"])
         for spec in entry["chi_specs"]:
             spec_str = spec if isinstance(spec, str) else json.dumps(spec)
             yield entry["file"], path, spec_str
@@ -64,9 +51,9 @@ def _stamp(name, start, budget):
     assert elapsed < budget, f"{name} exceeded its runtime budget"
 
 
-def test_criterion_1_dimension_identities(corpus_dir):
+def test_criterion_1_dimension_identities():
     start = time.time()
-    runs = list(_positive_runs(corpus_dir))
+    runs = list(_positive_runs())
     data_files = {f for f, _, _ in runs}
     assert len(data_files) >= 12, "corpus must hold at least 12 data"
     per_file = {}
@@ -84,10 +71,10 @@ def test_criterion_1_dimension_identities(corpus_dir):
     _stamp("1 dimension-identities", start, 30)
 
 
-def test_criterion_2_block_decomposition(corpus_dir):
+def test_criterion_2_block_decomposition():
     start = time.time()
     checked = 0
-    for fname, path, spec in _positive_runs(corpus_dir):
+    for fname, path, spec in _positive_runs():
         from monodromy.extension import datum_from_json
 
         datum = datum_from_json(json.loads(Path(path).read_text()))
@@ -226,12 +213,12 @@ def test_criterion_5_involution():
     _stamp("5 involution", start, 5)
 
 
-def test_criterion_6_representation_consistency(corpus_dir):
+def test_criterion_6_representation_consistency():
     start = time.time()
     from monodromy.extension import datum_from_json
 
     full_modules = 0
-    for fname, path, spec in _positive_runs(corpus_dir):
+    for fname, path, spec in _positive_runs():
         datum = datum_from_json(json.loads(Path(path).read_text()))
         assert len(datum.kernel) <= 12
         report, code, _ = run_analyze(path, spec)
@@ -252,12 +239,8 @@ def test_criterion_6_representation_consistency(corpus_dir):
             assert names[k] == "pass", fname
     assert full_modules >= 10
     # independent spot check with direct matrix arithmetic
-    datum = datum_from_json(
-        json.loads((corpus_dir / "s3xs3_over_v4.json").read_text())
-    )
-    spec = next(
-        e for e in _manifest(corpus_dir) if e["file"] == "s3xs3_over_v4.json"
-    )["chi_specs"][1]
+    datum = load_datum("s3xs3_over_v4")
+    spec = chi_specs("s3xs3_over_v4")[1]
     chi = character_from_spec(datum, spec)
     inv = compute_chi_invariants(datum, chi)
     module = build_full_r1(datum, chi, inv)
@@ -290,27 +273,29 @@ def test_criterion_7_group_engine_oracles():
                 )
                 assert arr.reflection_count() == reflections, (m, p, r)
                 for w in range(len(group)):
+                    w_inv = group.inv(w)
                     for a in range(len(arr)):
                         b = arr.act(w, a)
+                        s = arr[a].distinguished_generator
                         assert (
-                            group.conjugate(w, arr[a].distinguished_generator)
+                            group.mul(group.mul(w, s), w_inv)
                             == arr[b].distinguished_generator
                         ), (m, p, r, w, a)
     _stamp("7 group-engine-oracles", start, 60)
 
 
-def test_criterion_8_golden_reports(corpus_dir):
+def test_criterion_8_golden_reports():
     start = time.time()
-    for fname, path, spec in _positive_runs(corpus_dir):
+    for fname, path, spec in _positive_runs():
         first = render_report(run_analyze(path, spec)[0])
         second = render_report(run_analyze(path, spec)[0])
         assert first == second, f"{fname}: report not byte-identical"
-    negative = [e for e in _manifest(corpus_dir) if e["expected_exit"] != 0]
+    negative = [e for e in manifest() if e["expected_exit"] != 0]
     assert len(negative) >= 3
     assert {e["expected_exit"] for e in negative} == {2, 3, 4}
     for entry in negative:
         spec = entry["chi_specs"][0]
         spec_str = spec if isinstance(spec, str) else json.dumps(spec)
-        code = main(["analyze", str(corpus_dir / entry["file"]), "--chi", spec_str])
+        code = main(["analyze", str(FIXTURES / entry["file"]), "--chi", spec_str])
         assert code == entry["expected_exit"], entry["file"]
     _stamp("8 golden-reports", start, 30)

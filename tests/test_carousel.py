@@ -15,13 +15,8 @@ from monodromy.cyclo import (
     zeta,
 )
 from monodromy.errors import DomainError
-from monodromy.fixtures import (
-    dic12_over_s2_datum,
-    direct_product_datum,
-    q8_over_v4_datum,
-    s3_rank2_generators,
-    z8_over_z4_datum,
-)
+from monodromy.fixtures import direct_product_datum
+from corpus import load_datum, s3_rank2_generators
 
 
 def rat(x):
@@ -127,27 +122,27 @@ def test_twist_from_direct_product_is_one():
 
 
 def test_twist_from_z8_cover_is_minus_one():
-    d = z8_over_z4_datum()
+    d = load_datum("cyclic_z8_over_z4")
     chi = next(c for c in d.characters() if not c.is_trivial())
     assert twist_from_extension(d, 0, chi) == rat(-1)
 
 
 def test_twist_trivial_character():
-    d = z8_over_z4_datum()
+    d = load_datum("cyclic_z8_over_z4")
     from monodromy.extension import Character
 
     assert twist_from_extension(d, 0, Character.trivial(d.kernel)).is_one()
 
 
 def test_twist_from_quaternion_cover():
-    d = q8_over_v4_datum()
+    d = load_datum("quaternion_over_v4")
     chi = next(c for c in d.characters() if not c.is_trivial())
     for alpha in d.splitting:
         assert twist_from_extension(d, alpha, chi) == rat(-1)
 
 
 def test_twist_from_dicyclic_cover():
-    d = dic12_over_s2_datum()
+    d = load_datum("dicyclic12_over_s2")
     gen = max(d.kernel, key=lambda x: d.wtilde.element_order(x))
     chi6 = d.character_from_values({gen: zeta(6)})
     assert twist_from_extension(d, 0, chi6) == rat(-1)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,26 +14,22 @@ from hypothesis import strategies as st
 from monodromy.cli import main, run_analyze, run_carousel, run_catalog, render_report
 from monodromy.cyclo import CycMatrix, zeta
 from monodromy.errors import ParseError
-from monodromy.extension import datum_to_json
-from monodromy.fixtures import corpus, direct_product_datum, negative_fixtures, write_corpus
-from monodromy.reflgrp import catalog
+from monodromy.extension import ExtensionDatum, datum_to_json
+from monodromy.fixtures import direct_product_datum, table_from_elements
+from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
+from corpus import FIXTURES, chi_specs, manifest
 from test_cyclo import cyc_numbers, dense_matrices
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-REPO_FIXTURES = REPO_ROOT / "fixtures"
 # report digests recorded from the seed code; read here, never written
 REFERENCE_DIGESTS = REPO_ROOT / "bench" / "reference.json"
-
-
-@pytest.fixture(scope="module")
-def fixture_dir(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("fixtures")
-    write_corpus(directory)
-    return directory
-
-
-def manifest(fixture_dir):
-    return json.loads((fixture_dir / "manifest.json").read_text())
+# a child process imports the package from the source tree, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def spec_string(spec):
@@ -43,16 +40,16 @@ def spec_string(spec):
 # exit codes
 
 
-def test_exit_codes_across_manifest(fixture_dir):
-    for entry in manifest(fixture_dir):
-        path = str(fixture_dir / entry["file"])
+def test_exit_codes_across_manifest():
+    for entry in manifest():
+        path = str(FIXTURES / entry["file"])
         spec = spec_string(entry["chi_specs"][0])
         code = main(["analyze", path, "--chi", spec])
         assert code == entry["expected_exit"], entry["file"]
 
 
-def test_negative_controls_cover_all_nonzero_exits(fixture_dir):
-    codes = {e["expected_exit"] for e in manifest(fixture_dir) if e["expected_exit"]}
+def test_negative_controls_cover_all_nonzero_exits():
+    codes = {e["expected_exit"] for e in manifest() if e["expected_exit"]}
     assert codes == {2, 3, 4}
 
 
@@ -105,6 +102,25 @@ def _set_float_sign(datum):
     datum["sgn"] = {"0": 1.0}
 
 
+# s3_split_z2 has the three hyperplanes 0, 1 and 2
+
+
+def _set_sign_key_off_arrangement(datum):
+    datum["sgn"] = {"3": -1}
+
+
+def _set_twist_key_off_arrangement(datum):
+    datum["twist"] = {"99": {"order": 1, "terms": [[1, 1, 0]]}}
+
+
+def _set_local_subgroup_key_off_arrangement(datum):
+    datum["wtilde_alpha"] = {"-1": [0]}
+
+
+def _set_float_name(datum):
+    datum["name"] = 1.5  # the report repeats the name
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -119,6 +135,10 @@ def _set_float_sign(datum):
         _set_string_splitting_value,
         _set_bool_tau_value,
         _set_float_sign,
+        _set_sign_key_off_arrangement,
+        _set_twist_key_off_arrangement,
+        _set_local_subgroup_key_off_arrangement,
+        _set_float_name,
     ],
     ids=[
         "splitting_as_list",
@@ -132,10 +152,14 @@ def _set_float_sign(datum):
         "string_splitting_value",
         "bool_tau_value",
         "float_sign",
+        "sign_key_off_arrangement",
+        "twist_key_off_arrangement",
+        "local_subgroup_key_off_arrangement",
+        "float_name",
     ],
 )
 def test_malformed_datum_is_parse_error(mutate, tmp_path, capsys):
-    datum = json.loads((REPO_FIXTURES / "s3_split_z2.json").read_text())
+    datum = json.loads((FIXTURES / "s3_split_z2.json").read_text())
     mutate(datum)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(datum))
@@ -200,7 +224,7 @@ def _mutate(data, datum):
 @given(st.data())
 def test_fuzzed_datum_ends_in_documented_exit(tmp_path_factory, data):
     name = data.draw(st.sampled_from(FUZZ_FIXTURES))
-    datum = json.loads((REPO_FIXTURES / name).read_text())
+    datum = json.loads((FIXTURES / name).read_text())
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(data, datum)
     directory = tmp_path_factory.mktemp("fuzz")
@@ -215,31 +239,45 @@ def test_missing_file_is_parse_error(tmp_path):
     assert main(["analyze", str(tmp_path / "absent.json"), "--chi", "trivial"]) == 2
 
 
-def test_bad_chi_spec_is_parse_error(fixture_dir):
-    path = str(fixture_dir / "s3_over_s2.json")
+def test_bad_chi_spec_is_parse_error():
+    path = str(FIXTURES / "s3_over_s2.json")
     assert main(["analyze", path, "--chi", "{not json"]) == 2
     # a float modulus is refused, not truncated
     assert main(["analyze", path, "--chi", '{"modulus": 3.0, "values": {"3": 1}}']) == 2
 
 
-def test_inconsistent_chi_spec_is_validation_error(fixture_dir):
-    path = str(fixture_dir / "s3_over_s2.json")
+def test_inconsistent_chi_spec_is_validation_error():
+    path = str(FIXTURES / "s3_over_s2.json")
     spec = json.dumps({"modulus": 2, "values": {"3": 1}})
     assert main(["analyze", path, "--chi", spec]) == 3
 
 
-def test_rbar_override_wrong_degree_is_validation_error(fixture_dir, tmp_path):
+def test_rbar_override_wrong_degree_is_validation_error(tmp_path):
     from monodromy.cyclo import CycNumber, CycPoly
 
     bad = CycPoly([CycNumber.rational(-1), CycNumber.rational(0), CycNumber.rational(1)])
     override = tmp_path / "rbar.json"
     override.write_text(json.dumps({"0": bad.to_json()}))
-    path = str(fixture_dir / "s3_over_s2.json")
+    path = str(FIXTURES / "s3_over_s2.json")
     spec = json.dumps({"modulus": 3, "values": {"3": 1}})  # full-jump regime
     assert main(["analyze", path, "--chi", spec, "--rbar", str(override)]) == 3
 
 
-def test_b2_with_quadratic_override(fixture_dir, tmp_path):
+def test_rbar_override_off_arrangement_is_validation_error(tmp_path):
+    from monodromy.cyclo import CycNumber, CycPoly
+
+    # a relation of the right degree, keyed by a hyperplane the datum lacks
+    rbar = CycPoly([CycNumber.rational(-1), CycNumber.rational(0), CycNumber.rational(1)])
+    override = tmp_path / "rbar.json"
+    override.write_text(json.dumps({"99": rbar.to_json()}))
+    path = str(FIXTURES / "s3_over_s2.json")
+    report, code, _ = run_analyze(path, "trivial", rbar_path=str(override))
+    assert code == 3
+    assert report["error"].startswith("parameter error: ")
+    assert "99" in report["error"]
+
+
+def test_b2_with_quadratic_override(tmp_path):
     # generic quadratic relation at a numeric parameter: (z - 3)(z + 1)
     from monodromy.cyclo import CycNumber, CycPoly
 
@@ -248,7 +286,7 @@ def test_b2_with_quadratic_override(fixture_dir, tmp_path):
     )
     override = tmp_path / "rbar.json"
     override.write_text(json.dumps({str(a): rbar.to_json() for a in range(4)}))
-    path = str(fixture_dir / "b2_split_z2.json")
+    path = str(FIXTURES / "b2_split_z2.json")
     report, code, _ = run_analyze(path, "trivial", rbar_path=str(override))
     assert code == 0
     assert report["m_chi"]["regime"] == "R2"
@@ -259,15 +297,65 @@ def test_b2_with_quadratic_override(fixture_dir, tmp_path):
         assert gen["minimal_polynomial"] == rbar.to_json()
 
 
+def _b2_swap_cover():
+    """(Z/2)^2 x| B2 over B2 = G(2,1,2), where B2 swaps the two factors
+    through its quotient by the sign changes diag(+-1, +-1); split by the
+    lifts (0, s).  Returns the datum and the kernel generators (1, 0) and
+    (0, 1)."""
+    group = enumerate_group(catalog(2, 1, 2))
+    arr = hyperplanes(group)
+    # a signed permutation swaps the axes when its first row is off the diagonal
+    swaps = [group.elements[w].sparse_rows[0][0][0] == 1 for w in range(len(group))]
+
+    def mul(x, y):
+        a, b = (y[1], y[0]) if swaps[x[2]] else (y[0], y[1])
+        return ((x[0] + a) % 2, (x[1] + b) % 2, group.mul(x[2], y[2]))
+
+    elements = [(a, b, w) for a in (0, 1) for b in (0, 1) for w in range(len(group))]
+    gens = [(1, 0, 0)] + [(0, 0, g) for g in group.generator_indices]
+    wtilde, index = table_from_elements(elements, mul, gens)
+    splitting = {
+        a: index[(0, 0, group.inv(arr[a].distinguished_generator))]
+        for a in range(len(arr))
+    }
+    datum = ExtensionDatum(
+        group, arr, wtilde, [w for (_, _, w) in elements], splitting, name="b2_swap_cover"
+    )
+    return datum, index[(1, 0, 0)], index[(0, 1, 0)]
+
+
+def test_proper_reflection_subgroup_gets_its_own_coxeter_algebra(tmp_path):
+    """chi = (-1, 1) is fixed by the sign changes and moved by the swaps, so
+    W_chi^0 = <s_x, s_y> is a proper, non-cyclic reflection subgroup: its
+    algebra is built over the re-enumerated subgroup, and the module stays
+    ledger-only."""
+    datum, x, y = _b2_swap_cover()
+    path = tmp_path / "b2_swap_cover.json"
+    path.write_text(json.dumps(datum_to_json(datum)))
+    spec = {str(x): 1, str(y): 0, "modulus": 2}
+    report, code, warnings = run_analyze(str(path), spec)
+    assert code == 0, report.get("error")
+    assert report["chi_invariants"]["w_chi_order"] == 4
+    assert report["chi_invariants"]["w_chi_zero_order"] == 4
+    assert report["hecke"]["regime"] == "coxeter"
+    assert report["hecke"]["dimension"] == 4
+    assert len(report["hecke"]["generators"]) == 2
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert verdicts["hecke.dimension"]["status"] == "pass"
+    assert all(v["status"] != "fail" for v in report["verdicts"])
+    assert report["m_chi"]["regime"] == "ledger-only"
+    assert any("full module unavailable" in w for w in warnings)
+
+
 # ---------------------------------------------------------------------------
 # golden determinism
 
 
-def test_reports_byte_identical_across_runs(fixture_dir):
-    for entry in manifest(fixture_dir):
+def test_reports_byte_identical_across_runs():
+    for entry in manifest():
         if entry["expected_exit"] != 0:
             continue
-        path = str(fixture_dir / entry["file"])
+        path = str(FIXTURES / entry["file"])
         for spec in entry["chi_specs"]:
             a = render_report(run_analyze(path, spec_string(spec))[0])
             b = render_report(run_analyze(path, spec_string(spec))[0])
@@ -288,8 +376,8 @@ def test_reports_match_reference_digests(tmp_path):
     no refactor changes a report unnoticed."""
     digests = json.loads(REFERENCE_DIGESTS.read_text())["digests"]
     runs = [
-        (REPO_FIXTURES / entry["file"], spec)
-        for entry in json.loads((REPO_FIXTURES / "manifest.json").read_text())
+        (FIXTURES / entry["file"], spec)
+        for entry in manifest()
         if entry["expected_exit"] == 0
         for spec in entry["chi_specs"]
     ]
@@ -331,8 +419,8 @@ def test_render_matches_json_dumps_on_every_payload(tmp_path):
     both characters of each ladder cover, a catalog and a carousel payload
     render to the bytes json.dumps gives for their list form."""
     runs = [
-        (REPO_FIXTURES / entry["file"], spec)
-        for entry in json.loads((REPO_FIXTURES / "manifest.json").read_text())
+        (FIXTURES / entry["file"], spec)
+        for entry in manifest()
         for spec in entry["chi_specs"]
     ]
     for name, mpr in LADDER:
@@ -410,7 +498,7 @@ def test_render_edge_cases():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", str(REPO_FIXTURES / "trivial_w_z2.json"), "--chi", "trivial"],
+        ["analyze", str(FIXTURES / "trivial_w_z2.json"), "--chi", "trivial"],
         ["catalog", "g", "2", "1", "2"],
         ["carousel", "--n", "4", "--e", "2"],
     ],
@@ -422,6 +510,7 @@ def test_unwritable_out_is_usage_error(argv, tmp_path):
         [sys.executable, "-m", "monodromy.cli", *argv, "--out", str(out)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: cannot write {out}")
@@ -430,25 +519,14 @@ def test_unwritable_out_is_usage_error(argv, tmp_path):
 
 
 def test_out_file_holds_the_rendered_report(tmp_path):
-    path = str(REPO_FIXTURES / "b2_split_z2.json")
+    path = str(FIXTURES / "b2_split_z2.json")
     out = tmp_path / "report.json"
     assert main(["analyze", path, "--chi", "trivial", "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == render_report(run_analyze(path, "trivial")[0])
 
 
-def test_committed_corpus_matches_builders(fixture_dir):
-    """The JSON files shipped in the repository are exactly what the
-    builders produce (drift check)."""
-    if not REPO_FIXTURES.is_dir():
-        pytest.skip("fixtures directory not present")
-    for name in sorted(p.name for p in fixture_dir.iterdir()):
-        committed = REPO_FIXTURES / name
-        assert committed.is_file(), f"missing committed fixture {name}"
-        assert committed.read_bytes() == (fixture_dir / name).read_bytes(), name
-
-
-def test_report_has_required_sections(fixture_dir):
-    path = str(fixture_dir / "quaternion_over_v4.json")
+def test_report_has_required_sections():
+    path = str(FIXTURES / "quaternion_over_v4.json")
     report, code, _ = run_analyze(path, "trivial")
     assert code == 0
     for section in (
@@ -464,11 +542,9 @@ def test_report_has_required_sections(fixture_dir):
 # convention flag
 
 
-def test_flip_inertia_convention(fixture_dir):
-    path = str(fixture_dir / "s4_over_s3.json")
-    spec = next(
-        e for e in manifest(fixture_dir) if e["file"] == "s4_over_s3.json"
-    )["chi_specs"][1]
+def test_flip_inertia_convention():
+    path = str(FIXTURES / "s4_over_s3.json")
+    spec = chi_specs("s4_over_s3")[1]
     left, code_l, _ = run_analyze(path, spec_string(spec), convention="left")
     flip, code_f, _ = run_analyze(path, spec_string(spec), convention="inverse")
     assert code_l == code_f == 0
@@ -498,15 +574,16 @@ def test_carousel_subcommand_output():
     assert len(obj["polynomials"]["R"]) == 5
 
 
-def test_cli_process_entry_point(fixture_dir):
+def test_cli_process_entry_point():
     proc = subprocess.run(
         [
             sys.executable, "-m", "monodromy.cli",
-            "analyze", str(fixture_dir / "s3_over_s2.json"),
+            "analyze", str(FIXTURES / "s3_over_s2.json"),
             "--chi", "trivial",
         ],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -12,17 +12,8 @@ from monodromy.extension import (
     free_reduce,
     validate,
 )
-from monodromy.fixtures import (
-    dic12_over_s2_datum,
-    direct_product_datum,
-    q8_over_v4_datum,
-    s3_over_s2_datum,
-    s3_rank2_generators,
-    s3xs3_over_v4_datum,
-    s4_over_s3_datum,
-    symmetric_table,
-    z8_over_z4_datum,
-)
+from monodromy.fixtures import direct_product_datum
+from corpus import load_datum, s3_rank2_generators
 
 
 def rat(x):
@@ -34,7 +25,7 @@ def rat(x):
 
 
 def test_cayley_group_identity_and_inverses():
-    (g, _), _ = symmetric_table(3)
+    g = load_datum("s3_over_s2").wtilde  # the symmetric group on three letters
     assert g.identity == 0
     for a in range(g.order):
         assert g.mul(a, g.inv(a)) == g.identity
@@ -73,14 +64,14 @@ def test_direct_product_datum_validates():
 
 
 def test_s3_over_s2_validates():
-    report = validate(s3_over_s2_datum())
+    report = validate(load_datum("s3_over_s2"))
     assert report.ok
 
 
 def test_bad_splitting_fails_with_witness():
-    d = s3_over_s2_datum()
-    (_, _), perms = symmetric_table(3)
-    d.splitting = {0: perms.index((1, 2, 0))}  # a 3-cycle covers the identity
+    d = load_datum("s3_over_s2")
+    three_cycle = next(x for x in d.kernel if d.wtilde.element_order(x) == 3)
+    d.splitting = {0: three_cycle}  # a 3-cycle covers the identity
     report = validate(d)
     assert not report.ok
     failed = {c.name for c in report.failures()}
@@ -93,7 +84,7 @@ def test_bad_splitting_fails_with_witness():
 
 
 def test_bad_q_fails_homomorphism():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     q = list(d.q)
     q[3] = 1 - q[3]
     d.q = tuple(q)
@@ -103,7 +94,7 @@ def test_bad_q_fails_homomorphism():
 
 
 def test_local_subgroup_override_accepted_and_flagged():
-    d = q8_over_v4_datum()
+    d = load_datum("quaternion_over_v4")
     report = validate(d)
     assert any(c.name == "local_subgroups.default_preimage" for c in report.checks)
     # the explicit full preimage validates the same way, and the flag names
@@ -118,7 +109,7 @@ def test_local_subgroup_override_accepted_and_flagged():
 
 
 def test_local_subgroup_override_rejected_when_not_closed():
-    d = q8_over_v4_datum()
+    d = load_datum("quaternion_over_v4")
     alpha = next(iter(d.splitting))
     full = sorted(d.wtilde_alpha(alpha))
     d.wtilde_alpha_override = {alpha: frozenset(full[:3])}  # not a subgroup
@@ -135,19 +126,19 @@ def test_local_subgroup_override_rejected_when_not_closed():
 
 
 def test_kernel_of_s3_over_s2():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     assert len(d.kernel) == 3  # the alternating subgroup
 
 
 def test_character_enumeration_counts():
-    assert len(s3_over_s2_datum().characters()) == 3
-    assert len(z8_over_z4_datum().characters()) == 2
-    assert len(s3xs3_over_v4_datum().characters()) == 9
-    assert len(dic12_over_s2_datum().characters()) == 6
+    assert len(load_datum("s3_over_s2").characters()) == 3
+    assert len(load_datum("cyclic_z8_over_z4").characters()) == 2
+    assert len(load_datum("s3xs3_over_v4").characters()) == 9
+    assert len(load_datum("dicyclic12_over_s2").characters()) == 6
 
 
 def test_characters_are_multiplicative():
-    d = s3xs3_over_v4_datum()
+    d = load_datum("s3xs3_over_v4")
     for chi in d.characters():
         for a in d.kernel:
             for b in d.kernel:
@@ -155,7 +146,7 @@ def test_characters_are_multiplicative():
 
 
 def test_character_from_spec():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     x = next(i for i in d.kernel if i != d.wtilde.identity)
     chi = character_from_spec(d, {"modulus": 3, "values": {str(x): 1}})
     assert chi(x) == zeta(3)
@@ -167,14 +158,14 @@ def test_character_from_spec():
 
 
 def test_trivial_character_fixed_by_action():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = Character.trivial(d.kernel)
     for w in range(len(d.group)):
         assert d.act_on_character(w, chi) == chi
 
 
 def test_s3_action_inverts_faithful_character():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     x = next(i for i in d.kernel if i != d.wtilde.identity)
     chi = d.character_from_values({x: zeta(3)})
     flipped = d.act_on_character(1, chi)  # 1 is the reflection
@@ -183,14 +174,15 @@ def test_s3_action_inverts_faithful_character():
 
 
 def test_abelian_cover_acts_trivially():
-    d = z8_over_z4_datum()
+    d = load_datum("cyclic_z8_over_z4")
     for chi in d.characters():
         for w in range(len(d.group)):
             assert d.act_on_character(w, chi) == chi
 
 
 def test_action_is_a_left_action():
-    for d in (s3_over_s2_datum(), s4_over_s3_datum(), q8_over_v4_datum()):
+    for name in ("s3_over_s2", "s4_over_s3", "quaternion_over_v4"):
+        d = load_datum(name)
         chis = d.characters()
         for chi in chis:
             for w1 in range(len(d.group)):
@@ -201,7 +193,7 @@ def test_action_is_a_left_action():
 
 
 def test_tau_is_action_invariant():
-    d = q8_over_v4_datum()
+    d = load_datum("quaternion_over_v4")
     tau = d.tau_as_character()
     for w in range(len(d.group)):
         assert d.act_on_character(w, tau) == tau
@@ -217,19 +209,19 @@ def test_free_reduction():
 
 
 def test_fiber_identity_product():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     e = d.fiber_identity()
     assert d.fiber_mul(e, e) == e
 
 
 def test_fiber_splitting_inverse_cancels():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     g = d.r_tilde(((0, 1),))
     assert d.fiber_mul(g, d.fiber_inv(g)) == d.fiber_identity()
 
 
 def test_fiber_componentwise_inertia_product():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     x = next(i for i in d.kernel if i != d.wtilde.identity)
     g = d.fiber_mul(d.embed_inertia(x), d.r_tilde(((0, 1),)))
     assert g.wt == d.wtilde.mul(x, d.splitting[0])
@@ -237,7 +229,7 @@ def test_fiber_componentwise_inertia_product():
 
 
 def test_fiber_check_rejects_mismatch():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     with pytest.raises(IntegrityError):
         d.fiber_check(FiberElement(d.splitting[0], ()))
 
@@ -247,14 +239,14 @@ def test_fiber_check_rejects_mismatch():
 
 
 def test_chi_hat_is_one_on_splitting_image():
-    d = z8_over_z4_datum()
+    d = load_datum("cyclic_z8_over_z4")
     chi = d.characters()[1]
     g = d.r_tilde(((0, 1),))
     assert d.eval_chi_hat(chi, g).is_one()
 
 
 def test_chi_hat_restricts_to_chi():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     for chi in d.characters():
         for x in d.kernel:
             assert d.eval_chi_hat(chi, d.embed_inertia(x)) == chi(x)
@@ -263,7 +255,7 @@ def test_chi_hat_restricts_to_chi():
 def test_chi_hat_mixed_product_formula():
     # brute force over the six-element cover: chi_hat(x * r(sigma) * y)
     # equals chi(x) * chi(r y r^{-1})
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = d.character_from_values(
         {next(i for i in d.kernel if i != d.wtilde.identity): zeta(3)}
     )
@@ -281,7 +273,7 @@ def test_chi_hat_mixed_product_formula():
 
 
 def test_chi_hat_undefined_outside_stabilizer():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     x = next(i for i in d.kernel if i != d.wtilde.identity)
     chi = d.character_from_values({x: zeta(3)})
     with pytest.raises(DomainError):
@@ -289,7 +281,7 @@ def test_chi_hat_undefined_outside_stabilizer():
 
 
 def test_chi_hat_multiplicative_within_stabilizer_cover():
-    d = z8_over_z4_datum()
+    d = load_datum("cyclic_z8_over_z4")
     chi = d.characters()[1]  # faithful on the order-2 kernel
     words = [(), ((0, 1),), ((0, -1),), ((0, 1), (0, 1))]
     elems = [
@@ -304,7 +296,7 @@ def test_chi_hat_multiplicative_within_stabilizer_cover():
 
 
 def test_tau_hat_values():
-    d = q8_over_v4_datum()
+    d = load_datum("quaternion_over_v4")
     alpha = next(iter(d.splitting))
     assert d.eval_tau_hat(d.r_tilde(((alpha, 1),))) == 1
     minus_one = next(x for x in d.kernel if x != d.wtilde.identity)
@@ -329,7 +321,7 @@ def test_direct_product_chi_hat_depends_only_on_kernel_component():
 
 
 def test_datum_json_round_trip():
-    d = q8_over_v4_datum()
+    d = load_datum("quaternion_over_v4")
     obj = datum_to_json(d)
     back = datum_from_json(obj)
     assert validate(back).ok

@@ -4,9 +4,9 @@ import pytest
 
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
 from monodromy.errors import ParameterError, RegimeError
-from monodromy.fixtures import s3_rank2_generators
 from monodromy.hecke import build_coxeter, build_cyclic, build_product
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
+from corpus import s3_rank2_generators
 
 
 def rat(x):

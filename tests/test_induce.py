@@ -4,18 +4,7 @@ from monodromy.carousel import build_carousel, carousel_minpolys, twist_from_ext
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
 from monodromy.errors import RegimeError
 from monodromy.extension import Character, character_from_spec
-from monodromy.fixtures import (
-    _s3xs3_faithful_chi_spec,
-    _v4_partition_chi_spec,
-    dic12_over_s2_datum,
-    direct_product_datum,
-    q8_over_v4_datum,
-    s3_over_s2_datum,
-    s3_rank2_generators,
-    s3xs3_over_v4_datum,
-    s4_over_s3_datum,
-    z8_over_z4_datum,
-)
+from monodromy.fixtures import direct_product_datum
 from monodromy.hecke import build_coxeter, build_cyclic
 from monodromy.induce import (
     build_full_r1,
@@ -24,6 +13,8 @@ from monodromy.induce import (
     build_ledger,
 )
 from monodromy.invariants import compute_chi_invariants
+from monodromy.reflgrp import catalog
+from corpus import chi_specs, load_datum, s3_rank2_generators
 
 
 def rat(x):
@@ -58,7 +49,7 @@ def test_ledger_trivial_character_one_block():
 
 
 def test_ledger_s3_faithful():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     inv = compute_chi_invariants(d, chi)
     ledger = build_ledger(d, chi, inv)
@@ -67,7 +58,7 @@ def test_ledger_s3_faithful():
 
 
 def test_ledger_z8_faithful():
-    d = z8_over_z4_datum()
+    d = load_datum("cyclic_z8_over_z4")
     chi = faithful_chi(d)
     inv = compute_chi_invariants(d, chi)
     ledger = build_ledger(d, chi, inv)
@@ -76,8 +67,8 @@ def test_ledger_z8_faithful():
 
 
 def test_ledger_s4_partition_blocks():
-    d = s4_over_s3_datum()
-    chi = character_from_spec(d, _v4_partition_chi_spec(d))
+    d = load_datum("s4_over_s3")
+    chi = character_from_spec(d, chi_specs("s4_over_s3")[1])
     inv = compute_chi_invariants(d, chi)
     for convention in ("left", "inverse"):
         ledger = build_ledger(d, chi, inv, convention)
@@ -86,8 +77,9 @@ def test_ledger_s4_partition_blocks():
 
 
 def test_ledger_identities_across_fixture_characters():
-    for d in (s3_over_s2_datum(), z8_over_z4_datum(), dic12_over_s2_datum(),
-              s4_over_s3_datum(), q8_over_v4_datum()):
+    for name in ("s3_over_s2", "cyclic_z8_over_z4", "dicyclic12_over_s2",
+                 "s4_over_s3", "quaternion_over_v4"):
+        d = load_datum(name)
         for chi in d.characters():
             inv = compute_chi_invariants(d, chi)
             ledger = build_ledger(d, chi, inv)
@@ -102,7 +94,7 @@ def test_ledger_identities_across_fixture_characters():
 
 
 def test_i_action_identity_element():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     inv = compute_chi_invariants(d, chi)
     act = build_i_action(d, chi, inv)
@@ -119,7 +111,7 @@ def test_i_action_trivial_chi_nontrivial_tau_is_scalar():
 
 
 def test_i_action_s3_faithful_eigenvalues():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     inv = compute_chi_invariants(d, chi)
     act = build_i_action(d, chi, inv)
@@ -135,7 +127,7 @@ def test_i_action_s3_faithful_eigenvalues():
 
 
 def test_r1_s3_matrices_frozen():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     inv = compute_chi_invariants(d, chi)
     module = build_full_r1(d, chi, inv)
@@ -149,9 +141,7 @@ def test_r1_s3_matrices_frozen():
 
 
 def test_r1_trivial_group_degenerate_case():
-    from monodromy.fixtures import trivial_w_datum
-
-    d = trivial_w_datum()
+    d = load_datum("trivial_w_z2")
     chi = d.characters()[1]
     inv = compute_chi_invariants(d, chi)
     module = build_full_r1(d, chi, inv)
@@ -162,8 +152,8 @@ def test_r1_trivial_group_degenerate_case():
 
 
 def test_r1_s3xs3_rank_two():
-    d = s3xs3_over_v4_datum()
-    chi = character_from_spec(d, _s3xs3_faithful_chi_spec(d))
+    d = load_datum("s3xs3_over_v4")
+    chi = character_from_spec(d, chi_specs("s3xs3_over_v4")[1])
     inv = compute_chi_invariants(d, chi)
     module = build_full_r1(d, chi, inv)
     assert module.ledger.dim_mchi == 4
@@ -175,7 +165,7 @@ def test_r1_s3xs3_rank_two():
 
 
 def test_r1_dic12_order_three_character():
-    d = dic12_over_s2_datum()
+    d = load_datum("dicyclic12_over_s2")
     gen = max(d.kernel, key=lambda x: d.wtilde.element_order(x))
     chi = d.character_from_values({gen: zeta(3)})
     inv = compute_chi_invariants(d, chi, rbar_params={0: default_rbar(d, chi, compute_chi_invariants(d, chi), 0)})
@@ -185,7 +175,7 @@ def test_r1_dic12_order_three_character():
 
 
 def test_r1_refused_when_rho_nontrivial():
-    d = dic12_over_s2_datum()
+    d = load_datum("dicyclic12_over_s2")
     gen = max(d.kernel, key=lambda x: d.wtilde.element_order(x))
     chi = d.character_from_values({gen: zeta(6)})
     pre = compute_chi_invariants(d, chi)
@@ -198,7 +188,7 @@ def test_r1_refused_when_rho_nontrivial():
 
 
 def test_r1_refused_outside_regime():
-    d = z8_over_z4_datum()
+    d = load_datum("cyclic_z8_over_z4")
     chi = faithful_chi(d)  # invariant character: reflection subgroup is full
     inv = compute_chi_invariants(d, chi)
     with pytest.raises(RegimeError):
@@ -206,7 +196,7 @@ def test_r1_refused_outside_regime():
 
 
 def test_r1_flip_convention_consistency():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     inv = compute_chi_invariants(d, chi)
     module = build_full_r1(d, chi, inv, convention="inverse")
@@ -228,7 +218,7 @@ def test_r2_sign_group_algebra():
 
 
 def test_r2_z8_faithful_pipeline():
-    d = z8_over_z4_datum()
+    d = load_datum("cyclic_z8_over_z4")
     chi = faithful_chi(d)
     inv = compute_chi_invariants(d, chi)
     rbar = default_rbar(d, chi, inv, 0)
@@ -240,6 +230,14 @@ def test_r2_z8_faithful_pipeline():
     assert minpoly_matrix(module.gen_matrices[0]) == rbar
 
 
+def generator_relation_verdicts(module):
+    return {
+        c.name: c.status
+        for c in module.checks
+        if c.name.startswith("generator_relation[")
+    }
+
+
 def test_r2_s3_group_algebra():
     d = direct_product_datum("s3dp", s3_rank2_generators(), 2)
     chi = Character.trivial(d.kernel)
@@ -247,15 +245,20 @@ def test_r2_s3_group_algebra():
     rbar = CycPoly([rat(-1), rat(0), rat(1)])
     params = {oid: rbar for oid in {d.arrangement[a].orbit_id for a in range(3)}}
     hecke = build_coxeter(d.arrangement, params)
+    # one hyperplane is off the simple system, so one generator is a conjugate
+    assert len(hecke.simple_hyperplanes) == 2
     module = build_full_r2(d, chi, inv, hecke, {a: rbar for a in range(3)})
     assert module.ledger.dim_mchi == 6
     for alpha, m in module.gen_matrices.items():
         assert minpoly_matrix(m) == rbar
+    assert generator_relation_verdicts(module) == {
+        f"generator_relation[alpha={a}]": "pass" for a in range(3)
+    }
     assert all(c.status == "pass" for c in module.checks)
 
 
 def test_r2_q8_nontrivial_relation():
-    d = q8_over_v4_datum()
+    d = load_datum("quaternion_over_v4")
     chi = next(c for c in d.characters() if not c.is_trivial())
     inv = compute_chi_invariants(d, chi)
     rbars = {a: default_rbar(d, chi, inv, a) for a in range(2)}
@@ -272,7 +275,7 @@ def test_r2_q8_nontrivial_relation():
 
 
 def test_r2_b2_split():
-    d = direct_product_datum("b2dp", __import__("monodromy.reflgrp", fromlist=["catalog"]).catalog(2, 1, 2), 2)
+    d = direct_product_datum("b2dp", catalog(2, 1, 2), 2)
     chi = Character.trivial(d.kernel)
     inv = compute_chi_invariants(d, chi)
     rbar = CycPoly([rat(-1), rat(0), rat(1)])
@@ -282,12 +285,16 @@ def test_r2_b2_split():
         d, chi, inv, hecke, {a: rbar for a in range(len(d.arrangement))}
     )
     assert module.ledger.dim_mchi == 8
+    assert generator_relation_verdicts(module) == {
+        f"generator_relation[alpha={a}]": "pass" for a in range(len(d.arrangement))
+    }
     assert all(c.status == "pass" for c in module.checks)
 
 
 def test_r2_refused_outside_regime():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     inv = compute_chi_invariants(d, chi)
+    rbar = CycPoly([rat(-1), rat(0), rat(1)])
     with pytest.raises(RegimeError):
-        build_full_r2(d, chi, inv, build_cyclic(CycPoly([rat(-1), rat(0), rat(1)])))
+        build_full_r2(d, chi, inv, build_cyclic(rbar), {0: rbar})

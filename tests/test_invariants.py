@@ -3,16 +3,9 @@ import pytest
 from monodromy.cyclo import CycNumber, CycPoly, zeta
 from monodromy.errors import ParameterError
 from monodromy.extension import Character, character_from_spec
-from monodromy.fixtures import (
-    dic12_over_s2_datum,
-    direct_product_datum,
-    s3_over_s2_datum,
-    s3_rank2_generators,
-    s3xs3_over_v4_datum,
-    s4_over_s3_datum,
-    z8_over_z4_datum,
-)
+from monodromy.fixtures import direct_product_datum
 from monodromy.invariants import check_generation, compute_chi_invariants
+from corpus import chi_specs, load_datum, s3_rank2_generators
 
 
 def rat(x):
@@ -36,7 +29,7 @@ def test_trivial_character_stabilizes_everything():
 
 
 def test_s3_over_s2_faithful_character():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     inv = compute_chi_invariants(d, faithful_chi(d))
     assert inv.w_chi == (0,)
     assert inv.per_hyperplane[0].jump == 2 == d.arrangement[0].order
@@ -45,7 +38,7 @@ def test_s3_over_s2_faithful_character():
 
 
 def test_z8_over_z4_faithful_character():
-    d = z8_over_z4_datum()
+    d = load_datum("cyclic_z8_over_z4")
     inv = compute_chi_invariants(d, faithful_chi(d))
     # conjugation in an abelian cover is trivial, so everything stabilizes
     assert len(inv.w_chi) == 4
@@ -54,7 +47,7 @@ def test_z8_over_z4_faithful_character():
 
 
 def test_s4_over_s3_partition_character():
-    d = s4_over_s3_datum()
+    d = load_datum("s4_over_s3")
     xs = [x for x in d.kernel if x != d.wtilde.identity]
     chi = d.character_from_values({xs[0]: rat(1), xs[1]: rat(-1), xs[2]: rat(-1)})
     inv = compute_chi_invariants(d, chi)
@@ -67,10 +60,8 @@ def test_s4_over_s3_partition_character():
 
 
 def test_s3xs3_free_character_gives_trivial_stabilizer():
-    d = s3xs3_over_v4_datum()
-    from monodromy.fixtures import _s3xs3_faithful_chi_spec
-
-    chi = character_from_spec(d, _s3xs3_faithful_chi_spec(d))
+    d = load_datum("s3xs3_over_v4")
+    chi = character_from_spec(d, chi_specs("s3xs3_over_v4")[1])
     inv = compute_chi_invariants(d, chi)
     assert inv.w_chi == (0,)
     assert inv.w_chi_zero == (0,)
@@ -78,7 +69,7 @@ def test_s3xs3_free_character_gives_trivial_stabilizer():
 
 
 def test_dic12_character_ladder():
-    d = dic12_over_s2_datum()
+    d = load_datum("dicyclic12_over_s2")
     gen = max(d.kernel, key=lambda x: d.wtilde.element_order(x))
     # order-2 character: inverted by conjugation iff it has order > 2
     chi2 = d.character_from_values({gen: rat(-1)})
@@ -95,7 +86,8 @@ def test_dic12_character_ladder():
 
 
 def test_stabilizer_order_divides_group_order():
-    for d in (s3_over_s2_datum(), s4_over_s3_datum(), dic12_over_s2_datum()):
+    for name in ("s3_over_s2", "s4_over_s3", "dicyclic12_over_s2"):
+        d = load_datum(name)
         for chi in d.characters():
             inv = compute_chi_invariants(d, chi)
             assert len(d.group) % len(inv.w_chi) == 0
@@ -103,7 +95,8 @@ def test_stabilizer_order_divides_group_order():
 
 
 def test_check_generation_on_corpus():
-    for d in (s3_over_s2_datum(), s4_over_s3_datum(), z8_over_z4_datum()):
+    for name in ("s3_over_s2", "s4_over_s3", "cyclic_z8_over_z4"):
+        d = load_datum(name)
         for chi in d.characters():
             inv = compute_chi_invariants(d, chi)
             ok, witness = check_generation(d, inv)
@@ -111,7 +104,7 @@ def test_check_generation_on_corpus():
 
 
 def test_check_generation_detects_corruption():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     inv = compute_chi_invariants(d, Character.trivial(d.kernel))
     inv.w_chi_zero = (0,)  # fault injection
     ok, witness = check_generation(d, inv)
@@ -119,7 +112,7 @@ def test_check_generation_detects_corruption():
 
 
 def test_rho_from_degree_one_relations():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     rbar = CycPoly([rat(1), rat(1)])  # z + 1, root -1
     inv = compute_chi_invariants(d, chi, rbar_params={0: rbar})
@@ -128,7 +121,7 @@ def test_rho_from_degree_one_relations():
 
 
 def test_rho_rejects_high_degree_on_full_jump():
-    d = s3_over_s2_datum()
+    d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     rbar = CycPoly([rat(-1), rat(0), rat(1)])  # z^2 - 1
     with pytest.raises(ParameterError):
@@ -136,7 +129,7 @@ def test_rho_rejects_high_degree_on_full_jump():
 
 
 def test_rbar_orbit_consistency_enforced():
-    d = s4_over_s3_datum()
+    d = load_datum("s4_over_s3")
     xs = [x for x in d.kernel if x != d.wtilde.identity]
     chi = d.character_from_values({xs[0]: rat(1), xs[1]: rat(-1), xs[2]: rat(-1)})
     inv = compute_chi_invariants(d, chi)
