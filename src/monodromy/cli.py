@@ -70,11 +70,17 @@ def _load_json_file(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _refuse_number(text: str):
+    raise ParseError(f"character spec has a non-integer number {text}")
+
+
 def _parse_chi_spec(raw: str):
+    """The JSON value of a --chi spec; a float, NaN or infinity in it is a
+    parse error, since every number there is an integer."""
     if raw == "trivial":
         return "trivial"
     try:
-        return json.loads(raw)
+        return json.loads(raw, parse_float=_refuse_number, parse_constant=_refuse_number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"character spec is not valid JSON: {exc}") from exc
 
@@ -339,8 +345,7 @@ def run_analyze(datum_path, chi_spec, rbar_path=None, convention=None):
             _rbar_overrides_from_file(datum, inv, rbar_path) if rbar_path else None
         )
         carousel_sections, rbar_by_alpha = _carousel_stage(datum, chi, inv, overrides)
-        rbar_params = {orbit[0]: rbar_by_alpha[orbit[0]] for orbit in inv.chi_orbits}
-        inv = with_relation_character(inv, rbar_params)
+        inv = with_relation_character(inv, rbar_by_alpha)
         verdicts.extend(inv.checks)
         gen_ok, gen_witness = check_generation(datum, inv)
         verdicts.append(

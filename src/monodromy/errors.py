@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: ParseError and CapacityError
 -> 2, ValidationError (including ParameterError) and DomainError -> 3,
-IntegrityError -> 4.
+IntegrityError -> 4.  Datum ingestion turns a base-group closure that
+outgrows the covering group (ClosureCapError) into a ValidationError.
 RegimeError is not fatal; pipelines downgrade to ledger-only output.
 """
 
@@ -17,6 +18,10 @@ class DomainError(MonodromyError, ValueError):
 
 class CapacityError(MonodromyError):
     """A configured size bound (cyclotomic order, group cap) was exceeded."""
+
+
+class ClosureCapError(CapacityError):
+    """A group closure found more elements than its cap allows."""
 
 
 class ParseError(MonodromyError):

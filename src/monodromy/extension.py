@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import CycNumber, json_int
-from .errors import DomainError, IntegrityError, ParseError, ValidationError
+from .errors import (
+    ClosureCapError,
+    DomainError,
+    IntegrityError,
+    ParseError,
+    ValidationError,
+)
 from .reflgrp import Arrangement, ReflectionGroup
 
 WTILDE_CAP = 2_000
@@ -663,13 +669,20 @@ def datum_from_json(obj) -> ExtensionDatum:
     from .reflgrp import enumerate_group, hyperplanes
 
     try:
-        gens = [CycMatrix.from_json(g) for g in obj["group"]["generators"]]
-        group = enumerate_group(gens)
-        arrangement = hyperplanes(group)
         wspec = obj["wtilde"]
         wtilde = CayleyGroup(wspec["table"], wspec.get("generators"))
         if wspec.get("order") is not None and wspec["order"] != wtilde.order:
             raise ParseError("declared covering group order disagrees with table")
+        gens = [CycMatrix.from_json(g) for g in obj["group"]["generators"]]
+        # q maps the covering group onto the base group, so |W| <= |W~|
+        try:
+            group = enumerate_group(gens, cap=wtilde.order)
+        except ClosureCapError as exc:
+            raise ValidationError(
+                "the base group is larger than the covering group of order "
+                f"{wtilde.order}"
+            ) from exc
+        arrangement = hyperplanes(group)
         splitting = {
             int(a): json_int(r) for a, r in _object_items(obj["splitting"], "splitting")
         }
@@ -739,6 +752,9 @@ def character_from_spec(e: ExtensionDatum, spec) -> Character:
         raw = spec.get("values")
         if raw is None:
             raw = {k: v for k, v in spec.items() if k != "modulus"}
+        elif set(spec) != {"modulus", "values"}:
+            extra = sorted(set(spec) - {"modulus", "values"})
+            raise ParseError(f"character spec has keys {extra} beside modulus and values")
         values = {
             int(x): zeta(modulus, json_int(exp))
             for x, exp in _object_items(raw, "values")

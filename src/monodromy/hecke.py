@@ -7,8 +7,9 @@ elements, descent-rule multiplication against a certified simple system),
 and tensor products of these.  Every build certifies its claims on the
 regular representation: basis independence, closed multiplication,
 generator relations, and (in the quadratic regime) the braid relations of
-the chosen simple system.  Unsupported inputs fail with a regime error
-naming the obstruction.
+the chosen simple system.  The quadratic basis operators T_w are built
+inside the closure certificate, one product T_s T_w at a time.  Unsupported
+inputs fail with a regime error naming the obstruction.
 """
 
 from __future__ import annotations
@@ -136,23 +137,6 @@ def _descent_matrices(group, simple, polys):
     return mats, lengths
 
 
-def _reduced_words(group, simple, lengths):
-    words: list[tuple[int, ...] | None] = [None] * len(group)
-    words[0] = ()
-    order = sorted(range(len(group)), key=lambda w: lengths[w])
-    for w in order:
-        if w == 0:
-            continue
-        for slot, s in enumerate(simple):
-            u = group.mul(s, w)
-            if lengths[u] == lengths[w] - 1 and words[u] is not None:
-                words[w] = (slot,) + words[u]
-                break
-        if words[w] is None:
-            return None
-    return words
-
-
 def _braid_relation_holds(group, mats, simple, i, j) -> bool:
     m = group.element_order(group.mul(simple[i], simple[j]))
     lhs = CycMatrix.identity(len(group))
@@ -161,28 +145,6 @@ def _braid_relation_holds(group, mats, simple, i, j) -> bool:
         lhs = lhs * (mats[i] if k % 2 == 0 else mats[j])
         rhs = rhs * (mats[j] if k % 2 == 0 else mats[i])
     return lhs == rhs
-
-
-def _element_operators(group, mats, simple, lengths, words):
-    """Basis operators built one simple factor at a time along reduced
-    words; each must send the unit basis vector to its own label."""
-    n = len(group)
-    t_of: list[CycMatrix | None] = [None] * n
-    t_of[0] = CycMatrix.identity(n)
-    for w in sorted(range(n), key=lengths.__getitem__):
-        if w == 0:
-            continue
-        slot = words[w][0]
-        rest = group.mul(simple[slot], w)  # strip the first letter
-        t_of[w] = mats[slot] * t_of[rest]
-        first_column = [
-            (i, row[0][1])
-            for i, row in enumerate(t_of[w].sparse_rows)
-            if row and row[0][0] == 0
-        ]
-        if first_column != [(w, ONE)]:
-            return None
-    return t_of
 
 
 def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
@@ -228,19 +190,14 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
             mats, lengths = _descent_matrices(group, elems, polys)
             if mats is None:
                 continue
-            words = _reduced_words(group, elems, lengths)
-            if words is None:
-                continue
             if not all(
                 _braid_relation_holds(group, mats, elems, i, j)
                 for i in range(size)
                 for j in range(i + 1, size)
             ):
                 continue
-            t_of = _element_operators(group, mats, elems, lengths, words)
+            t_of = _closure_certificate(group, mats, elems, polys, lengths)
             if t_of is None:
-                continue
-            if not _closure_certificate(group, mats, elems, polys, lengths, t_of):
                 continue
             h = HeckeAlgebra(
                 "coxeter",
@@ -259,22 +216,38 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
     )
 
 
-def _closure_certificate(group, mats, simple, polys, lengths, t_of) -> bool:
-    """Generator-times-basis products equal the descent rule exactly, so the
-    span of the basis operators is closed under multiplication."""
+def _closure_certificate(group, mats, simple, polys, lengths):
+    """The basis operators T_w, built inside the certificate that their span
+    is closed under multiplication, or None when it fails.
+
+    Elements are visited by length.  For each simple s, T_s T_w must equal
+    the descent rule exactly when s descends on w; otherwise it must equal
+    T_{sw}, which the first such product sets once it sends the unit basis
+    vector to sw.  Every product is compared, so T_w does not depend on the
+    reduced word that first reaches it."""
     n = len(group)
-    for slot, s in enumerate(simple):
-        c0, c1 = polys[slot].coeffs[0], polys[slot].coeffs[1]
-        for w in range(n):
+    t_of: list[CycMatrix | None] = [None] * n
+    t_of[0] = CycMatrix.identity(n)
+    for w in sorted(range(n), key=lengths.__getitem__):
+        for slot, s in enumerate(simple):
             sw = group.mul(s, w)
             prod = mats[slot] * t_of[w]
-            if lengths[sw] > lengths[w]:
-                expected = t_of[sw]
-            else:
-                expected = t_of[sw] * (-c0) + t_of[w] * (-c1)
-            if prod != expected:
-                return False
-    return True
+            if lengths[sw] <= lengths[w]:
+                c0, c1 = polys[slot].coeffs[0], polys[slot].coeffs[1]
+                if prod != t_of[sw] * (-c0) + t_of[w] * (-c1):
+                    return None
+            elif t_of[sw] is None:
+                first_column = [
+                    (i, row[0][1])
+                    for i, row in enumerate(prod.sparse_rows)
+                    if row and row[0][0] == 0
+                ]
+                if first_column != [(sw, ONE)]:
+                    return None
+                t_of[sw] = prod
+            elif prod != t_of[sw]:
+                return None
+    return t_of
 
 
 # ---------------------------------------------------------------------------

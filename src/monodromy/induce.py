@@ -59,8 +59,8 @@ class InducedLedger:
 
 
 def _right_cosets(group, subgroup):
-    """Right cosets Hw as (members, representative) pairs, ordered by their
-    least element."""
+    """Right cosets Hw as (members, coset_of), ordered by their least
+    element, like ``left_cosets``."""
     sub = sorted(set(subgroup))
     coset_of = [-1] * len(group)
     members = []
@@ -96,11 +96,8 @@ def build_ledger(
     index = n // n_zero
     if n_zero * index != n:
         raise IntegrityError("dimension factorization failed")
-    if convention == "left":
-        table = left_cosets(group, inv.w_chi)
-        members, coset_of = table.members, table.coset_of
-    else:
-        members, coset_of = _right_cosets(group, inv.w_chi)
+    cosets = left_cosets if convention == "left" else _right_cosets
+    members, coset_of = cosets(group, inv.w_chi)
     blocks = []
     for coset in members:
         rep = coset[0]

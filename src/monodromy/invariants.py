@@ -1,7 +1,8 @@
 """Stabilizer invariants of a character: the stabilizer subgroup, the local
 jump exponents per hyperplane, the induced partition of the arrangement, the
 reflection subgroup generated by the local stabilizers, and the degree-one
-relation character on the full-jump hyperplanes.
+relation character on the full-jump hyperplanes, set once from the
+per-hyperplane relation polynomials.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ class ChiInvariants:
     w_chi_zero: tuple[int, ...]
     chi_orbits: list[list[int]]  # orbits of hyperplanes under the stabilizer
     zero_orbits: list[list[int]]  # orbits under the reflection subgroup
-    rho_values: dict[int, CycNumber]  # keyed by least hyperplane of A1 orbits
-    rho_trivial: bool
+    # keyed by least hyperplane of A1 orbits; set by with_relation_character
+    rho_values: dict[int, CycNumber] = field(default_factory=dict)
+    rho_trivial: bool = True
     checks: list[CheckResult] = field(default_factory=list)
 
     def a_zero(self) -> list[int]:
@@ -74,36 +76,9 @@ def _orbits_under(datum: ExtensionDatum, subgroup) -> list[list[int]]:
     return orbits
 
 
-def _normalize_rbar_params(inv_or_orbits, rbar_params) -> dict[int, CycPoly]:
-    """Accept per-hyperplane or per-orbit keys; return per-hyperplane."""
-    out: dict[int, CycPoly] = {}
-    for orbit in inv_or_orbits:
-        keyed = [a for a in orbit if a in rbar_params]
-        if not keyed:
-            continue
-        polys = {rbar_params[a] for a in keyed}
-        if len(polys) > 1:
-            raise ParameterError(
-                f"relation polynomials differ across the stabilizer orbit {orbit}"
-            )
-        poly = rbar_params[keyed[0]]
-        for a in orbit:
-            out[a] = poly
-    return out
-
-
-def compute_chi_invariants(
-    datum: ExtensionDatum,
-    chi: Character,
-    rbar_params: dict[int, CycPoly] | None = None,
-) -> ChiInvariants:
-    """All stabilizer invariants of a character.
-
-    rbar_params, when given, maps hyperplane indices (any representative of
-    a stabilizer orbit) to monic relation polynomials; on full-jump
-    hyperplanes they must have degree one and their roots populate the
-    degree-one relation character.
-    """
+def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvariants:
+    """All stabilizer invariants of a character, with the trivial relation
+    character; ``with_relation_character`` sets it from the relations."""
     group = datum.group
     arr = datum.arrangement
     checks: list[CheckResult] = []
@@ -204,36 +179,31 @@ def compute_chi_invariants(
 
     zero_orbits = _orbits_under(datum, w_chi_zero)
 
-    inv = ChiInvariants(
+    return ChiInvariants(
         w_chi=w_chi,
         per_hyperplane=per,
         w_chi_zero=w_chi_zero,
         chi_orbits=chi_orbits,
         zero_orbits=zero_orbits,
-        rho_values={},
-        rho_trivial=True,
         checks=checks,
     )
-    return with_relation_character(inv, rbar_params)
 
 
 def with_relation_character(
     inv: ChiInvariants,
-    rbar_params: dict[int, CycPoly] | None,
+    rbar_by_alpha: dict[int, CycPoly],
 ) -> ChiInvariants:
-    """The invariants with the degree-one relation character on full-jump
-    hyperplanes set from rbar_params (keyed as in compute_chi_invariants);
-    hyperplanes without a polynomial get the trivial value."""
+    """The invariants with the degree-one relation character set on the
+    full-jump hyperplanes: each such reflection-subgroup orbit takes the
+    root of the relation polynomial that rbar_by_alpha gives its least
+    hyperplane, or the trivial value when it gives none."""
     rho_values: dict[int, CycNumber] = {}
     one = CycNumber.rational(1)
-    params = (
-        _normalize_rbar_params(inv.chi_orbits, rbar_params) if rbar_params else {}
-    )
     for orbit in inv.zero_orbits:
         rep = orbit[0]
         if inv.per_hyperplane[rep].a_class != "A1":
             continue
-        poly = params.get(rep)
+        poly = rbar_by_alpha.get(rep)
         if poly is None:
             rho_values[rep] = one
             continue

@@ -3,8 +3,9 @@
 Groups are enumerated by breadth-first closure with canonical-matrix
 deduplication; every element keeps its discovery word in the input
 generators.  The arrangement records, per reflection hyperplane, the cyclic
-pointwise stabilizer, its order, the distinguished generator acting by the
-primitive counter-clockwise root of unity on the normal line, and the orbit
+pointwise stabilizer (found in the same pass over the elements as the
+normals), its order, the distinguished generator acting by the primitive
+counter-clockwise root of unity on the normal line, and the orbit
 decomposition under the group action.
 """
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclo import ONE, ZERO, CycMatrix, CycNumber, zeta
-from .errors import CapacityError, DomainError, IntegrityError
+from .errors import ClosureCapError, DomainError, IntegrityError
 
 DEFAULT_CAP = 20_000
 
@@ -118,7 +119,7 @@ def enumerate_group(generators, cap: int = DEFAULT_CAP) -> ReflectionGroup:
                 if j is None:
                     j = len(elements)
                     if j >= cap:
-                        raise CapacityError(
+                        raise ClosureCapError(
                             f"group closure exceeded cap {cap} (found {j} so far)"
                         )
                     elements.append(prod)
@@ -209,21 +210,6 @@ def _canonical_normal(row):
     return tuple(c * inv for c in row)
 
 
-def _kernel_basis(normal):
-    """Basis of the hyperplane cut out by a nonzero normal covector."""
-    pivot = next(i for i, c in enumerate(normal) if not c.is_zero())
-    basis = []
-    inv = normal[pivot].inverse()
-    for i in range(len(normal)):
-        if i == pivot:
-            continue
-        vec = [ZERO] * len(normal)
-        vec[i] = ONE
-        vec[pivot] = -(normal[i] * inv)
-        basis.append(tuple(vec))
-    return basis
-
-
 def _normal_line_eigenvalue(m: CycMatrix, normal) -> CycNumber:
     """Action of m on the quotient line: n(m v) / n(v) for any v off the
     hyperplane; well defined because n vanishes on the hyperplane."""
@@ -235,29 +221,26 @@ def _normal_line_eigenvalue(m: CycMatrix, normal) -> CycNumber:
 
 
 def hyperplanes(group: ReflectionGroup) -> Arrangement:
-    """Compute the reflection arrangement of an enumerated group."""
-    normals_in_order: list[tuple] = []
-    seen = set()
+    """Compute the reflection arrangement of an enumerated group.
+
+    A non-identity element fixes a hyperplane pointwise exactly when m - I
+    has rank one and its rows are multiples of the hyperplane's normal, so
+    one pass over the elements finds the normals, in order of first
+    appearance, and their stabilizers, the identity first."""
+    identity = CycMatrix.identity(group.rank)
+    stabilizers: dict[tuple, list[int]] = {}
     for i, m in enumerate(group.elements):
         if i == 0:
             continue
-        diff = m - CycMatrix.identity(group.rank)
+        diff = m - identity
         if diff.rank() != 1:
             continue
         row = [ZERO] * group.rank
         for j, c in next(r for r in diff.sparse_rows if r):
             row[j] = c
-        normal = _canonical_normal(row)
-        if normal not in seen:
-            seen.add(normal)
-            normals_in_order.append(normal)
+        stabilizers.setdefault(_canonical_normal(row), [0]).append(i)
     hps: list[Hyperplane] = []
-    for normal in normals_in_order:
-        kernel = _kernel_basis(normal)
-        stab = []
-        for i, m in enumerate(group.elements):
-            if all(m.apply(v) == v for v in kernel):
-                stab.append(i)
+    for normal, stab in stabilizers.items():
         n_alpha = len(stab)
         eigen = {}
         for i in stab:
@@ -380,16 +363,10 @@ def subgroup_generated(group: ReflectionGroup, elems) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-@dataclass
-class CosetTable:
-    representatives: list[int]  # least element index per coset
-    coset_of: list[int]  # element index -> coset position
-    members: list[tuple[int, ...]]
-    generator_action: list[list[int]]  # generator slot -> permutation of cosets
-
-
-def left_cosets(group: ReflectionGroup, subgroup) -> CosetTable:
-    """Left cosets wH with deterministic least-index representatives."""
+def left_cosets(group: ReflectionGroup, subgroup):
+    """Left cosets wH as (members, coset_of): each coset's sorted element
+    indices, ordered by their least element, and the coset position of
+    every element."""
     h = sorted(set(subgroup))
     hset = set(h)
     if 0 not in hset:
@@ -400,18 +377,12 @@ def left_cosets(group: ReflectionGroup, subgroup) -> CosetTable:
                 raise DomainError(f"subgroup is not closed: {a} * {b} escapes")
     coset_of = [-1] * len(group)
     members: list[tuple[int, ...]] = []
-    reps: list[int] = []
     for i in range(len(group)):
         if coset_of[i] >= 0:
             continue
         coset = tuple(sorted(group.mul(i, b) for b in h))
-        pos = len(reps)
-        reps.append(coset[0])
+        pos = len(members)
         members.append(coset)
         for x in coset:
             coset_of[x] = pos
-    action = []
-    for slot in range(len(group.generator_indices)):
-        g = group.generator_indices[slot]
-        action.append([coset_of[group.mul(g, reps[c])] for c in range(len(reps))])
-    return CosetTable(reps, coset_of, members, action)
+    return members, coset_of

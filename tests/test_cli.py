@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -191,12 +192,7 @@ def _node(datum, path):
 
 def _mutate(data, datum):
     """One random damage: a wrong JSON type, an out-of-range integer, a
-    deleted key or element, a truncated list, or a zero denominator.
-
-    Matrix coefficients under group.generators only get damage that cannot
-    parse (wrong non-numeric types, deletions, truncations, zero
-    denominators): changing them to other numbers usually makes the group
-    infinite, and reaching the closure cap then takes tens of seconds."""
+    deleted key or element, a truncated list, or a zero denominator."""
     paths = list(_json_paths(datum))
     terms = [
         p for p in paths
@@ -208,16 +204,14 @@ def _mutate(data, datum):
         return
     path = data.draw(st.sampled_from(paths))
     parent, key = _node(datum, path[:-1]), path[-1]
-    coefficient = path[:2] == ("group", "generators")
     if kind == "delete":
         del parent[key]
     elif kind == "truncate" and isinstance(parent[key], list):
         del parent[key][data.draw(st.integers(0, len(parent[key]))):]
-    elif kind == "out_of_range" and not coefficient:
+    elif kind == "out_of_range":
         parent[key] = data.draw(st.sampled_from(OUT_OF_RANGE))
     else:
-        wrong = [v for v in WRONG_TYPES if not coefficient or not isinstance(v, (int, float))]
-        parent[key] = data.draw(st.sampled_from(wrong))
+        parent[key] = data.draw(st.sampled_from(WRONG_TYPES))
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,6 +238,44 @@ def test_bad_chi_spec_is_parse_error():
     assert main(["analyze", path, "--chi", "{not json"]) == 2
     # a float modulus is refused, not truncated
     assert main(["analyze", path, "--chi", '{"modulus": 3.0, "values": {"3": 1}}']) == 2
+    # a float or NaN anywhere in the spec, even where the spec is only
+    # echoed into the report, and a key beside the nested values
+    assert main(["analyze", path, "--chi", '{"modulus": 3, "values": {"3": 0}, "note": 1.5}']) == 2
+    assert main(["analyze", path, "--chi", '{"modulus": 3, "values": {"3": NaN}}']) == 2
+    assert main(["analyze", path, "--chi", '{"modulus": 3, "values": {"3": 0}, "note": "x"}']) == 2
+    assert main(["analyze", str(FIXTURES / "neg_bad_q.json"), "--chi", "[1.5]"]) == 2
+
+
+def test_base_group_larger_than_cover_is_refused_at_once(tmp_path, capsys):
+    # the generator [[2]] has infinite order; the closure stops at the
+    # order of the covering group, which q maps onto the base group
+    datum = json.loads((FIXTURES / "trivial_w_z2.json").read_text())
+    datum["group"]["generators"][0][0][0]["terms"][0][0] = 2
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["analyze", str(path), "--chi", "trivial", "--out", str(out)])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "larger than the covering group" in err
+    assert not out.exists()
+
+
+def test_field_overflow_inside_closure_stays_capacity_error(tmp_path, capsys):
+    # zeta_13 * zeta_11 needs order 143, past the cyclotomic bound; the
+    # closure meets it before its own cap, and it is not a group-size error
+    datum = json.loads((FIXTURES / "trivial_w_z2.json").read_text())
+    datum["group"]["generators"] = [
+        [[{"order": n, "terms": [[1, 1, 1]]}]] for n in (13, 11)
+    ]
+    datum["wtilde"] = {"order": 4, "table": [[(a + b) % 4 for b in range(4)] for a in range(4)]}
+    datum["q"] = [0, 0, 0, 0]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    assert main(["analyze", str(path), "--chi", "trivial"]) == 2
+    assert "cyclotomic order 143" in capsys.readouterr().err
 
 
 def test_inconsistent_chi_spec_is_validation_error():

@@ -4,7 +4,13 @@ import pytest
 
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
 from monodromy.errors import ParameterError, RegimeError
-from monodromy.hecke import build_coxeter, build_cyclic, build_product
+from monodromy.hecke import (
+    _closure_certificate,
+    _descent_matrices,
+    build_coxeter,
+    build_cyclic,
+    build_product,
+)
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
 from corpus import s3_rank2_generators
 
@@ -167,6 +173,57 @@ def test_element_operators_multiply():
         t = h.t_of_element(w)
         col = tuple(t.entries[i][0] for i in range(len(g)))
         assert col == tuple(rat(1) if i == w else rat(0) for i in range(len(g)))
+
+
+def _reduced_words(group, simple):
+    """A reduced word in the simple slots for every element, each word the
+    first descent of the element followed by the word of the shorter one."""
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for slot, s in enumerate(simple):
+                u = group.mul(s, w)
+                if u not in words:
+                    words[u] = (slot,) + words[w]
+                    nxt.append(u)
+        frontier = nxt
+    return words
+
+
+@pytest.mark.parametrize(
+    "mpr", [(1, 1, 3), (2, 1, 2), (1, 1, 4), (5, 5, 2), (8, 8, 2)],
+    ids=["A2", "B2", "A3", "I2(5)", "I2(8)"],
+)
+def test_basis_operators_are_products_along_reduced_words(mpr):
+    g = enumerate_group(catalog(*mpr))
+    arr = hyperplanes(g)
+    orbit_ids = sorted({h.orbit_id for h in arr.hyperplanes})
+    params = dict(zip(orbit_ids, (quadratic(3), quadratic(5))))
+    h = build_coxeter(arr, params)
+    simple = [arr[a].distinguished_generator for a in h.simple_hyperplanes]
+    gens = [h.generators[f"s{a}"] for a in h.simple_hyperplanes]
+    for w, word in _reduced_words(g, simple).items():
+        product = CycMatrix.identity(len(g))
+        for slot in word:
+            product = product * gens[slot]
+        assert h.t_of_element(w) == product, (w, word)
+
+
+def test_closure_certificate_needs_the_unit_column():
+    # conjugating the descent operators by a diagonal matrix keeps every
+    # product relation, but T_w then sends the unit vector to a multiple of
+    # its label, so the basis certificate must refuse it
+    g = enumerate_group(s3_rank2_generators())
+    arr = hyperplanes(g)
+    simple = [arr[0].distinguished_generator, arr[1].distinguished_generator]
+    polys = [quadratic(2), quadratic(2)]
+    mats, lengths = _descent_matrices(g, simple, polys)
+    assert _closure_certificate(g, mats, simple, polys, lengths) is not None
+    d = CycMatrix.from_triples(6, 6, [(i, i, rat(1 if i == 0 else 2)) for i in range(6)])
+    scaled = [d * m * d.inverse() for m in mats]
+    assert _closure_certificate(g, scaled, simple, polys, lengths) is None
 
 
 def test_associativity_on_random_triples():

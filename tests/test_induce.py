@@ -12,7 +12,7 @@ from monodromy.induce import (
     build_i_action,
     build_ledger,
 )
-from monodromy.invariants import compute_chi_invariants
+from monodromy.invariants import compute_chi_invariants, with_relation_character
 from monodromy.reflgrp import catalog
 from corpus import chi_specs, load_datum, s3_rank2_generators
 
@@ -168,7 +168,8 @@ def test_r1_dic12_order_three_character():
     d = load_datum("dicyclic12_over_s2")
     gen = max(d.kernel, key=lambda x: d.wtilde.element_order(x))
     chi = d.character_from_values({gen: zeta(3)})
-    inv = compute_chi_invariants(d, chi, rbar_params={0: default_rbar(d, chi, compute_chi_invariants(d, chi), 0)})
+    pre = compute_chi_invariants(d, chi)
+    inv = with_relation_character(pre, {0: default_rbar(d, chi, pre, 0)})
     assert inv.rho_trivial
     module = build_full_r1(d, chi, inv)
     assert module.ledger.dim_mchi == 2
@@ -181,7 +182,7 @@ def test_r1_refused_when_rho_nontrivial():
     pre = compute_chi_invariants(d, chi)
     rbar = default_rbar(d, chi, pre, 0)
     assert rbar == CycPoly([rat(1), rat(1)])  # z + 1: nontrivial relation root
-    inv = compute_chi_invariants(d, chi, rbar_params={0: rbar})
+    inv = with_relation_character(pre, {0: rbar})
     assert not inv.rho_trivial
     with pytest.raises(RegimeError):
         build_full_r1(d, chi, inv)

@@ -1,11 +1,18 @@
+import json
+
 import pytest
 
+from monodromy.cli import run_analyze
 from monodromy.cyclo import CycNumber, CycPoly, zeta
 from monodromy.errors import ParameterError
 from monodromy.extension import Character, character_from_spec
 from monodromy.fixtures import direct_product_datum
-from monodromy.invariants import check_generation, compute_chi_invariants
-from corpus import chi_specs, load_datum, s3_rank2_generators
+from monodromy.invariants import (
+    check_generation,
+    compute_chi_invariants,
+    with_relation_character,
+)
+from corpus import FIXTURES, chi_specs, load_datum, s3_rank2_generators
 
 
 def rat(x):
@@ -115,7 +122,7 @@ def test_rho_from_degree_one_relations():
     d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     rbar = CycPoly([rat(1), rat(1)])  # z + 1, root -1
-    inv = compute_chi_invariants(d, chi, rbar_params={0: rbar})
+    inv = with_relation_character(compute_chi_invariants(d, chi), {0: rbar})
     assert inv.rho_values[0] == rat(-1)
     assert not inv.rho_trivial
 
@@ -125,18 +132,27 @@ def test_rho_rejects_high_degree_on_full_jump():
     chi = faithful_chi(d)
     rbar = CycPoly([rat(-1), rat(0), rat(1)])  # z^2 - 1
     with pytest.raises(ParameterError):
-        compute_chi_invariants(d, chi, rbar_params={0: rbar})
+        with_relation_character(compute_chi_invariants(d, chi), {0: rbar})
 
 
-def test_rbar_orbit_consistency_enforced():
+def test_rbar_orbit_consistency_enforced(tmp_path):
     d = load_datum("s4_over_s3")
     xs = [x for x in d.kernel if x != d.wtilde.identity]
     chi = d.character_from_values({xs[0]: rat(1), xs[1]: rat(-1), xs[2]: rat(-1)})
     inv = compute_chi_invariants(d, chi)
     big_orbit = next(o for o in inv.chi_orbits if len(o) == 2)
-    params = {
-        big_orbit[0]: CycPoly([rat(1), rat(1)]),
-        big_orbit[1]: CycPoly([rat(-1), rat(1)]),
+    overrides = {
+        str(big_orbit[0]): CycPoly([rat(1), rat(1)]).to_json(),
+        str(big_orbit[1]): CycPoly([rat(-1), rat(1)]).to_json(),
     }
-    with pytest.raises(ParameterError):
-        compute_chi_invariants(d, chi, rbar_params=params)
+    path = tmp_path / "rbar.json"
+    path.write_text(json.dumps(overrides))
+    spec = {"modulus": 2, "values": {str(xs[0]): 0, str(xs[1]): 1, str(xs[2]): 1}}
+    report, code, _ = run_analyze(
+        str(FIXTURES / "s4_over_s3.json"), json.dumps(spec), rbar_path=str(path)
+    )
+    assert code == 3
+    assert report["error"] == (
+        "parameter error: override relations differ across the stabilizer "
+        f"orbit {big_orbit}"
+    )

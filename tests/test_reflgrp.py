@@ -154,6 +154,46 @@ def test_distinguished_generator_powers():
         assert cur == 0
 
 
+def _fixes_pointwise(m, normal):
+    """Whether m fixes every vector of a basis of the hyperplane that the
+    covector normal cuts out."""
+    pivot = next(i for i, c in enumerate(normal) if not c.is_zero())
+    inv = normal[pivot].inverse()
+    for i in range(len(normal)):
+        if i == pivot:
+            continue
+        v = [rat(0)] * len(normal)
+        v[i] = rat(1)
+        v[pivot] = -(normal[i] * inv)
+        if m.apply(tuple(v)) != tuple(v):
+            return False
+    return True
+
+
+# the monomial groups of acceptance criterion 7 whose arrangement it checks,
+# rank one among them (there the hyperplane is the origin, fixed by every
+# element)
+CRITERION_7_GROUPS = [
+    (m, p, r)
+    for m in range(1, 7)
+    for p in range(1, m + 1)
+    if m % p == 0
+    for r in range(1, 4)
+    if catalog_order(m, p, r) <= 200
+]
+
+
+@pytest.mark.parametrize("mpr", CRITERION_7_GROUPS, ids="g{}".format)
+def test_stabilizers_fix_their_hyperplane_pointwise(mpr):
+    g = enumerate_group(catalog(*mpr))
+    arr = hyperplanes(g)
+    for h in arr.hyperplanes:
+        expected = tuple(
+            i for i, m in enumerate(g.elements) if _fixes_pointwise(m, h.normal)
+        )
+        assert h.stabilizer_elements == expected
+
+
 def test_conjugation_permutes_hyperplanes():
     for mpr in [(2, 1, 2), (3, 3, 2), (1, 1, 3), (3, 1, 2), (2, 1, 3)]:
         g = enumerate_group(catalog(*mpr))
@@ -190,28 +230,32 @@ def test_single_reflection_subgroup_in_b2():
 
 def test_cosets_whole_group():
     g = s3_rank2()
-    t = left_cosets(g, range(len(g)))
-    assert len(t.representatives) == 1
+    members, coset_of = left_cosets(g, range(len(g)))
+    assert members == [tuple(range(len(g)))]
+    assert coset_of == [0] * len(g)
 
 
 def test_cosets_of_trivial_subgroup():
     g = s3_rank2()
-    t = left_cosets(g, [0])
-    assert len(t.representatives) == len(g)
+    members, coset_of = left_cosets(g, [0])
+    assert len(members) == len(g)
+    assert coset_of == list(range(len(g)))
 
 
 def test_cosets_of_order_two_subgroup_in_s3():
     g = s3_rank2()
     arr = hyperplanes(g)
     h = subgroup_generated(g, [arr[0].distinguished_generator])
-    t = left_cosets(g, h)
-    assert len(t.representatives) == 3
-    assert all(len(m) == 2 for m in t.members)
-    # least-index representatives, and generator action is a permutation
-    for c, rep in enumerate(t.representatives):
-        assert rep == min(t.members[c])
-    for perm in t.generator_action:
-        assert sorted(perm) == list(range(3))
+    members, coset_of = left_cosets(g, h)
+    assert len(members) == 3
+    assert all(len(m) == 2 for m in members)
+    # sorted members, cosets ordered by their least element, and each
+    # element in the coset it names
+    assert all(list(m) == sorted(m) for m in members)
+    assert [m[0] for m in members] == sorted(m[0] for m in members)
+    for c, m in enumerate(members):
+        assert m == tuple(sorted(g.mul(m[0], b) for b in h))
+        assert all(coset_of[x] == c for x in m)
 
 
 def test_cosets_reject_non_subgroup():
