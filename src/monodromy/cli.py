@@ -74,14 +74,16 @@ def _refuse_number(text: str):
     raise ParseError(f"character spec has a non-integer number {text}")
 
 
-def _parse_chi_spec(raw: str):
-    """The JSON value of a --chi spec; a float, NaN or infinity in it is a
-    parse error, since every number there is an integer."""
-    if raw == "trivial":
+def _parse_chi_spec(spec):
+    """The JSON value of a character spec given as text or as a JSON value,
+    read back from its JSON text; a float, NaN or infinity in it is a parse
+    error, since every number there is an integer."""
+    if spec == "trivial":
         return "trivial"
     try:
-        return json.loads(raw, parse_float=_refuse_number, parse_constant=_refuse_number)
-    except json.JSONDecodeError as exc:
+        text = spec if isinstance(spec, str) else json.dumps(spec)
+        return json.loads(text, parse_float=_refuse_number, parse_constant=_refuse_number)
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"character spec is not valid JSON: {exc}") from exc
 
 
@@ -211,7 +213,7 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
         return algebra, algebra.to_json()
     # quadratic: all nontrivial meets have order two; over the whole group
     # the datum's own enumeration and arrangement are reused so module
-    # builders can share them
+    # builders can share them, and a proper subgroup is enumerated again
     gens = []
     for a in range(len(datum.arrangement)):
         meet = inv.per_hyperplane[a].stabilizer_meet
@@ -219,10 +221,8 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
             return None, _unsupported_hecke(inv, f"local order {len(meet)} at hyperplane {a}")
         if len(meet) == 2:
             gens.append(next(i for i in meet if i != group.identity_index))
-    if len(sub) == len(group):
-        arr = datum.arrangement
-        params = {arr[a].orbit_id: rbar_by_alpha[a] for a in range(len(arr))}
-    else:
+    arr = datum.arrangement
+    if len(sub) != len(group):
         subgroup = enumerate_group([group.elements[g] for g in sorted(set(gens))])
         if len(subgroup) != len(sub):
             raise IntegrityError(
@@ -230,17 +230,14 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
                 f"expected {len(sub)}"
             )
         arr = hyperplanes(subgroup)
-        params = {}
-        for b in range(len(arr)):
-            normal = arr[b].normal
-            alpha = datum.arrangement.index_of_normal(normal)
-            oid = arr[b].orbit_id
-            poly = rbar_by_alpha[alpha]
-            if oid in params and params[oid] != poly:
-                raise IntegrityError(
-                    f"relation polynomials disagree on subgroup orbit {oid}"
-                )
-            params[oid] = poly
+    params = {}
+    for b in range(len(arr)):
+        oid = arr[b].orbit_id
+        poly = rbar_by_alpha[datum.arrangement.index_of_normal(arr[b].normal)]
+        if params.setdefault(oid, poly) != poly:
+            raise IntegrityError(
+                f"relation polynomials disagree on subgroup orbit {oid}"
+            )
     try:
         algebra = build_coxeter(arr, params)
     except RegimeError as exc:
@@ -256,14 +253,14 @@ def _unsupported_hecke(inv, reason):
     }
 
 
-def _mchi_stage(datum, chi, inv, hecke_algebra, rbar_by_alpha, convention):
+def _mchi_stage(datum, chi, inv, hecke_algebra, rbar_by_alpha):
     """Full module when a regime applies, ledger plus inertia action
     otherwise.  Returns (section, warnings)."""
     warnings = []
     group = datum.group
     if inv.w_chi_zero == (group.identity_index,):
         try:
-            module = build_full_r1(datum, chi, inv, convention)
+            module = build_full_r1(datum, chi, inv)
             return module.to_json(), warnings
         except RegimeError as exc:
             warnings.append(f"full module downgraded to ledger-only: {exc}")
@@ -275,9 +272,7 @@ def _mchi_stage(datum, chi, inv, hecke_algebra, rbar_by_alpha, convention):
         and hecke_algebra.dimension == len(group)
     ):
         try:
-            module = build_full_r2(
-                datum, chi, inv, hecke_algebra, rbar_by_alpha, convention
-            )
+            module = build_full_r2(datum, chi, inv, hecke_algebra, rbar_by_alpha)
             return module.to_json(), warnings
         except RegimeError as exc:
             warnings.append(f"full module downgraded to ledger-only: {exc}")
@@ -286,7 +281,7 @@ def _mchi_stage(datum, chi, inv, hecke_algebra, rbar_by_alpha, convention):
             "full module unavailable: nontrivial proper reflection subgroup "
             "or unsupported algebra regime; emitting ledger and inertia action"
         )
-    action = build_i_action(datum, chi, inv, convention)
+    action = build_i_action(datum, chi, inv)
     section = {
         "regime": "ledger-only",
         "ledger": action.ledger.to_json(),
@@ -298,20 +293,22 @@ def _mchi_stage(datum, chi, inv, hecke_algebra, rbar_by_alpha, convention):
 def run_analyze(datum_path, chi_spec, rbar_path=None, convention=None):
     """Full pipeline; returns (report, exit_code, warnings).
 
-    The inertia convention comes from the datum unless given explicitly."""
+    An explicit inertia convention replaces the datum's ``"convention"``
+    key; the fingerprint is still that of the file."""
     warnings: list[str] = []
     raw = _load_json_file(datum_path)
-    datum = datum_from_json(raw)
-    if convention is None:
-        convention = datum.convention
-    chi_obj = _parse_chi_spec(chi_spec) if isinstance(chi_spec, str) else chi_spec
+    if convention is not None and isinstance(raw, dict):
+        datum = datum_from_json({**raw, "convention": convention})
+    else:
+        datum = datum_from_json(raw)
+    chi_obj = _parse_chi_spec(chi_spec)
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "monodromy", "version": __version__},
         "fingerprint": _fingerprint(raw),
         "chi_spec": chi_obj,
-        "convention": convention,
+        "convention": datum.convention,
         "group": {
             "name": datum.name,
             "order": len(datum.group),
@@ -377,7 +374,7 @@ def run_analyze(datum_path, chi_spec, rbar_path=None, convention=None):
             warnings.append("deformed algebra regime unsupported; dimension asserted only")
 
         mchi_section, mchi_warnings = _mchi_stage(
-            datum, chi, inv, hecke_algebra, rbar_by_alpha, convention
+            datum, chi, inv, hecke_algebra, rbar_by_alpha
         )
         warnings.extend(mchi_warnings)
         report["m_chi"] = mchi_section
@@ -592,11 +589,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "analyze":
-            convention = None
-            if args.convention is not None:
-                convention = "inverse" if args.convention == "flip-inertia" else "left"
             report, code, warnings = run_analyze(
-                args.datum, args.chi, args.rbar, convention
+                args.datum, args.chi, args.rbar, args.convention
             )
             _write_report(report, args.out)
             for w in warnings:

@@ -29,9 +29,8 @@ class HeckeAlgebra:
         self.regime = regime
         self.dimension = dimension
         self.generators: dict[str, CycMatrix] = dict(generators)
+        # generator key -> relation, certified to be its minimal polynomial
         self.params: dict[str, CycPoly] = dict(params)
-        # generator key -> minimal polynomial, filled by _certify_generators
-        self.minimal_polynomials: dict[str, CycPoly] = {}
         # filled by the quadratic-regime builder
         self.group: ReflectionGroup | None = None
         self.simple_hyperplanes: list[int] = []
@@ -50,7 +49,7 @@ class HeckeAlgebra:
             "generators": {
                 key: {
                     "relation": self.params[key].to_json(),
-                    "minimal_polynomial": self.minimal_polynomials[key].to_json(),
+                    "minimal_polynomial": self.params[key].to_json(),
                 }
                 for key in sorted(self.generators)
             },
@@ -73,7 +72,6 @@ def _certify_generators(h: HeckeAlgebra):
                 f"the declared relation {h.params[key]!r}"
             )
         m.inverse()  # invertibility; DomainError would signal a broken build
-        h.minimal_polynomials[key] = got
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix
-from .errors import DomainError, IntegrityError, RegimeError
+from .errors import IntegrityError, RegimeError
 from .extension import Character, CheckResult, ExtensionDatum, FiberElement
 from .hecke import HeckeAlgebra
 from .invariants import ChiInvariants
 from .reflgrp import left_cosets
-
-CONVENTIONS = ("left", "inverse")
 
 
 @dataclass
@@ -58,33 +56,15 @@ class InducedLedger:
         }
 
 
-def _right_cosets(group, subgroup):
-    """Right cosets Hw as (members, coset_of), ordered by their least
-    element, like ``left_cosets``."""
-    sub = sorted(set(subgroup))
-    coset_of = [-1] * len(group)
-    members = []
-    for i in range(len(group)):
-        if coset_of[i] >= 0:
-            continue
-        coset = tuple(sorted(group.mul(b, i) for b in sub))
-        pos = len(members)
-        members.append(coset)
-        for x in coset:
-            coset_of[x] = pos
-    return members, coset_of
-
-
 def build_ledger(
     datum: ExtensionDatum,
     chi: Character,
     inv: ChiInvariants,
-    convention: str = "left",
 ) -> InducedLedger:
     """Exact dimension bookkeeping; every identity is verified, and failure
-    is an integrity error rather than a warning."""
-    if convention not in CONVENTIONS:
-        raise DomainError(f"unknown convention {convention!r}")
+    is an integrity error rather than a warning.  The blocks are the cosets
+    wH of the stabilizer H, or Hw under the datum's inverse convention."""
+    convention = datum.convention
     group = datum.group
     n = len(group)
     n_zero = len(inv.w_chi_zero)
@@ -96,8 +76,13 @@ def build_ledger(
     index = n // n_zero
     if n_zero * index != n:
         raise IntegrityError("dimension factorization failed")
-    cosets = left_cosets if convention == "left" else _right_cosets
-    members, coset_of = cosets(group, inv.w_chi)
+    members, coset_of = left_cosets(group, inv.w_chi)
+    if convention != "left":
+        # Hw = (w^-1 H)^-1; disjoint cosets sort by their least element
+        members = sorted(tuple(sorted(map(group.inv, c))) for c in members)
+        for pos, coset in enumerate(members):
+            for x in coset:
+                coset_of[x] = pos
     blocks = []
     for coset in members:
         rep = coset[0]
@@ -147,11 +132,10 @@ def build_i_action(
     datum: ExtensionDatum,
     chi: Character,
     inv: ChiInvariants,
-    convention: str = "left",
 ) -> InertiaAction:
     """Kernel elements act block-diagonally: on each block, by the block's
     character value times the sign character."""
-    ledger = build_ledger(datum, chi, inv, convention)
+    ledger = build_ledger(datum, chi, inv)
     scalars = {}
     for x in datum.kernel:
         tau_x = CycNumber.rational(datum.tau[x])
@@ -316,7 +300,6 @@ def build_full_r1(
     datum: ExtensionDatum,
     chi: Character,
     inv: ChiInvariants,
-    convention: str = "left",
 ) -> InducedModule:
     """Monomial model on coset lifts, defined when the reflection subgroup
     is trivial and the degree-one relation character is trivial."""
@@ -330,13 +313,13 @@ def build_full_r1(
         raise RegimeError(
             "regime R1 needs the degree-one relation character to be trivial"
         )
-    i_action = build_i_action(datum, chi, inv, convention)
+    i_action = build_i_action(datum, chi, inv)
     ledger = i_action.ledger
     n = len(group)
     letter_table = generator_letter_decomposition(datum)
     lifts = []
     for w in range(n):
-        label = w if convention == "left" else group.inv(w)
+        label = w if datum.convention == "left" else group.inv(w)
         lifts.append(braid_lift(datum, label, letter_table))
     lift_inverses = [datum.fiber_inv(g) for g in lifts]
 
@@ -347,7 +330,7 @@ def build_full_r1(
         s = datum.arrangement[alpha].distinguished_generator
         triples = []
         for w in range(n):
-            if convention == "left":
+            if datum.convention == "left":
                 target = group.mul(group.inv(s), w)
             else:
                 target = group.mul(w, s)
@@ -398,7 +381,6 @@ def build_full_r2(
     inv: ChiInvariants,
     hecke: HeckeAlgebra,
     rbar_by_alpha: dict[int, CycPoly],
-    convention: str = "left",
 ) -> InducedModule:
     """Deformed-group-algebra model, defined when the character is invariant
     and every jump is one; braid generators act by the algebra generators.
@@ -458,7 +440,7 @@ def build_full_r2(
             f"no hyperplane mapping for algebra regime {hecke.regime!r}"
         )
 
-    i_action = build_i_action(datum, chi, inv, convention)
+    i_action = build_i_action(datum, chi, inv)
     ledger = i_action.ledger
     n = hecke.dimension
     i_matrices = {
@@ -473,10 +455,10 @@ def build_full_r2(
     )
     for alpha, rbar in sorted(rbar_by_alpha.items()):
         m = gen_matrices[alpha]
-        # a generator used as is keeps the polynomial certified for it
-        # when the algebra was built; conjugates are computed here
+        # a generator used as is had its relation certified as its minimal
+        # polynomial when the algebra was built; conjugates are computed here
         key = next((k for k, g in hecke.generators.items() if g is m), None)
-        got = minpoly_matrix(m) if key is None else hecke.minimal_polynomials[key]
+        got = minpoly_matrix(m) if key is None else hecke.params[key]
         _check(
             checks,
             f"generator_relation[alpha={alpha}]",

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodromy.cli import main, run_analyze, run_carousel, run_catalog, render_report
-from monodromy.cyclo import CycMatrix, zeta
-from monodromy.errors import ParseError
-from monodromy.extension import ExtensionDatum, datum_to_json
+from monodromy.cli import _hecke_stage, main, run_analyze, run_carousel, run_catalog, render_report
+from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, zeta
+from monodromy.errors import IntegrityError, ParseError
+from monodromy.extension import Character, ExtensionDatum, datum_to_json
 from monodromy.fixtures import direct_product_datum, table_from_elements
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
-from corpus import FIXTURES, chi_specs, manifest
+from monodromy.invariants import compute_chi_invariants
+from corpus import FIXTURES, chi_specs, load_datum, manifest
 from test_cyclo import cyc_numbers, dense_matrices
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -244,6 +245,24 @@ def test_bad_chi_spec_is_parse_error():
     assert main(["analyze", path, "--chi", '{"modulus": 3, "values": {"3": NaN}}']) == 2
     assert main(["analyze", path, "--chi", '{"modulus": 3, "values": {"3": 0}, "note": "x"}']) == 2
     assert main(["analyze", str(FIXTURES / "neg_bad_q.json"), "--chi", "[1.5]"]) == 2
+
+
+def test_chi_spec_value_is_parsed_like_its_text():
+    # a float is refused before validation fails, not left for the writer
+    with pytest.raises(ParseError):
+        run_analyze(
+            str(FIXTURES / "neg_bad_q.json"),
+            {"modulus": 3, "values": {"3": 0}, "x": 1.5},
+        )
+    with pytest.raises(ParseError):
+        run_analyze(str(FIXTURES / "s3_over_s2.json"), {"modulus": 3, "values": {1, 2}})
+    # an int key reads as the string key of its JSON text
+    path = str(FIXTURES / "s3_over_s2.json")
+    report, code, _ = run_analyze(path, {3: 1, "modulus": 3})
+    text, text_code, _ = run_analyze(path, '{"3": 1, "modulus": 3}')
+    assert code == text_code == 0
+    assert report["chi_spec"] == {"3": 1, "modulus": 3}
+    assert render_report(report) == render_report(text)
 
 
 def test_base_group_larger_than_cover_is_refused_at_once(tmp_path, capsys):
@@ -585,6 +604,36 @@ def test_flip_inertia_convention():
     f_blocks = flip["m_chi"]["ledger"]["blocks"]
     assert [b["dimension"] for b in l_blocks] == [b["dimension"] for b in f_blocks]
     assert [b["elements"] for b in l_blocks] != [b["elements"] for b in f_blocks]
+
+
+def test_convention_override_is_the_datum_key(tmp_path):
+    path = str(FIXTURES / "s4_over_s3.json")
+    spec = chi_specs("s4_over_s3")[1]
+    inverse, _, _ = run_analyze(path, spec, convention="inverse")
+    alias, code, _ = run_analyze(path, spec, convention="flip-inertia")
+    assert code == 0
+    assert render_report(alias) == render_report(inverse)
+    assert alias["convention"] == "inverse"
+    with pytest.raises(ParseError):
+        run_analyze(path, spec, convention="right")
+    # a datum file that is not a JSON object stays a parse error
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1]")
+    with pytest.raises(ParseError):
+        run_analyze(str(listed), "trivial", convention="inverse")
+
+
+def test_relation_polynomials_must_agree_on_a_whole_group_orbit():
+    d = load_datum("s3_split_z2")
+    inv = compute_chi_invariants(d, Character.trivial(d.kernel))
+    assert len(inv.w_chi_zero) == len(d.group)
+    assert d.arrangement.orbits() == [[0, 1, 2]]
+    rat = CycNumber.rational
+    z2_minus = {a: CycPoly([rat(-1), rat(0), rat(1)]) for a in range(3)}
+    algebra, _ = _hecke_stage(d, inv, z2_minus)
+    assert algebra.dimension == 6
+    with pytest.raises(IntegrityError, match="disagree on subgroup orbit"):
+        _hecke_stage(d, inv, {**z2_minus, 2: CycPoly([rat(-2), rat(1), rat(1)])})
 
 
 # ---------------------------------------------------------------------------

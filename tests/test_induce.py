@@ -1,10 +1,13 @@
+import json
+
 import pytest
 
 from monodromy.carousel import build_carousel, carousel_minpolys, twist_from_extension
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
 from monodromy.errors import RegimeError
-from monodromy.extension import Character, character_from_spec
-from monodromy.fixtures import direct_product_datum
+from monodromy.cli import run_analyze
+from monodromy.extension import Character, ExtensionDatum, character_from_spec, datum_from_json
+from monodromy.fixtures import direct_product_datum, table_from_elements
 from monodromy.hecke import build_coxeter, build_cyclic
 from monodromy.induce import (
     build_full_r1,
@@ -13,8 +16,8 @@ from monodromy.induce import (
     build_ledger,
 )
 from monodromy.invariants import compute_chi_invariants, with_relation_character
-from monodromy.reflgrp import catalog
-from corpus import chi_specs, load_datum, s3_rank2_generators
+from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
+from corpus import FIXTURES, chi_specs, load_datum, manifest, s3_rank2_generators
 
 
 def rat(x):
@@ -71,7 +74,8 @@ def test_ledger_s4_partition_blocks():
     chi = character_from_spec(d, chi_specs("s4_over_s3")[1])
     inv = compute_chi_invariants(d, chi)
     for convention in ("left", "inverse"):
-        ledger = build_ledger(d, chi, inv, convention)
+        d.convention = convention
+        ledger = build_ledger(d, chi, inv)
         assert (ledger.dim_m0, ledger.index, ledger.dim_mchi) == (2, 3, 6)
         assert [b.dimension for b in ledger.blocks] == [2, 2, 2]
 
@@ -87,6 +91,111 @@ def test_ledger_identities_across_fixture_characters():
             assert ledger.dim_m0 * ledger.index == ledger.dim_mchi
             assert sum(b.dimension for b in ledger.blocks) == ledger.dim_mchi
             assert all(b.dimension == len(inv.w_chi) for b in ledger.blocks)
+
+
+# ---------------------------------------------------------------------------
+# inertia conventions
+
+
+def corpus_pairs():
+    """Every positive corpus datum with each of its characters."""
+    for entry in manifest():
+        if entry["expected_exit"] == 0:
+            d = load_datum(entry["file"].removesuffix(".json"))
+            for chi in d.characters():
+                yield d, chi
+
+
+def z7_by_z3_datum():
+    """Z/7 x| Z/3 over the rank-one group of cube roots of unity, the
+    generator acting on the kernel by doubling.  Every nontrivial
+    character has a trivial stabilizer, so it is in regime R1 over a base
+    whose inversion moves elements (every R1 base in the corpus is an
+    elementary abelian 2-group, where w^-1 = w)."""
+    group = enumerate_group([CycMatrix([[zeta(3)]])])
+    arr = hyperplanes(group)
+    s = group.generator_indices[0]
+    exponent = {group.identity_index: 0, s: 1, group.mul(s, s): 2}
+    elements = [(a, w) for w in range(3) for a in range(7)]
+
+    def mul(x, y):
+        return ((x[0] + 2 ** exponent[x[1]] * y[0]) % 7, group.mul(x[1], y[1]))
+
+    wtilde, index = table_from_elements(elements, mul, [(1, 0), (0, s)])
+    splitting = {0: index[(0, group.inv(arr[0].distinguished_generator))]}
+    return ExtensionDatum(group, arr, wtilde, [w for _, w in elements], splitting)
+
+
+def test_inverse_ledger_is_the_left_ledger_inverted():
+    pairs = 0
+    for d, chi in corpus_pairs():
+        inv = compute_chi_invariants(d, chi)
+        d.convention = "left"
+        left = build_ledger(d, chi, inv)
+        d.convention = "inverse"
+        inverse = build_ledger(d, chi, inv)
+        assert inverse.convention == "inverse"
+        assert (inverse.dim_m0, inverse.index, inverse.dim_mchi) == (
+            left.dim_m0, left.index, left.dim_mchi
+        )
+        # each block Hw is the inverted block w^-1 H, with its character
+        inverted = {
+            tuple(sorted(map(d.group.inv, b.elements))): b.character
+            for b in left.blocks
+        }
+        assert {b.elements: b.character for b in inverse.blocks} == inverted
+        assert [b.representative for b in inverse.blocks] == sorted(
+            b.elements[0] for b in inverse.blocks
+        )
+        for pos, block in enumerate(inverse.blocks):
+            assert all(inverse.block_of[x] == pos for x in block.elements)
+        pairs += 1
+    assert pairs == 48
+
+
+def test_inverse_r1_module_is_the_left_module_relabeled():
+    modules = moved = 0
+    z7 = z7_by_z3_datum()
+    for d, chi in [*corpus_pairs(), *((z7, chi) for chi in z7.characters())]:
+        inv = compute_chi_invariants(d, chi)
+        if inv.w_chi_zero != (d.group.identity_index,):
+            continue
+        d.convention = "left"
+        left = build_full_r1(d, chi, inv)
+        d.convention = "inverse"
+        inverse = build_full_r1(d, chi, inv)
+        # basis vector w of the inverse module is basis vector w^-1 of the left one
+        relabel = [d.group.inv(w) for w in range(len(d.group))]
+        for kind in ("gen_matrices", "i_matrices"):
+            got, want = getattr(inverse, kind), getattr(left, kind)
+            assert got.keys() == want.keys()
+            for key, m in want.items():
+                rows = m.entries
+                assert got[key].entries == tuple(
+                    tuple(rows[i][j] for j in relabel) for i in relabel
+                )
+                moved += got[key] != m
+        modules += 1
+    assert modules == 12 + 6
+    assert moved
+
+
+def test_builders_read_the_datum_convention(tmp_path):
+    raw = json.loads((FIXTURES / "s4_over_s3.json").read_text())
+    raw["convention"] = "inverse"
+    path = tmp_path / "s4_over_s3_inverse.json"
+    path.write_text(json.dumps(raw))
+    spec = chi_specs("s4_over_s3")[1]
+    report, code, _ = run_analyze(str(path), spec)
+    assert code == 0
+    assert report["convention"] == "inverse"
+    d = datum_from_json(raw)
+    chi = character_from_spec(d, spec)
+    ledger = build_ledger(d, chi, compute_chi_invariants(d, chi))
+    assert ledger.to_json() == report["m_chi"]["ledger"]
+    # over this nonabelian base the two conventions give different cosets
+    d.convention = "left"
+    assert build_ledger(d, chi, compute_chi_invariants(d, chi)).to_json() != ledger.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +309,8 @@ def test_r1_flip_convention_consistency():
     d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
     inv = compute_chi_invariants(d, chi)
-    module = build_full_r1(d, chi, inv, convention="inverse")
+    d.convention = "inverse"
+    module = build_full_r1(d, chi, inv)
     assert all(c.status == "pass" for c in module.checks)
 
 
