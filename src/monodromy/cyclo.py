@@ -34,11 +34,18 @@ cannot grow the tables without limit.  The memoized bodies call no
 operator, so how often the operators are called does not depend on what
 the tables hold.
 
-Matrices are sparse rows, and one sparse Gauss-Jordan elimination serves
-rank, inverse and the minimal polynomial.  For the last, the powers I, m,
-m^2, ... are flattened into rows, each tagged by a column of its own, and
-reduced in turn; the first power that reduces to its tags alone gives the
-coefficients of the minimal polynomial.
+Matrices are sparse rows.  A product forms each row from the rows of the
+right factor picked by the left row's entries.  When the left row has a
+single entry, the product row is the picked row times one nonzero scalar:
+its columns are already sorted, and a field has no zero divisors, so no
+entry vanishes.  Such a row is therefore canonical as it stands and skips
+the accumulator, its sort and its zero filter.
+
+One sparse Gauss-Jordan elimination serves rank, inverse and the minimal
+polynomial.  For the last, the powers I, m, m^2, ... are flattened into
+rows, each tagged by a column of its own, and reduced in turn; the first
+power that reduces to its tags alone gives the coefficients of the
+minimal polynomial.
 """
 
 from __future__ import annotations
@@ -603,6 +610,13 @@ class CycMatrix:
     column and holding no zero value, so equality and hashing are
     structural.  Every operation visits nonzero entries only and drops sums
     that cancel to zero.  ``entries`` is a dense read-only view.
+
+    A product row whose left row holds a single entry (k, a) is row k of
+    the right factor scaled by a: the same tuple when a is one.  It needs
+    no accumulator, sort or zero filter, since its columns are already
+    sorted and a product of nonzero field elements is nonzero.  Monomial
+    and diagonal factors, such as the Hecke operators with unit relations,
+    have only such rows.
     """
 
     __slots__ = ("rows", "cols", "sparse_rows", "_hash")
@@ -744,6 +758,11 @@ class CycMatrix:
         b = other.sparse_rows
         out = []
         for ra in self.sparse_rows:
+            if len(ra) == 1:
+                # canonical as it stands (see the class docstring)
+                (k, a), = ra
+                out.append(b[k] if a is ONE else tuple((j, a * y) for j, y in b[k]))
+                continue
             acc: dict = {}
             for k, a in ra:
                 for j, y in b[k]:

@@ -256,17 +256,22 @@ def _common_verifications(module: InducedModule):
     for alpha in sorted(module.gen_matrices):
         sigma = datum.r_tilde(((alpha, 1),))
         rep_sigma = module.gen_matrices[alpha]
-        rep_sigma_inv = rep_sigma.inverse()
         for x in datum.kernel:
             conj = datum.fiber_mul(
                 datum.fiber_mul(sigma, datum.embed_inertia(x)),
                 datum.fiber_inv(sigma),
             )
+            # rho(s) rho(x) = rho(s x s^-1) rho(s) says the same as
+            # rho(s) rho(x) rho(s)^-1 = rho(s x s^-1) because rho(s) is
+            # already known to be invertible: in R1 by the monomial check,
+            # for R2's simple and cyclic generators by the algebra's
+            # generator certificate, and for R2's conjugates t^-1 T t
+            # because they were built from a computed t^-1
             _check(
                 checks,
                 f"conjugation[alpha={alpha},x={x}]",
-                rep_sigma * module.i_matrices[x] * rep_sigma_inv
-                == module.represent(conj),
+                rep_sigma * module.i_matrices[x]
+                == module.represent(conj) * rep_sigma,
                 "module action is not equivariant for the kernel",
             )
             _check(

@@ -604,6 +604,46 @@ def dense_matrices(rows, cols):
     ).map(lambda rs: tuple(map(tuple, rs)))
 
 
+# the nonzero of a single-entry row: one, minus one, a root of unity other
+# than those two, or a rational
+single_entries = st.one_of(
+    st.just(ONE),
+    st.just(rat(-1)),
+    st.sampled_from([3, 4, 5, 8, 12]).map(zeta),
+    small_rationals.filter(bool).map(rat),
+)
+
+
+def single_entry_rows(cols):
+    return st.tuples(st.integers(0, cols - 1), single_entries).map(
+        lambda p: tuple(p[1] if j == p[0] else ZERO for j in range(cols))
+    )
+
+
+def left_factors(rows, cols):
+    """Dense matrices, monomial and diagonal ones (when square), and
+    matrices whose single-entry rows mix with denser rows."""
+    dense_row = st.lists(sparse_entries(), min_size=cols, max_size=cols).map(tuple)
+    kinds = [
+        dense_matrices(rows, cols),
+        st.lists(
+            st.one_of(single_entry_rows(cols), dense_row), min_size=rows, max_size=rows
+        ).map(tuple),
+    ]
+    if rows == cols:
+        # row i of a monomial matrix holds its entry in column perm[i]
+        perms = st.one_of(st.just(list(range(rows))), st.permutations(range(rows)))
+        kinds.append(
+            st.tuples(perms, st.lists(single_entries, min_size=rows, max_size=rows)).map(
+                lambda p: tuple(
+                    tuple(x if j == p[0][i] else ZERO for j in range(cols))
+                    for i, x in enumerate(p[1])
+                )
+            )
+        )
+    return st.one_of(kinds)
+
+
 dims = st.integers(min_value=1, max_value=4)
 
 
@@ -616,9 +656,9 @@ def assert_canonical(m: CycMatrix):
         assert all(not x.is_zero() for _, x in row)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.tuples(dims, dims, dims).flatmap(
-    lambda s: st.tuples(dense_matrices(s[0], s[1]), dense_matrices(s[1], s[2]))
+    lambda s: st.tuples(left_factors(s[0], s[1]), dense_matrices(s[1], s[2]))
 ))
 def test_sparse_product_matches_dense(pair):
     a, b = pair

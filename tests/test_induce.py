@@ -9,6 +9,7 @@ from monodromy.cli import run_analyze
 from monodromy.extension import Character, ExtensionDatum, character_from_spec, datum_from_json
 from monodromy.fixtures import direct_product_datum, table_from_elements
 from monodromy.hecke import build_coxeter, build_cyclic
+from monodromy import induce
 from monodromy.induce import (
     build_full_r1,
     build_full_r2,
@@ -312,6 +313,26 @@ def test_r1_flip_convention_consistency():
     d.convention = "inverse"
     module = build_full_r1(d, chi, inv)
     assert all(c.status == "pass" for c in module.checks)
+
+
+def test_conjugation_certificate_catches_a_wrong_generator(monkeypatch):
+    # generator 0 acts by the identity when the verifications run: it is
+    # still monomial, but it no longer conjugates the kernel action
+    original = induce._common_verifications
+    regimes = []
+
+    def with_identity_generator(module):
+        regimes.append(module.regime)
+        module.gen_matrices[0] = CycMatrix.identity(module.ledger.dim_mchi)
+        original(module)
+
+    monkeypatch.setattr(induce, "_common_verifications", with_identity_generator)
+    report, code, _ = run_analyze(
+        str(FIXTURES / "s3_over_s2.json"), {"3": 1, "modulus": 3}
+    )
+    assert code == 4
+    assert report["error"].startswith("integrity error: conjugation[alpha=0,x=3]")
+    assert regimes == ["R1"]
 
 
 # ---------------------------------------------------------------------------
