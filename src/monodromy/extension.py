@@ -148,9 +148,6 @@ class Character:
     def __hash__(self):
         return hash(tuple(sorted((k, v) for k, v in self.values.items())))
 
-    def is_trivial(self) -> bool:
-        return all(v.is_one() for v in self.values.values())
-
     def inverse(self) -> "Character":
         return Character({x: v.inverse() for x, v in self.values.items()})
 
@@ -235,6 +232,19 @@ class ExtensionDatum:
             extra = sorted(a for a in keyed or () if not 0 <= a < len(arrangement))
             if extra:
                 raise ParseError(f"{what} keys {extra} name no hyperplane")
+        for a, members in (wtilde_alpha or {}).items():
+            off = sorted(x for x in members if not 0 <= x < wtilde.order)
+            if off:
+                raise ParseError(
+                    f"wtilde_alpha[{a}] members {off} name no covering element"
+                )
+        for relation in braid_relations or ():
+            for alpha, exp in (letter for word in relation for letter in word):
+                if not 0 <= alpha < len(arrangement) or exp not in (1, -1):
+                    raise ParseError(
+                        f"braid letter {[alpha, exp]} needs a hyperplane index "
+                        "and an exponent of 1 or -1"
+                    )
         self.group = group
         self.arrangement = arrangement
         self.wtilde = wtilde
@@ -294,9 +304,6 @@ class ExtensionDatum:
             r = self.splitting[alpha]
             out = self.wtilde.mul(out, r if exp > 0 else self.wtilde.inv(r))
         return out
-
-    def fiber_identity(self) -> FiberElement:
-        return FiberElement(self.wtilde.identity, ())
 
     def r_tilde(self, word) -> FiberElement:
         """The splitting applied to a braid word."""
@@ -364,11 +371,6 @@ class ExtensionDatum:
     def eval_tau_hat(self, g: FiberElement) -> int:
         """The sign character extended to the whole braid cover."""
         return self.tau[self.inertia_part(g)]
-
-    def tau_as_character(self) -> Character:
-        return Character(
-            {x: CycNumber.rational(self.tau[x]) for x in self.kernel}
-        )
 
     def character_from_values(self, values: dict[int, CycNumber]) -> Character:
         """Extend values on kernel elements multiplicatively to a character."""

@@ -34,12 +34,6 @@ class ChiInvariants:
     rho_trivial: bool = True
     checks: list[CheckResult] = field(default_factory=list)
 
-    def a_zero(self) -> list[int]:
-        return [a for a, h in enumerate(self.per_hyperplane) if h.a_class == "A0"]
-
-    def a_one(self) -> list[int]:
-        return [a for a, h in enumerate(self.per_hyperplane) if h.a_class == "A1"]
-
     def to_json(self) -> dict:
         return {
             "w_chi": list(self.w_chi),

@@ -2,17 +2,22 @@
 
 Groups are enumerated by breadth-first closure with canonical-matrix
 deduplication; every element keeps its discovery word in the input
-generators.  The arrangement records, per reflection hyperplane, the cyclic
-pointwise stabilizer (found in the same pass over the elements as the
-normals), its order, the distinguished generator acting by the primitive
-counter-clockwise root of unity on the normal line, and the orbit
-decomposition under the group action.
+generators.  The group law is one Cayley table, built on first use from the
+discovery words with |W|^2 lookups and no matrix work; products and
+inverses are read from it.  The arrangement records, per reflection
+hyperplane, the cyclic pointwise stabilizer (found in the same pass over the
+elements as the normals), its order, the distinguished generator acting by
+the primitive counter-clockwise root of unity on the normal line, and the
+orbit decomposition under the group action.  An element w sends a
+hyperplane to the one whose distinguished generator is the conjugate of its
+own by w, so the action is read from the table too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclo import ONE, ZERO, CycMatrix, CycNumber, zeta
 from .errors import ClosureCapError, DomainError, IntegrityError
@@ -29,8 +34,6 @@ class ReflectionGroup:
         self.words: list[tuple[int, ...]] = words
         self._rmul_gen = rmul_gen  # element index x generator slot -> element index
         self.generator_indices: list[int] = generator_indices
-        self._inv: list[int | None] = [None] * len(elements)
-        self._gen_inv: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -39,37 +42,33 @@ class ReflectionGroup:
     def identity_index(self) -> int:
         return 0
 
-    def mul(self, i: int, j: int) -> int:
-        """Index-based multiplication via the stored word of j."""
-        out = i
-        for slot in self.words[j]:
-            out = self._rmul_gen[out][slot]
-        return out
+    @cached_property
+    def table(self) -> list[list[int]]:
+        """The Cayley table: row i, column j is the index of i * j.
 
-    def _generator_inverse_slots(self) -> list[int]:
-        if self._gen_inv is None:
-            out = []
-            for slot in range(len(self.generator_indices)):
-                g = self.generator_indices[slot]
-                cur = g
-                prev = 0
-                while cur != 0:
-                    prev = cur
-                    cur = self.mul(cur, g)
-                out.append(prev)
-            self._gen_inv = out
-        return self._gen_inv
+        The word of j is the word of its parent followed by one generator,
+        and the parent comes first in discovery order, so each row fills
+        left to right as i * j = (i * parent(j)) * generator."""
+        by_word = {w: j for j, w in enumerate(self.words)}
+        steps = [(by_word[w[:-1]], w[-1]) for w in self.words[1:]]
+        rmul = self._rmul_gen
+        table = []
+        for i in range(len(self.elements)):
+            row = [i]
+            for p, slot in steps:
+                row.append(rmul[row[p]][slot])
+            table.append(row)
+        return table
+
+    @cached_property
+    def inverses(self) -> list[int]:
+        return [row.index(0) for row in self.table]
+
+    def mul(self, i: int, j: int) -> int:
+        return self.table[i][j]
 
     def inv(self, i: int) -> int:
-        cached = self._inv[i]
-        if cached is not None:
-            return cached
-        out = 0
-        gen_inv = self._generator_inverse_slots()
-        for slot in reversed(self.words[i]):
-            out = self.mul(out, gen_inv[slot])
-        self._inv[i] = out
-        return out
+        return self.inverses[i]
 
     def element_order(self, i: int) -> int:
         n = 1
@@ -149,18 +148,13 @@ class Hyperplane:
 class Arrangement:
     """The reflection hyperplanes of an enumerated group."""
 
-    def __init__(
-        self,
-        group: ReflectionGroup,
-        hyperplanes: list[Hyperplane],
-        moves: list[tuple[int, ...]],
-    ):
+    def __init__(self, group: ReflectionGroup, hyperplanes: list[Hyperplane]):
         self.group = group
         self.hyperplanes = hyperplanes
-        # moves[alpha][slot]: the hyperplane index of generator slot applied
-        # to hyperplane alpha
-        self._moves = moves
         self._by_normal = {h.normal: a for a, h in enumerate(hyperplanes)}
+        self._by_generator = {
+            h.distinguished_generator: a for a, h in enumerate(hyperplanes)
+        }
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -172,20 +166,19 @@ class Arrangement:
         return self._by_normal[normal]
 
     def act(self, w: int, alpha: int) -> int:
-        """The hyperplane index of w applied to hyperplane alpha, one
-        generator of the word of w at a time, the last one first."""
-        for slot in reversed(self.group.words[w]):
-            alpha = self._moves[alpha][slot]
-        return alpha
+        """The hyperplane index of w applied to hyperplane alpha: the one
+        whose distinguished generator is w s_alpha w^-1, since conjugation
+        by w carries the stabilizer of a hyperplane to that of its image
+        and keeps the eigenvalue on the normal line."""
+        g = self.group
+        s = self.hyperplanes[alpha].distinguished_generator
+        return self._by_generator[g.mul(g.mul(w, s), g.inv(w))]
 
     def orbits(self) -> list[list[int]]:
         out: dict[int, list[int]] = {}
         for a, h in enumerate(self.hyperplanes):
             out.setdefault(h.orbit_id, []).append(a)
         return [out[k] for k in sorted(out)]
-
-    def reflection_count(self) -> int:
-        return sum(h.order - 1 for h in self.hyperplanes)
 
     def to_json(self) -> list:
         return [
@@ -266,17 +259,7 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
                 orbit_id=-1,
             )
         )
-    # orbit decomposition under the permutation action of the generators:
-    # g sends the hyperplane with normal covector n to the one with n * g^-1
-    by_normal = {h.normal: a for a, h in enumerate(hps)}
-    gen_inverses = [group.elements[group.inv(g)] for g in group.generator_indices]
-    moves = [
-        tuple(
-            by_normal[_canonical_normal(m_inv.transpose().apply(h.normal))]
-            for m_inv in gen_inverses
-        )
-        for h in hps
-    ]
+    arr = Arrangement(group, hps)
     orbit = 0
     for a in range(len(hps)):
         if hps[a].orbit_id >= 0:
@@ -285,12 +268,13 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
         hps[a].orbit_id = orbit
         while stack:
             b = stack.pop()
-            for c in moves[b]:
+            for g in group.generator_indices:
+                c = arr.act(g, b)
                 if hps[c].orbit_id < 0:
                     hps[c].orbit_id = orbit
                     stack.append(c)
         orbit += 1
-    return Arrangement(group, hps, moves)
+    return arr
 
 
 # ---------------------------------------------------------------------------

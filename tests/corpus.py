@@ -26,6 +26,13 @@ def chi_specs(name: str) -> list:
     return next(e for e in manifest() if e["file"] == f"{name}.json")["chi_specs"]
 
 
+def nontrivial_character(datum):
+    """The first character of the datum's kernel with a value other than 1."""
+    return next(
+        c for c in datum.characters() if not all(v.is_one() for v in c.values.values())
+    )
+
+
 def s3_rank2_generators():
     """Two reflections generating the symmetric group on three letters in
     rank two (the group of ``s3_split_z2`` and ``s4_over_s3``)."""

@@ -16,7 +16,7 @@ from monodromy.cyclo import (
 )
 from monodromy.errors import DomainError
 from monodromy.fixtures import direct_product_datum
-from corpus import load_datum, s3_rank2_generators
+from corpus import load_datum, nontrivial_character, s3_rank2_generators
 
 
 def rat(x):
@@ -123,7 +123,7 @@ def test_twist_from_direct_product_is_one():
 
 def test_twist_from_z8_cover_is_minus_one():
     d = load_datum("cyclic_z8_over_z4")
-    chi = next(c for c in d.characters() if not c.is_trivial())
+    chi = nontrivial_character(d)
     assert twist_from_extension(d, 0, chi) == rat(-1)
 
 
@@ -136,7 +136,7 @@ def test_twist_trivial_character():
 
 def test_twist_from_quaternion_cover():
     d = load_datum("quaternion_over_v4")
-    chi = next(c for c in d.characters() if not c.is_trivial())
+    chi = nontrivial_character(d)
     for alpha in d.splitting:
         assert twist_from_extension(d, alpha, chi) == rat(-1)
 

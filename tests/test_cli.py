@@ -123,6 +123,22 @@ def _set_float_name(datum):
     datum["name"] = 1.5  # the report repeats the name
 
 
+def _set_braid_letter(letter):
+    """Replace the first letter of the datum's braid relation."""
+
+    def mutate(datum):
+        datum["braid_relations"][0][0][0] = letter
+
+    return mutate
+
+
+def _set_local_subgroup_members(members):
+    def mutate(datum):
+        datum["wtilde_alpha"] = {"0": members}
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -141,6 +157,13 @@ def _set_float_name(datum):
         _set_twist_key_off_arrangement,
         _set_local_subgroup_key_off_arrangement,
         _set_float_name,
+        _set_braid_letter([3, 1]),  # s3_split_z2 has three hyperplanes
+        _set_braid_letter([-1, 1]),
+        _set_braid_letter([0, 5]),
+        _set_braid_letter([0, 0]),
+        _set_braid_letter([0, -2]),
+        _set_local_subgroup_members([0, 10**6]),  # the cover has 12 elements
+        _set_local_subgroup_members([-1]),
     ],
     ids=[
         "splitting_as_list",
@@ -158,6 +181,13 @@ def _set_float_name(datum):
         "twist_key_off_arrangement",
         "local_subgroup_key_off_arrangement",
         "float_name",
+        "braid_letter_off_arrangement",
+        "braid_letter_negative_hyperplane",
+        "braid_letter_exponent",
+        "braid_letter_exponent_zero",
+        "braid_letter_exponent_minus_two",
+        "local_subgroup_member_off_cover",
+        "local_subgroup_member_negative",
     ],
 )
 def test_malformed_datum_is_parse_error(mutate, tmp_path, capsys):

@@ -150,7 +150,8 @@ def test_character_from_spec():
     x = next(i for i in d.kernel if i != d.wtilde.identity)
     chi = character_from_spec(d, {"modulus": 3, "values": {str(x): 1}})
     assert chi(x) == zeta(3)
-    assert character_from_spec(d, "trivial").is_trivial()
+    trivial = character_from_spec(d, "trivial")
+    assert all(v.is_one() for v in trivial.values.values())
     with pytest.raises(ValidationError):
         # a cube root of unity on an element of order three times... the
         # wrong modulus cannot extend multiplicatively
@@ -194,7 +195,7 @@ def test_action_is_a_left_action():
 
 def test_tau_is_action_invariant():
     d = load_datum("quaternion_over_v4")
-    tau = d.tau_as_character()
+    tau = Character({x: rat(d.tau[x]) for x in d.kernel})
     for w in range(len(d.group)):
         assert d.act_on_character(w, tau) == tau
 
@@ -210,14 +211,14 @@ def test_free_reduction():
 
 def test_fiber_identity_product():
     d = load_datum("s3_over_s2")
-    e = d.fiber_identity()
+    e = FiberElement(d.wtilde.identity, ())
     assert d.fiber_mul(e, e) == e
 
 
 def test_fiber_splitting_inverse_cancels():
     d = load_datum("s3_over_s2")
     g = d.r_tilde(((0, 1),))
-    assert d.fiber_mul(g, d.fiber_inv(g)) == d.fiber_identity()
+    assert d.fiber_mul(g, d.fiber_inv(g)) == FiberElement(d.wtilde.identity, ())
 
 
 def test_fiber_componentwise_inertia_product():

@@ -18,7 +18,14 @@ from monodromy.induce import (
 )
 from monodromy.invariants import compute_chi_invariants, with_relation_character
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
-from corpus import FIXTURES, chi_specs, load_datum, manifest, s3_rank2_generators
+from corpus import (
+    FIXTURES,
+    chi_specs,
+    load_datum,
+    manifest,
+    nontrivial_character,
+    s3_rank2_generators,
+)
 
 
 def rat(x):
@@ -391,7 +398,7 @@ def test_r2_s3_group_algebra():
 
 def test_r2_q8_nontrivial_relation():
     d = load_datum("quaternion_over_v4")
-    chi = next(c for c in d.characters() if not c.is_trivial())
+    chi = nontrivial_character(d)
     inv = compute_chi_invariants(d, chi)
     rbars = {a: default_rbar(d, chi, inv, a) for a in range(2)}
     z2_plus_1 = CycPoly([rat(1), rat(0), rat(1)])

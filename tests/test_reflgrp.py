@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from monodromy.cyclo import CycMatrix, CycNumber, zeta
@@ -77,17 +75,18 @@ def test_words_realize_elements():
 
 
 def test_mul_table_matches_matrix_products():
-    g = enumerate_group(catalog(3, 1, 2))
-    rng = random.Random(11)
-    for _ in range(100):
-        i = rng.randrange(len(g))
-        j = rng.randrange(len(g))
-        assert g.elements[g.mul(i, j)] == g.elements[i] * g.elements[j]
+    # every pair in the trivial group, mu_3 in rank one, G(3,1,2), G(2,1,3)
+    for gens in [[mat([[1]])], catalog(3, 1, 1), catalog(3, 1, 2), catalog(2, 1, 3)]:
+        g = enumerate_group(gens)
+        for i in range(len(g)):
+            for j in range(len(g)):
+                assert g.elements[g.mul(i, j)] == g.elements[i] * g.elements[j]
 
 
 def test_inverses_and_orders():
     g = enumerate_group(catalog(4, 2, 2))
     for i in range(len(g)):
+        assert g.elements[g.inv(i)] == g.elements[i].inverse()
         assert g.mul(i, g.inv(i)) == 0
         assert g.mul(g.inv(i), i) == 0
         k = g.element_order(i)
@@ -139,7 +138,7 @@ def test_reflection_count_identity():
             for i in range(1, len(g))
             if (g.elements[i] - CycMatrix.identity(g.rank)).rank() == 1
         ]
-        assert arr.reflection_count() == len(reflections)
+        assert sum(h.order - 1 for h in arr.hyperplanes) == len(reflections)
 
 
 def test_distinguished_generator_powers():
@@ -194,15 +193,23 @@ def test_stabilizers_fix_their_hyperplane_pointwise(mpr):
         assert h.stabilizer_elements == expected
 
 
+def _canonical(normal):
+    """The covector scaled so that its first nonzero entry is 1."""
+    lead = next(c for c in normal if not c.is_zero()).inverse()
+    return tuple(c * lead for c in normal)
+
+
 def test_conjugation_permutes_hyperplanes():
+    # the matrix action is the reference: w sends the hyperplane with
+    # normal covector n to the one with normal n * M_w^-1
     for mpr in [(2, 1, 2), (3, 3, 2), (1, 1, 3), (3, 1, 2), (2, 1, 3)]:
         g = enumerate_group(catalog(*mpr))
         arr = hyperplanes(g)
         for w in range(len(g)):
+            m_inv_t = g.elements[w].inverse().transpose()
             for a, h in enumerate(arr.hyperplanes):
-                b = arr.act(w, a)
-                conj = g.mul(g.mul(w, h.distinguished_generator), g.inv(w))
-                assert conj == arr[b].distinguished_generator
+                expected = arr.index_of_normal(_canonical(m_inv_t.apply(h.normal)))
+                assert arr.act(w, a) == expected
 
 
 # ---------------------------------------------------------------------------
