@@ -98,7 +98,7 @@ def _certify_model(m: CarouselModel):
     if m.mu_e != (m.lambda_inv**m.e) * CycNumber.rational(m.k):
         raise IntegrityError("family monodromy is not the signed power")
     # the family monodromy takes basis vector 0 to basis vector e
-    u0 = tuple(ONE if i == 0 else ZERO for i in range(n))
+    u0 = tuple([ONE if i == 0 else ZERO for i in range(n)])
     image = m.mu_e.apply(u0)
     expected = [ZERO] * n
     if m.e < n:

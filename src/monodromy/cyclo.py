@@ -41,11 +41,21 @@ its columns are already sorted, and a field has no zero divisors, so no
 entry vanishes.  Such a row is therefore canonical as it stands and skips
 the accumulator, its sort and its zero filter.
 
+Tuples are built from lists, not from generators.  CPython sizes
+``tuple(generator)`` at ten slots and then resizes it, so the block comes
+from the free list of 10-tuples and goes back, when the tuple dies, to the
+free list of its final size.  Those per-size lists keep up to 2000 idle
+tuples each: about 2 MB that a long carousel run never gives back.
+
 One sparse Gauss-Jordan elimination serves rank, inverse and the minimal
 polynomial.  For the last, the powers I, m, m^2, ... are flattened into
 rows, each tagged by a column of its own, and reduced in turn; the first
 power that reduces to its tags alone gives the coefficients of the
-minimal polynomial.
+minimal polynomial.  A weighted permutation (one nonzero per row, no two
+in a column, such as every carousel model and the Hecke generators with
+unit relations) is read in closed form instead: its inverse reverses the
+permutation and inverts the weights, and when all its cycles share one
+length l and one weight product c its minimal polynomial is x^l - c.
 """
 
 from __future__ import annotations
@@ -420,7 +430,7 @@ class CycNumber:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _neg(a: CycNumber) -> CycNumber:
-    return CycNumber(a.order, tuple(-c for c in a.coeffs))
+    return CycNumber(a.order, tuple([-c for c in a.coeffs]))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -433,7 +443,7 @@ def _add(a: CycNumber, b: CycNumber) -> CycNumber:
     if n > MAX_ORDER:
         raise CapacityError(f"cyclotomic order {n} exceeds bound {MAX_ORDER}")
     if a.order == b.order:
-        vec = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+        vec = tuple([x + y for x, y in zip(a.coeffs, b.coeffs)])
     else:
         vec = _reduce_exponents(n, a.lift_terms(n) + b.lift_terms(n))
     m, vec = _minimalize(n, vec)
@@ -448,7 +458,7 @@ def _mul(a: CycNumber, b: CycNumber) -> CycNumber:
             return ZERO
         if q == 1:
             return a
-        return CycNumber(a.order, tuple(c * q for c in a.coeffs))
+        return CycNumber(a.order, tuple([c * q for c in a.coeffs]))
     n = math.lcm(a.order, b.order)
     if n > MAX_ORDER:
         raise CapacityError(f"cyclotomic order {n} exceeds bound {MAX_ORDER}")
@@ -511,7 +521,7 @@ class CycPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(CycNumber._coerce(c) for c in coeffs)
+        coeffs = tuple([CycNumber._coerce(c) for c in coeffs])
         if not coeffs:
             raise DomainError("a monic polynomial needs at least one coefficient")
         if not coeffs[-1].is_one():
@@ -579,7 +589,7 @@ def theta(r: CycPoly) -> CycPoly:
     if c0.is_zero():
         raise DomainError("involution requires a nonzero constant term")
     inv = c0.inverse()
-    return CycPoly(tuple(c * inv for c in reversed(r.coeffs)))
+    return CycPoly(tuple([c * inv for c in reversed(r.coeffs)]))
 
 
 def detect_power_factor(r: CycPoly, e: int):
@@ -622,7 +632,7 @@ class CycMatrix:
     __slots__ = ("rows", "cols", "sparse_rows", "_hash")
 
     def __init__(self, entries):
-        entries = tuple(tuple(CycNumber._coerce(x) for x in row) for row in entries)
+        entries = tuple([tuple([CycNumber._coerce(x) for x in row]) for row in entries])
         if not entries or not entries[0]:
             raise DomainError("matrices must be nonempty")
         cols = len(entries[0])
@@ -630,9 +640,9 @@ class CycMatrix:
             raise DomainError("ragged matrix rows")
         self.rows = len(entries)
         self.cols = cols
-        self.sparse_rows = tuple(
-            tuple((j, x) for j, x in enumerate(row) if not x.is_zero()) for row in entries
-        )
+        self.sparse_rows = tuple([
+            tuple([(j, x) for j, x in enumerate(row) if not x.is_zero()]) for row in entries
+        ])
         self._hash = None
 
     @classmethod
@@ -661,10 +671,10 @@ class CycMatrix:
         return CycMatrix._from_sparse(
             rows,
             cols,
-            tuple(
-                tuple((j, row[j]) for j in sorted(row) if not row[j].is_zero())
+            tuple([
+                tuple([(j, row[j]) for j in sorted(row) if not row[j].is_zero()])
                 for row in buckets
-            ),
+            ]),
         )
 
     @staticmethod
@@ -676,7 +686,7 @@ class CycMatrix:
         return CycMatrix._from_sparse(
             len(values),
             len(values),
-            tuple(() if c.is_zero() else ((i, c),) for i, c in enumerate(values)),
+            tuple([() if c.is_zero() else ((i, c),) for i, c in enumerate(values)]),
         )
 
     @staticmethod
@@ -726,7 +736,7 @@ class CycMatrix:
             for j, y in rb:
                 x = acc.get(j)
                 acc[j] = y if x is None else x + y
-            out.append(tuple((j, acc[j]) for j in sorted(acc) if not acc[j].is_zero()))
+            out.append(tuple([(j, acc[j]) for j in sorted(acc) if not acc[j].is_zero()]))
         return CycMatrix._from_sparse(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other):
@@ -736,7 +746,7 @@ class CycMatrix:
         return CycMatrix._from_sparse(
             self.rows,
             self.cols,
-            tuple(tuple((j, -x) for j, x in row) for row in self.sparse_rows),
+            tuple([tuple([(j, -x) for j, x in row]) for row in self.sparse_rows]),
         )
 
     def __mul__(self, other):
@@ -747,7 +757,7 @@ class CycMatrix:
             if c.is_zero():
                 rows = ((),) * self.rows
             else:
-                rows = tuple(tuple((j, x * c) for j, x in row) for row in self.sparse_rows)
+                rows = tuple([tuple([(j, x * c) for j, x in row]) for row in self.sparse_rows])
             return CycMatrix._from_sparse(self.rows, self.cols, rows)
         if not isinstance(other, CycMatrix):
             return NotImplemented
@@ -761,7 +771,7 @@ class CycMatrix:
             if len(ra) == 1:
                 # canonical as it stands (see the class docstring)
                 (k, a), = ra
-                out.append(b[k] if a is ONE else tuple((j, a * y) for j, y in b[k]))
+                out.append(b[k] if a is ONE else tuple([(j, a * y) for j, y in b[k]]))
                 continue
             acc: dict = {}
             for k, a in ra:
@@ -769,7 +779,7 @@ class CycMatrix:
                     term = a * y
                     x = acc.get(j)
                     acc[j] = term if x is None else x + term
-            out.append(tuple((j, acc[j]) for j in sorted(acc) if not acc[j].is_zero()))
+            out.append(tuple([(j, acc[j]) for j in sorted(acc) if not acc[j].is_zero()]))
         return CycMatrix._from_sparse(self.rows, other.cols, tuple(out))
 
     __rmul__ = __mul__
@@ -793,7 +803,7 @@ class CycMatrix:
         for i, row in enumerate(self.sparse_rows):
             for j, x in row:
                 cols[j].append((i, x))
-        return CycMatrix._from_sparse(self.cols, self.rows, tuple(map(tuple, cols)))
+        return CycMatrix._from_sparse(self.cols, self.rows, tuple([tuple(col) for col in cols]))
 
     def kron(self, other: "CycMatrix") -> "CycMatrix":
         """Kronecker product: block (i, j) is self[i][j] * other."""
@@ -801,11 +811,11 @@ class CycMatrix:
         return CycMatrix._from_sparse(
             self.rows * other.rows,
             self.cols * width,
-            tuple(
-                tuple((j * width + l, a * b) for j, a in ra for l, b in rb)
+            tuple([
+                tuple([(j * width + l, a * b) for j, a in ra for l, b in rb])
                 for ra in self.sparse_rows
                 for rb in other.sparse_rows
-            ),
+            ]),
         )
 
     def __pow__(self, k: int):
@@ -838,10 +848,19 @@ class CycMatrix:
         return rank
 
     def inverse(self) -> "CycMatrix":
-        """Gauss-Jordan elimination on the rows augmented by the identity."""
+        """Gauss-Jordan elimination on the rows augmented by the identity.
+
+        A weighted permutation (m e_j = a e_i) needs none: its inverse sends
+        e_i to a^-1 e_j."""
         if not self.is_square():
             raise DomainError("only square matrices are invertible")
         n = self.rows
+        perm = _weighted_permutation(self)
+        if perm is not None:
+            targets, weights = perm
+            return CycMatrix._from_sparse(
+                n, n, tuple([((i, a.inverse()),) for i, a in zip(targets, weights)])
+            )
         a = [dict(r) for r in self.sparse_rows]
         for i, row in enumerate(a):
             row[n + i] = ONE
@@ -852,7 +871,7 @@ class CycMatrix:
             a[col], a[sel] = a[sel], a[col]
             _make_pivot(a, col, col)
         return CycMatrix._from_sparse(
-            n, n, tuple(tuple((j - n, row[j]) for j in sorted(row) if j >= n) for row in a)
+            n, n, tuple([tuple([(j - n, row[j]) for j in sorted(row) if j >= n]) for row in a])
         )
 
     def is_zero(self) -> bool:
@@ -868,6 +887,24 @@ class CycMatrix:
     @staticmethod
     def from_json(obj) -> "CycMatrix":
         return CycMatrix([[CycNumber.from_json(x) for x in row] for row in obj])
+
+
+def _weighted_permutation(m: CycMatrix):
+    """(targets, weights) with m e_j = weights[j] e_{targets[j]} for every
+    column j, when the square m holds one nonzero per row and no two in a
+    column; otherwise None."""
+    n = m.rows
+    targets: list = [None] * n
+    weights: list = [None] * n
+    for i, row in enumerate(m.sparse_rows):
+        if len(row) != 1:
+            return None
+        (j, a), = row
+        if targets[j] is not None:
+            return None
+        targets[j] = i
+        weights[j] = a
+    return targets, weights
 
 
 def _make_pivot(rows: list[dict], p: int, col: int):
@@ -907,10 +944,38 @@ def minpoly_matrix(m: CycMatrix) -> CycPoly:
     n*n + k, and Gauss-Jordan reduced against the earlier powers.  The
     first power that reduces to tags alone carries the coefficients of the
     dependence in its tags.
+
+    A weighted permutation (m e_j = a_j e_{t(j)}) whose cycles of t all have
+    the same length l and the same weight product c needs no elimination:
+    its minimal polynomial is x^l - c.  Indeed m^l e_j is the product of
+    the weights around the cycle of j times e_j, so m^l = c I; and
+    e_j, m e_j, ..., m^(l-1) e_j are nonzero multiples of the l distinct
+    basis vectors on that cycle, hence independent, so no nonzero
+    polynomial of degree below l annihilates m.  Any other matrix, mixed
+    cycle shapes included, is eliminated.
     """
     if not m.is_square():
         raise DomainError("minimal polynomials need a square matrix")
     n = m.rows
+    perm = _weighted_permutation(m)
+    if perm is not None:
+        targets, weights = perm
+        shapes = set()
+        seen = [False] * n
+        for start in range(n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            length, c, j = 1, weights[start], targets[start]
+            while j != start:
+                seen[j] = True
+                length, c, j = length + 1, c * weights[j], targets[j]
+            shapes.add((length, c))
+            if len(shapes) > 1:
+                break
+        if len(shapes) == 1:
+            (length, c), = shapes
+            return CycPoly((-c,) + (ZERO,) * (length - 1) + (ONE,))
     width = n * n
     rows: list[dict] = []
     pivot_row: dict[int, int] = {}  # pivot column -> index into rows

@@ -64,6 +64,9 @@ def _check_relation(poly: CycPoly, what: str):
 
 
 def _certify_generators(h: HeckeAlgebra):
+    """Each generator's minimal polynomial is its declared relation.  A
+    matrix is invertible exactly when its minimal polynomial has a nonzero
+    constant term, so that check proves invertibility."""
     for key, m in h.generators.items():
         got = minpoly_matrix(m)
         if got != h.params[key]:
@@ -71,7 +74,8 @@ def _certify_generators(h: HeckeAlgebra):
                 f"generator {key}: minimal polynomial {got!r} differs from "
                 f"the declared relation {h.params[key]!r}"
             )
-        m.inverse()  # invertibility; DomainError would signal a broken build
+        if got.constant_term.is_zero():
+            raise IntegrityError(f"generator {key} is not invertible")
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +180,12 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
     reflections = sorted(
         (h.distinguished_generator, a) for a, h in enumerate(arr.hyperplanes)
     )
+    # reflections that generate the group fix only what every reflection
+    # fixes, and k of them fix a subspace of codimension at most k, so no
+    # set smaller than the rank of the span of the normals can generate it
+    smallest = CycMatrix([h.normal for h in arr.hyperplanes]).rank()
     candidates_tried = 0
-    for size in range(1, len(reflections) + 1):
+    for size in range(smallest, len(reflections) + 1):
         for combo in itertools.combinations(reflections, size):
             elems = [c[0] for c in combo]
             if len(subgroup_generated(group, elems)) != len(group):

@@ -312,6 +312,26 @@ def test_base_group_larger_than_cover_is_refused_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infinite_dihedral_base_group_is_refused_at_once(tmp_path, capsys):
+    # two involutions whose product [[-1, 0], [2, -1]] has infinite order
+    # generate an infinite dihedral group; each generator alone is finite
+    datum = json.loads((FIXTURES / "b2_split_z2.json").read_text())
+    datum["group"]["generators"] = [
+        CycMatrix([[CycNumber.rational(x) for x in row] for row in m]).to_json()
+        for m in ([[-1, 0], [0, 1]], [[1, 0], [2, -1]])
+    ]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["analyze", str(path), "--chi", "trivial", "--out", str(out)])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "larger than the covering group" in err
+    assert not out.exists()
+
+
 def test_field_overflow_inside_closure_stays_capacity_error(tmp_path, capsys):
     # zeta_13 * zeta_11 needs order 143, past the cyclotomic bound; the
     # closure meets it before its own cap, and it is not a group-size error

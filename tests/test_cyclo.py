@@ -711,6 +711,82 @@ def test_minpoly_annihilates_and_matches_krylov_rank(a):
     p = minpoly_matrix(m)
     assert evaluate(p, m).is_zero()
     assert p.degree == krylov_rank(m)
+    assert p == dense_minpoly(a)
+
+
+def dense_minpoly(a):
+    """The first dependence among the flattened powers I, a, a^2, ...,
+    found by dense row echelon form with one tag column per power."""
+    n = len(a)
+    width = n * n
+    basis = []  # (pivot column, row scaled to one there)
+    power = tuple(tuple(rat(int(i == j)) for j in range(n)) for i in range(n))
+    for k in range(n + 1):
+        row = [x for r in power for x in r] + [rat(int(t == k)) for t in range(n + 1)]
+        for pivot, prow in basis:
+            f = row[pivot]
+            if not f.is_zero():
+                row = [x - f * y for x, y in zip(row, prow)]
+        pivot = next((c for c in range(width) if not row[c].is_zero()), None)
+        if pivot is None:
+            return CycPoly.monic(row[width:width + k + 1])
+        inv = row[pivot].inverse()
+        basis.append((pivot, [x * inv for x in row]))
+        power = dense_mul(power, a)
+    raise AssertionError("n + 1 powers are dependent")
+
+
+permutation_weights = st.one_of(
+    st.builds(zeta, st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]), st.integers(0, 11)),
+    small_rationals.filter(bool).map(rat),
+)
+
+
+@st.composite
+def weighted_permutations(draw):
+    """Dense rows of a matrix with m e_j = a_j e_t(j): cycles of t of one
+    length and one weight product, of mixed lengths, or of one length with
+    independent weights (so mostly mixed products)."""
+    kind = draw(st.sampled_from(["equal", "mixed_lengths", "mixed_products"]))
+    if kind == "mixed_lengths":
+        lengths = draw(
+            st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(
+                lambda ls: len(set(ls)) > 1
+            )
+        )
+    else:
+        lengths = [draw(st.integers(1, 4))] * draw(st.integers(1 if kind == "equal" else 2, 2))
+    n = sum(lengths)
+    weights = draw(st.lists(permutation_weights, min_size=n, max_size=n))
+    if kind == "equal":
+        # the last weight of each later cycle matches the first cycle's product
+        ell = lengths[0]
+        product = math.prod(weights[:ell], start=ONE)
+        for start in range(ell, n, ell):
+            weights[start + ell - 1] = product / math.prod(
+                weights[start:start + ell - 1], start=ONE
+            )
+    labels = draw(st.permutations(range(n)))
+    dense = [[ZERO] * n for _ in range(n)]
+    start = 0
+    for ell in lengths:
+        for k in range(ell):
+            j, t = labels[start + k], labels[start + (k + 1) % ell]
+            dense[t][j] = weights[start + k]
+        start += ell
+    return tuple(map(tuple, dense))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_permutations())
+def test_weighted_permutation_minpoly_and_inverse_match_dense(a):
+    m = CycMatrix(a)
+    assert minpoly_matrix(m) == dense_minpoly(a)
+    inverse = m.inverse()
+    assert_canonical(inverse)
+    assert inverse.entries == dense_inverse(a)
+    identity = CycMatrix.identity(m.rows)
+    assert m * inverse == identity == inverse * m
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
-from monodromy.errors import ParameterError, RegimeError
+from monodromy.errors import IntegrityError, ParameterError, RegimeError
 from monodromy.hecke import (
+    HeckeAlgebra,
+    _certify_generators,
     _closure_certificate,
     _descent_matrices,
     build_coxeter,
@@ -57,6 +59,15 @@ def test_cyclic_generic_quadratic():
 def test_cyclic_rejects_zero_constant():
     with pytest.raises(ParameterError):
         build_cyclic(poly(0, 1, 1))
+
+
+def test_generator_certificate_refuses_a_singular_generator():
+    # a nilpotent generator whose minimal polynomial z^2 is its declared
+    # relation: the relation matches, but the generator is not invertible
+    nilpotent = CycMatrix.from_triples(2, 2, [(1, 0, rat(1))])
+    h = HeckeAlgebra("cyclic", 2, {"t": nilpotent}, {"t": poly(0, 0, 1)})
+    with pytest.raises(IntegrityError, match="not invertible"):
+        _certify_generators(h)
 
 
 def test_cyclic_orders_up_to_twelve():
