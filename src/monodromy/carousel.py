@@ -156,7 +156,7 @@ def twist_from_extension(
     n = datum.arrangement[alpha].order
     r = datum.splitting[alpha]
     full_turn = datum.wtilde.power(r, n)
-    if datum.q[full_turn] != datum.group.identity_index:
+    if datum.q[full_turn] != datum.group.identity:
         raise IntegrityError(
             f"splitting element at hyperplane {alpha} does not close up: "
             f"its {n}-th power is not in the kernel"

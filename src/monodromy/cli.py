@@ -220,7 +220,7 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
         if len(meet) > 2:
             return None, _unsupported_hecke(inv, f"local order {len(meet)} at hyperplane {a}")
         if len(meet) == 2:
-            gens.append(next(i for i in meet if i != group.identity_index))
+            gens.append(next(i for i in meet if i != group.identity))
     arr = datum.arrangement
     if len(sub) != len(group):
         subgroup = enumerate_group([group.elements[g] for g in sorted(set(gens))])
@@ -258,7 +258,7 @@ def _mchi_stage(datum, chi, inv, hecke_algebra, rbar_by_alpha):
     otherwise.  Returns (section, warnings)."""
     warnings = []
     group = datum.group
-    if inv.w_chi_zero == (group.identity_index,):
+    if inv.w_chi_zero == (group.identity,):
         try:
             module = build_full_r1(datum, chi, inv)
             return module.to_json(), warnings
@@ -345,13 +345,7 @@ def run_analyze(datum_path, chi_spec, rbar_path=None, convention=None):
         inv = with_relation_character(inv, rbar_by_alpha)
         verdicts.extend(inv.checks)
         gen_ok, gen_witness = check_generation(datum, inv)
-        verdicts.append(
-            CheckResult(
-                "chi.local_generation",
-                "pass" if gen_ok else "fail",
-                gen_witness,
-            )
-        )
+        verdicts.append(CheckResult.of("chi.local_generation", gen_ok, gen_witness))
         if not gen_ok:
             raise IntegrityError(f"generation check failed: {gen_witness}")
         report["chi_invariants"] = inv.to_json()
@@ -382,13 +376,10 @@ def run_analyze(datum_path, chi_spec, rbar_path=None, convention=None):
             verdicts.append(CheckResult(check["name"], check["status"], check["witness"]))
         ledger = mchi_section["ledger"]
         verdicts.append(
-            CheckResult(
+            CheckResult.of(
                 "m_chi.dimension_identities",
-                "pass"
-                if ledger["dim_mchi"] == len(datum.group)
-                and ledger["dim_m0"] * ledger["index"] == ledger["dim_mchi"]
-                else "fail",
-                None,
+                ledger["dim_mchi"] == len(datum.group)
+                and ledger["dim_m0"] * ledger["index"] == ledger["dim_mchi"],
             )
         )
     except ParameterError as exc:

@@ -1,16 +1,18 @@
 """Finite extensions of a reflection group with a distinguished splitting.
 
-The covering group is given by a Cayley table, the projection by an index
-map, and the splitting by one covering element per hyperplane.  Characters
-of the kernel are stored by their values (roots of unity).  Elements of the
-pulled-back braid cover are pairs (covering element, braid word); braid
-words are sequences of (hyperplane, +-1) letters and are only ever consumed
-through homomorphism evaluation, never compared for equality.
+The covering group is a ``reflgrp.CayleyGroup`` read from the datum's
+table, the group law it shares with the base group.  The projection is an
+index map, and the splitting is one covering element per hyperplane.
+Characters of the kernel are stored by their values (roots of unity).
+Elements of the pulled-back braid cover are pairs (covering element, braid
+word); braid words are sequences of (hyperplane, +-1) letters and are only
+ever consumed through homomorphism evaluation, never compared for equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclo import CycNumber, json_int
 from .errors import (
@@ -20,112 +22,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .reflgrp import Arrangement, ReflectionGroup
-
-WTILDE_CAP = 2_000
-
-
-class CayleyGroup:
-    """A finite group presented by its multiplication table."""
-
-    def __init__(self, table, generators=None):
-        if len(table) > WTILDE_CAP:
-            raise ParseError(f"covering group order {len(table)} exceeds cap {WTILDE_CAP}")
-        n = len(table)
-        if n == 0 or any(len(row) != n for row in table):
-            raise ParseError("multiplication table must be square and nonempty")
-        for row in table:
-            for x in row:
-                if type(x) is not int or not 0 <= x < n:
-                    raise ParseError(f"table entry {x!r} out of range")
-        self.table = tuple(tuple(row) for row in table)
-        self.order = n
-        self.generators = list(generators) if generators else list(range(n))
-        for g in self.generators:
-            if type(g) is not int or not 0 <= g < n:
-                raise ParseError(f"covering group generator {g!r} out of range")
-        self._identity = None
-        self._inv: list[int | None] = [None] * n
-
-    @property
-    def identity(self) -> int:
-        if self._identity is None:
-            for e in range(self.order):
-                if all(
-                    self.table[e][x] == x and self.table[x][e] == x
-                    for x in range(self.order)
-                ):
-                    self._identity = e
-                    break
-            else:
-                raise ValidationError("multiplication table has no identity")
-        return self._identity
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        cached = self._inv[a]
-        if cached is not None:
-            return cached
-        e = self.identity
-        for b in range(self.order):
-            if self.table[a][b] == e and self.table[b][a] == e:
-                self._inv[a] = b
-                return b
-        raise ValidationError(f"element {a} has no inverse")
-
-    def conjugate(self, a: int, x: int) -> int:
-        """a x a^{-1}."""
-        return self.mul(self.mul(a, x), self.inv(a))
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        out = self.identity
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
-
-    def element_order(self, a: int) -> int:
-        e = self.identity
-        cur = a
-        n = 1
-        while cur != e:
-            cur = self.mul(cur, a)
-            n += 1
-        return n
-
-    def associativity_witness(self):
-        """A failing triple for Light's associativity test, or None.
-
-        The generating set is augmented until it spans the table, which
-        keeps the test sound for arbitrary input tables.
-        """
-        gens = list(dict.fromkeys(self.generators))
-        covered = set(gens) | {self.identity}
-        frontier = list(covered)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = self.table[a][g]
-                    if b not in covered:
-                        covered.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        for extra in range(self.order):
-            if extra not in covered:
-                gens.append(extra)
-        for g in gens:
-            for a in range(self.order):
-                ag = self.table[a][g]
-                row_g = self.table[g]
-                row_ag = self.table[ag]
-                for b in range(self.order):
-                    if self.table[a][row_g[b]] != row_ag[b]:
-                        return (a, g, b)
-        return None
+from .reflgrp import Arrangement, CayleyGroup, ReflectionGroup
 
 
 class Character:
@@ -184,6 +81,11 @@ class CheckResult:
     status: str  # "pass", "fail", or "assumed"
     witness: str | None = None
 
+    @classmethod
+    def of(cls, name: str, ok: bool, witness: str | None = None) -> "CheckResult":
+        """A pass, or a fail that carries its witness."""
+        return cls(name, "pass" if ok else "fail", None if ok else witness)
+
     def to_json(self) -> dict:
         return {"name": self.name, "status": self.status, "witness": self.witness}
 
@@ -222,18 +124,18 @@ class ExtensionDatum:
         braid_relations: list | None = None,
         convention: str = "left",
     ):
-        if len(q) != wtilde.order:
+        if len(q) != len(wtilde):
             raise ParseError("projection map must cover the whole covering group")
         if any(not 0 <= w < len(group) for w in q):
             raise ParseError("projection map image out of range")
-        if any(not 0 <= r < wtilde.order for r in splitting.values()):
+        if any(not 0 <= r < len(wtilde) for r in splitting.values()):
             raise ParseError("splitting value outside the covering group")
         for what, keyed in (("wtilde_alpha", wtilde_alpha), ("sgn", sgn), ("twist", twist)):
             extra = sorted(a for a in keyed or () if not 0 <= a < len(arrangement))
             if extra:
                 raise ParseError(f"{what} keys {extra} name no hyperplane")
         for a, members in (wtilde_alpha or {}).items():
-            off = sorted(x for x in members if not 0 <= x < wtilde.order)
+            off = sorted(x for x in members if not 0 <= x < len(wtilde))
             if off:
                 raise ParseError(
                     f"wtilde_alpha[{a}] members {off} name no covering element"
@@ -251,7 +153,7 @@ class ExtensionDatum:
         self.q = tuple(q)
         self.splitting = dict(splitting)
         self.kernel = tuple(
-            sorted(i for i, w in enumerate(q) if w == group.identity_index)
+            sorted(i for i, w in enumerate(q) if w == group.identity)
         )
         self.tau = dict(tau) if tau else {x: 1 for x in self.kernel}
         self.wtilde_alpha_override = dict(wtilde_alpha) if wtilde_alpha else {}
@@ -262,28 +164,30 @@ class ExtensionDatum:
         if convention not in ("left", "inverse"):
             raise ParseError(f"unknown inertia convention {convention!r}")
         self.convention = convention
-        self._sections: list[int | None] = [None] * len(group)
         self._kernel_set = set(self.kernel)
 
     # -- basic structure ---------------------------------------------------
 
+    @cached_property
+    def _sections(self) -> dict[int, int]:
+        """The least covering element over each base element in the image."""
+        out: dict[int, int] = {}
+        for wt, w in enumerate(self.q):
+            out.setdefault(w, wt)
+        return out
+
     def section(self, w: int) -> int:
         """The least covering element over a base element."""
-        cached = self._sections[w]
-        if cached is not None:
-            return cached
-        for wt in range(self.wtilde.order):
-            if self.q[wt] == w:
-                self._sections[w] = wt
-                return wt
-        raise ValidationError(f"projection map misses base element {w}")
+        if w not in self._sections:
+            raise ValidationError(f"projection map misses base element {w}")
+        return self._sections[w]
 
     def wtilde_alpha(self, alpha: int) -> frozenset:
         if alpha in self.wtilde_alpha_override:
             return self.wtilde_alpha_override[alpha]
         members = self.arrangement[alpha].stabilizer_elements
         target = set(members)
-        return frozenset(wt for wt in range(self.wtilde.order) if self.q[wt] in target)
+        return frozenset(wt for wt, w in enumerate(self.q) if w in target)
 
     # -- words and the fiber product ----------------------------------------
 
@@ -293,7 +197,7 @@ class ExtensionDatum:
         return self.group.inv(s) if exp > 0 else s
 
     def p_of_word(self, word) -> int:
-        out = self.group.identity_index
+        out = self.group.identity
         for letter in word:
             out = self.group.mul(out, self.p_of_letter(letter))
         return out
@@ -470,12 +374,6 @@ def check_character(e: ExtensionDatum, chi: Character):
 def validate(e: ExtensionDatum) -> ValidationReport:
     """Run every datum invariant; failures carry witnesses."""
     checks: list[CheckResult] = []
-
-    def record(name, ok, witness=None):
-        checks.append(
-            CheckResult(name, "pass" if ok else "fail", None if ok else witness)
-        )
-
     wt = e.wtilde
     try:
         wt.identity
@@ -483,48 +381,46 @@ def validate(e: ExtensionDatum) -> ValidationReport:
         identity_witness = None
     except ValidationError as exc:
         identity_ok, identity_witness = False, str(exc)
-    record("wtilde.identity", identity_ok, identity_witness)
+    checks.append(CheckResult.of("wtilde.identity", identity_ok, identity_witness))
     if not identity_ok:
         return ValidationReport(checks)
 
     bad = wt.associativity_witness()
-    record("wtilde.associative", bad is None, f"triple {bad}" if bad else None)
+    checks.append(CheckResult.of("wtilde.associative", bad is None, f"triple {bad}"))
 
-    inverse_witness = None
-    for a in range(wt.order):
-        try:
-            wt.inv(a)
-        except ValidationError:
-            inverse_witness = f"element {a}"
-            break
-    record("wtilde.inverses", inverse_witness is None, inverse_witness)
-    if not checks[-1].status == "pass" or bad is not None:
+    lacking = next((a for a, b in enumerate(wt.inverses) if b is None), None)
+    checks.append(CheckResult.of("wtilde.inverses", lacking is None, f"element {lacking}"))
+    if lacking is not None or bad is not None:
         return ValidationReport(checks)
 
     hom_witness = None
-    for a in range(wt.order):
+    for a in range(len(wt)):
         qa = e.q[a]
-        for b in range(wt.order):
+        for b in range(len(wt)):
             if e.q[wt.mul(a, b)] != e.group.mul(qa, e.q[b]):
                 hom_witness = f"pair ({a},{b})"
                 break
         if hom_witness:
             break
-    record("q.homomorphism", hom_witness is None, hom_witness)
+    checks.append(CheckResult.of("q.homomorphism", hom_witness is None, hom_witness))
 
     image = set(e.q)
-    record(
-        "q.surjective",
-        len(image) == len(e.group),
-        f"missing base elements {sorted(set(range(len(e.group))) - image)}",
+    checks.append(
+        CheckResult.of(
+            "q.surjective",
+            len(image) == len(e.group),
+            f"missing base elements {sorted(set(range(len(e.group))) - image)}",
+        )
     )
 
     missing = [a for a in range(len(e.arrangement)) if a not in e.splitting]
     extra = [a for a in e.splitting if not 0 <= a < len(e.arrangement)]
-    record(
-        "splitting.covers_hyperplanes",
-        not missing and not extra,
-        f"missing {missing}, extraneous {extra}",
+    checks.append(
+        CheckResult.of(
+            "splitting.covers_hyperplanes",
+            not missing and not extra,
+            f"missing {missing}, extraneous {extra}",
+        )
     )
     if missing or extra:
         return ValidationReport(checks)
@@ -536,14 +432,16 @@ def validate(e: ExtensionDatum) -> ValidationReport:
         if e.q[e.splitting[a]] != e.group.inv(s):
             witness = f"hyperplane {a}"
             break
-    record("splitting.maps_to_inverse_generator", witness is None, witness)
+    checks.append(
+        CheckResult.of("splitting.maps_to_inverse_generator", witness is None, witness)
+    )
 
     witness = None
     for a, sub in enumerate(local):
         if e.splitting[a] not in sub:
             witness = f"hyperplane {a}"
             break
-    record("splitting.in_local_subgroup", witness is None, witness)
+    checks.append(CheckResult.of("splitting.in_local_subgroup", witness is None, witness))
 
     witness = None
     for a, sub in enumerate(local):
@@ -558,7 +456,7 @@ def validate(e: ExtensionDatum) -> ValidationReport:
         if {e.q[x] for x in sub} != stab:
             witness = f"hyperplane {a}: base image is not the local stabilizer"
             break
-    record("local_subgroups.subgroup", witness is None, witness)
+    checks.append(CheckResult.of("local_subgroups.subgroup", witness is None, witness))
 
     witness = None
     for a, sub in enumerate(local):
@@ -568,19 +466,17 @@ def validate(e: ExtensionDatum) -> ValidationReport:
                 break
         if witness:
             break
-    record("local_subgroups.inertia_invariant", witness is None, witness)
+    checks.append(CheckResult.of("local_subgroups.inertia_invariant", witness is None, witness))
 
-    record(
-        "tau.keys",
-        set(e.tau) == set(e.kernel),
-        f"keys {sorted(e.tau)} vs kernel {list(e.kernel)}",
+    keys_ok = set(e.tau) == set(e.kernel)
+    signs_ok = all(v in (1, -1) for v in e.tau.values())
+    checks.append(
+        CheckResult.of("tau.keys", keys_ok, f"keys {sorted(e.tau)} vs kernel {list(e.kernel)}")
     )
-    record(
-        "tau.signs",
-        all(v in (1, -1) for v in e.tau.values()),
-        f"values {sorted(set(e.tau.values()) - {1, -1})}",
+    checks.append(
+        CheckResult.of("tau.signs", signs_ok, f"values {sorted(set(e.tau.values()) - {1, -1})}")
     )
-    if checks[-1].status == "pass" and checks[-2].status == "pass":
+    if keys_ok and signs_ok:
         witness = None
         for a in e.kernel:
             for b in e.kernel:
@@ -589,17 +485,17 @@ def validate(e: ExtensionDatum) -> ValidationReport:
                     break
             if witness:
                 break
-        record("tau.multiplicative", witness is None, witness)
+        checks.append(CheckResult.of("tau.multiplicative", witness is None, witness))
 
         witness = None
-        for g in range(wt.order):
+        for g in range(len(wt)):
             for x in e.kernel:
                 if e.tau[wt.conjugate(g, x)] != e.tau[x]:
                     witness = f"conjugation of {x} by {g}"
                     break
             if witness:
                 break
-        record("tau.conjugation_invariant", witness is None, witness)
+        checks.append(CheckResult.of("tau.conjugation_invariant", witness is None, witness))
 
     checks.append(
         CheckResult(
@@ -633,7 +529,7 @@ def datum_to_json(e: ExtensionDatum) -> dict:
         "name": e.name,
         "group": e.group.to_json(e.name + ".group"),
         "wtilde": {
-            "order": e.wtilde.order,
+            "order": len(e.wtilde),
             "table": [list(row) for row in e.wtilde.table],
             "generators": list(e.wtilde.generators),
         },
@@ -673,16 +569,16 @@ def datum_from_json(obj) -> ExtensionDatum:
     try:
         wspec = obj["wtilde"]
         wtilde = CayleyGroup(wspec["table"], wspec.get("generators"))
-        if wspec.get("order") is not None and wspec["order"] != wtilde.order:
+        if wspec.get("order") is not None and wspec["order"] != len(wtilde):
             raise ParseError("declared covering group order disagrees with table")
         gens = [CycMatrix.from_json(g) for g in obj["group"]["generators"]]
         # q maps the covering group onto the base group, so |W| <= |W~|
         try:
-            group = enumerate_group(gens, cap=wtilde.order)
+            group = enumerate_group(gens, cap=len(wtilde))
         except ClosureCapError as exc:
             raise ValidationError(
                 "the base group is larger than the covering group of order "
-                f"{wtilde.order}"
+                f"{len(wtilde)}"
             ) from exc
         arrangement = hyperplanes(group)
         splitting = {

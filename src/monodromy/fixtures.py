@@ -7,8 +7,8 @@ indices follow the enumeration order of the group engine.
 
 from __future__ import annotations
 
-from .extension import CayleyGroup, ExtensionDatum
-from .reflgrp import enumerate_group, hyperplanes
+from .extension import ExtensionDatum
+from .reflgrp import CayleyGroup, enumerate_group, hyperplanes
 
 
 def table_from_elements(elements, mul, generators=None):
@@ -33,7 +33,7 @@ def direct_product_datum(name, w_generators, k, tau_exponent=0, relations=None):
     def mul(a, b):
         return ((a[0] + b[0]) % k, group.mul(a[1], b[1]))
 
-    gens = [(1 % k, 0)] + [(0, g) for g in group.generator_indices]
+    gens = [(1 % k, 0)] + [(0, g) for g in group.generators]
     wtilde, index = table_from_elements(elements, mul, gens)
     q = [w for (_, w) in elements]
     splitting = {

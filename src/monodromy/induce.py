@@ -153,9 +153,9 @@ def generator_letter_decomposition(datum: ExtensionDatum):
     group = datum.group
     arr = datum.arrangement
     out = []
-    for slot in range(len(group.generator_indices)):
-        g = group.generator_indices[slot]
-        if g == group.identity_index:
+    for slot in range(len(group.generators)):
+        g = group.generators[slot]
+        if g == group.identity:
             out.append((None, 0))
             continue
         found = None
@@ -232,7 +232,7 @@ class InducedModule:
 
 
 def _check(checks, name, ok, witness=None):
-    checks.append(CheckResult(name, "pass" if ok else "fail", None if ok else witness))
+    checks.append(CheckResult.of(name, ok, witness))
     if not ok:
         raise IntegrityError(f"{name}: {witness}")
 
@@ -309,7 +309,7 @@ def build_full_r1(
     """Monomial model on coset lifts, defined when the reflection subgroup
     is trivial and the degree-one relation character is trivial."""
     group = datum.group
-    if inv.w_chi_zero != (group.identity_index,):
+    if inv.w_chi_zero != (group.identity,):
         raise RegimeError(
             "regime R1 needs a trivial reflection subgroup, got order "
             f"{len(inv.w_chi_zero)}"

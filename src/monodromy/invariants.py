@@ -88,7 +88,7 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
         jump = h.order // len(meet)
         # the meet of two subgroups of a cyclic group is the cyclic group
         # on the expected power; verified rather than assumed
-        expected = subgroup_generated(group, [_power(group, h.distinguished_generator, jump)])
+        expected = subgroup_generated(group, [group.power(h.distinguished_generator, jump)])
         if tuple(sorted(meet)) != expected:
             raise IntegrityError(
                 f"local stabilizer meet at hyperplane {a} is not generated by "
@@ -108,10 +108,10 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
     # containment in the stabilizer
     containment = set(w_chi_zero) <= w_chi_set
     checks.append(
-        CheckResult(
+        CheckResult.of(
             "chi.reflection_subgroup_in_stabilizer",
-            "pass" if containment else "fail",
-            None if containment else f"escaping elements {sorted(set(w_chi_zero) - w_chi_set)}",
+            containment,
+            f"escaping elements {sorted(set(w_chi_zero) - w_chi_set)}",
         )
     )
     if not containment:
@@ -128,20 +128,14 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
         if got != per[a].stabilizer_meet:
             witness = f"hyperplane {a}: {got} vs {per[a].stabilizer_meet}"
             break
-    checks.append(
-        CheckResult(
-            "chi.local_meet_identity",
-            "pass" if witness is None else "fail",
-            witness,
-        )
-    )
+    checks.append(CheckResult.of("chi.local_meet_identity", witness is None, witness))
     if witness is not None:
         raise IntegrityError(f"local meet identity failed: {witness}")
 
     # every generator of the reflection subgroup fixes a hyperplane
     witness = None
     for g in sorted(set(local_gens)):
-        if g == group.identity_index:
+        if g == group.identity:
             continue
         from .cyclo import CycMatrix
 
@@ -149,13 +143,7 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
         if diff.rank() != 1:
             witness = f"generator {g} does not fix a hyperplane"
             break
-    checks.append(
-        CheckResult(
-            "chi.generators_are_reflections",
-            "pass" if witness is None else "fail",
-            witness,
-        )
-    )
+    checks.append(CheckResult.of("chi.generators_are_reflections", witness is None, witness))
 
     # jump constancy along stabilizer orbits
     chi_orbits = _orbits_under(datum, w_chi)
@@ -165,9 +153,7 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
         if len(jumps) > 1:
             witness = f"orbit {orbit} has jumps {sorted(jumps)}"
             break
-    checks.append(
-        CheckResult("chi.jump_orbit_constancy", "pass" if witness is None else "fail", witness)
-    )
+    checks.append(CheckResult.of("chi.jump_orbit_constancy", witness is None, witness))
     if witness is not None:
         raise IntegrityError(f"jump invariance failed: {witness}")
 
@@ -216,13 +202,6 @@ def with_relation_character(
     return replace(inv, rho_values=rho_values, rho_trivial=rho_trivial)
 
 
-def _power(group, i: int, k: int) -> int:
-    out = group.identity_index
-    for _ in range(k):
-        out = group.mul(out, i)
-    return out
-
-
 def check_generation(datum: ExtensionDatum, inv: ChiInvariants):
     """Confirm the reflection subgroup is generated by the local meets and
     that each meet is the cyclic group on the jump-th power.  Returns
@@ -232,7 +211,7 @@ def check_generation(datum: ExtensionDatum, inv: ChiInvariants):
     gens = []
     for a in range(len(arr)):
         meet = inv.per_hyperplane[a].stabilizer_meet
-        power = _power(group, arr[a].distinguished_generator, inv.per_hyperplane[a].jump)
+        power = group.power(arr[a].distinguished_generator, inv.per_hyperplane[a].jump)
         expected = subgroup_generated(group, [power])
         if tuple(sorted(meet)) != expected:
             return False, f"hyperplane {a}: meet is not generated by the jump power"

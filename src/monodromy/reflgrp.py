@@ -1,16 +1,23 @@
-"""Finite complex reflection groups from matrix generators.
+"""Finite groups by Cayley table, and complex reflection groups from matrix
+generators.
 
-Groups are enumerated by breadth-first closure with canonical-matrix
-deduplication; every element keeps its discovery word in the input
-generators.  The group law is one Cayley table, built on first use from the
-discovery words with |W|^2 lookups and no matrix work; products and
-inverses are read from it.  The arrangement records, per reflection
-hyperplane, the cyclic pointwise stabilizer (found in the same pass over the
-elements as the normals), its order, the distinguished generator acting by
-the primitive counter-clockwise root of unity on the normal line, and the
-orbit decomposition under the group action.  An element w sends a
-hyperplane to the one whose distinguished generator is the conjugate of its
-own by w, so the action is read from the table too.
+``CayleyGroup`` is the one group law of the package: the covering group
+read from a datum's table and every enumerated reflection group are both
+instances.  Its identity and inverses are read from the rows once; products,
+powers, element orders, conjugates and Light's associativity test are read
+from the table.
+
+Reflection groups are enumerated by breadth-first closure with
+canonical-matrix deduplication; every element keeps its discovery word in
+the input generators.  Their Cayley table is built on first use from the
+discovery words with |W|^2 lookups and no matrix work.  The arrangement
+records, per reflection hyperplane, the cyclic pointwise stabilizer (found
+in the same pass over the elements as the normals), its order, the
+distinguished generator acting by the primitive counter-clockwise root of
+unity on the normal line, and the orbit decomposition under the group
+action.  An element w sends a hyperplane to the one whose distinguished
+generator is the conjugate of its own by w, so the action is read from the
+table too.
 """
 
 from __future__ import annotations
@@ -20,27 +27,144 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cyclo import ONE, ZERO, CycMatrix, CycNumber, zeta
-from .errors import ClosureCapError, DomainError, IntegrityError
+from .errors import ClosureCapError, DomainError, IntegrityError, ParseError, ValidationError
 
 DEFAULT_CAP = 20_000
+WTILDE_CAP = 2_000
 
 
-class ReflectionGroup:
-    """An enumerated finite matrix group with word and index structure."""
+class CayleyGroup:
+    """A finite group presented by its multiplication table: row a, column b
+    is the index of a * b."""
 
-    def __init__(self, rank, elements, words, rmul_gen, generator_indices):
+    def __init__(self, table, generators=None):
+        if len(table) > WTILDE_CAP:
+            raise ParseError(f"covering group order {len(table)} exceeds cap {WTILDE_CAP}")
+        n = len(table)
+        if n == 0 or any(len(row) != n for row in table):
+            raise ParseError("multiplication table must be square and nonempty")
+        for row in table:
+            for x in row:
+                if type(x) is not int or not 0 <= x < n:
+                    raise ParseError(f"table entry {x!r} out of range")
+        self.table = tuple(tuple(row) for row in table)
+        self.generators = list(generators) if generators else list(range(n))
+        for g in self.generators:
+            if type(g) is not int or not 0 <= g < n:
+                raise ParseError(f"covering group generator {g!r} out of range")
+        self._identity = self._inverses = None
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    # identity and inverses are cached in attributes set in __init__, not by
+    # cached_property: writing an instance's __dict__ makes CPython drop its
+    # compact attribute layout and slows every later read of self.table
+    @property
+    def identity(self) -> int:
+        if self._identity is None:
+            table = self.table
+            for e, row in enumerate(table):
+                if all(row[x] == x and table[x][e] == x for x in range(len(table))):
+                    self._identity = e
+                    break
+            else:
+                raise ValidationError("multiplication table has no identity")
+        return self._identity
+
+    @property
+    def inverses(self) -> list[int | None]:
+        """Per element a, the first b with a * b = b * a = identity, or None
+        where the table has no such b; ``inv`` raises on None."""
+        if self._inverses is None:
+            e, table = self.identity, self.table
+            out = []
+            for a, row in enumerate(table):
+                b = -1
+                try:
+                    while True:  # each b with a * b = e in turn, found by row.index
+                        b = row.index(e, b + 1)
+                        if table[b][a] == e:
+                            break
+                except ValueError:
+                    b = None
+                out.append(b)
+            self._inverses = out
+        return self._inverses
+
+    def mul(self, a: int, b: int) -> int:
+        return self.table[a][b]
+
+    def inv(self, a: int) -> int:
+        b = (self._inverses or self.inverses)[a]  # the property builds the list once
+        if b is None:
+            raise ValidationError(f"element {a} has no inverse")
+        return b
+
+    def conjugate(self, a: int, x: int) -> int:
+        """a x a^{-1}."""
+        return self.mul(self.mul(a, x), self.inv(a))
+
+    def power(self, a: int, k: int) -> int:
+        if k < 0:
+            return self.power(self.inv(a), -k)
+        out = self.identity
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
+
+    def element_order(self, a: int) -> int:
+        e = self.identity
+        cur = a
+        n = 1
+        while cur != e:
+            cur = self.mul(cur, a)
+            n += 1
+        return n
+
+    def associativity_witness(self):
+        """A failing triple for Light's associativity test, or None.
+
+        The generators are augmented by every element they do not reach, so
+        the test stays sound for arbitrary input tables.
+        """
+        gens = list(dict.fromkeys(self.generators))
+        spanned = set(subgroup_generated(self, gens))
+        gens += [x for x in range(len(self)) if x not in spanned]
+        table = self.table
+        for g in gens:
+            row_g = table[g]
+            for a, row_a in enumerate(table):
+                row_ag = table[row_a[g]]
+                for b in range(len(table)):
+                    if row_a[row_g[b]] != row_ag[b]:
+                        return (a, g, b)
+        return None
+
+
+class ReflectionGroup(CayleyGroup):
+    """An enumerated finite matrix group with word and index structure; the
+    identity matrix is element 0."""
+
+    identity = 0
+
+    def __init__(self, rank, elements, words, rmul_gen, generators):
         self.rank = rank
         self.elements: list[CycMatrix] = elements
         self.words: list[tuple[int, ...]] = words
         self._rmul_gen = rmul_gen  # element index x generator slot -> element index
-        self.generator_indices: list[int] = generator_indices
+        self.generators: list[int] = generators
+        self._inverses = None
+
+    # the same law as CayleyGroup.mul, in a code object of its own: CPython
+    # specialises each attribute read for one class, and validation
+    # interleaves products of W and W~ (about 30 % slower when shared); it
+    # also lets base-group products be counted apart from the cover's
+    def mul(self, a: int, b: int) -> int:
+        return self.table[a][b]
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def identity_index(self) -> int:
-        return 0
 
     @cached_property
     def table(self) -> list[list[int]]:
@@ -60,28 +184,10 @@ class ReflectionGroup:
             table.append(row)
         return table
 
-    @cached_property
-    def inverses(self) -> list[int]:
-        return [row.index(0) for row in self.table]
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverses[i]
-
-    def element_order(self, i: int) -> int:
-        n = 1
-        cur = i
-        while cur != 0:
-            cur = self.mul(cur, i)
-            n += 1
-        return n
-
     def to_json(self, name: str = "group") -> dict:
         orders = [
             x.order
-            for g in self.generator_indices
+            for g in self.generators
             for row in self.elements[g].sparse_rows
             for _, x in row
         ]
@@ -89,7 +195,7 @@ class ReflectionGroup:
             "name": name,
             "rank": self.rank,
             "cyclotomic_order": math.lcm(*orders) if orders else 1,
-            "generators": [self.elements[g].to_json() for g in self.generator_indices],
+            "generators": [self.elements[g].to_json() for g in self.generators],
         }
 
 
@@ -128,8 +234,7 @@ def enumerate_group(generators, cap: int = DEFAULT_CAP) -> ReflectionGroup:
                 row.append(j)
             rmul.append(row)
         frontier = nxt
-    gen_indices = [index[g] for g in generators]
-    return ReflectionGroup(rank, elements, words, rmul, gen_indices)
+    return ReflectionGroup(rank, elements, words, rmul, [index[g] for g in generators])
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +275,8 @@ class Arrangement:
         whose distinguished generator is w s_alpha w^-1, since conjugation
         by w carries the stabilizer of a hyperplane to that of its image
         and keeps the eigenvalue on the normal line."""
-        g = self.group
         s = self.hyperplanes[alpha].distinguished_generator
-        return self._by_generator[g.mul(g.mul(w, s), g.inv(w))]
+        return self._by_generator[self.group.conjugate(w, s)]
 
     def orbits(self) -> list[list[int]]:
         out: dict[int, list[int]] = {}
@@ -268,7 +372,7 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
         hps[a].orbit_id = orbit
         while stack:
             b = stack.pop()
-            for g in group.generator_indices:
+            for g in group.generators:
                 c = arr.act(g, b)
                 if hps[c].orbit_id < 0:
                     hps[c].orbit_id = orbit
@@ -325,11 +429,11 @@ def catalog_order(m: int, p: int, r: int) -> int:
 # subgroups and cosets
 
 
-def subgroup_generated(group: ReflectionGroup, elems) -> tuple[int, ...]:
+def subgroup_generated(group: CayleyGroup, elems) -> tuple[int, ...]:
     """Smallest index set closed under multiplication containing the given
     elements and the identity."""
-    seen = {0}
-    frontier = [0]
+    seen = {group.identity}
+    frontier = [group.identity]
     gens = sorted(set(elems))
     for g in gens:
         if g not in seen:
@@ -347,13 +451,13 @@ def subgroup_generated(group: ReflectionGroup, elems) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def left_cosets(group: ReflectionGroup, subgroup):
+def left_cosets(group: CayleyGroup, subgroup):
     """Left cosets wH as (members, coset_of): each coset's sorted element
     indices, ordered by their least element, and the coset position of
     every element."""
     h = sorted(set(subgroup))
     hset = set(h)
-    if 0 not in hset:
+    if group.identity not in hset:
         raise DomainError("subgroup must contain the identity")
     for a in h:
         for b in h:

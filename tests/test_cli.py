@@ -413,7 +413,7 @@ def _b2_swap_cover():
         return ((x[0] + a) % 2, (x[1] + b) % 2, group.mul(x[2], y[2]))
 
     elements = [(a, b, w) for a in (0, 1) for b in (0, 1) for w in range(len(group))]
-    gens = [(1, 0, 0)] + [(0, 0, g) for g in group.generator_indices]
+    gens = [(1, 0, 0)] + [(0, 0, g) for g in group.generators]
     wtilde, index = table_from_elements(elements, mul, gens)
     splitting = {
         a: index[(0, 0, group.inv(arr[a].distinguished_generator))]

@@ -5,6 +5,7 @@ from monodromy.errors import DomainError, IntegrityError, ParseError, Validation
 from monodromy.extension import (
     CayleyGroup,
     Character,
+    ExtensionDatum,
     FiberElement,
     character_from_spec,
     datum_from_json,
@@ -13,6 +14,7 @@ from monodromy.extension import (
     validate,
 )
 from monodromy.fixtures import direct_product_datum
+from monodromy.reflgrp import enumerate_group, hyperplanes
 from corpus import load_datum, s3_rank2_generators
 
 
@@ -27,7 +29,7 @@ def rat(x):
 def test_cayley_group_identity_and_inverses():
     g = load_datum("s3_over_s2").wtilde  # the symmetric group on three letters
     assert g.identity == 0
-    for a in range(g.order):
+    for a in range(len(g)):
         assert g.mul(a, g.inv(a)) == g.identity
     assert g.associativity_witness() is None
 
@@ -50,6 +52,23 @@ def test_associativity_witness_on_broken_table():
     ]
     g = CayleyGroup(table)
     assert g.associativity_witness() is not None
+
+
+def test_inverses_are_found_per_element():
+    # 0 and 1 have inverses; 2 has no b with 2 * b = 0, and 3 * 2 = 0 but
+    # 2 * 3 = 1, so neither 2 nor 3 has one
+    g = CayleyGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 1], [3, 2, 0, 1]])
+    assert g.identity == 0
+    assert (g.inv(0), g.inv(1)) == (0, 1)
+    for a in (2, 3):
+        with pytest.raises(ValidationError, match=f"element {a} has no inverse"):
+            g.inv(a)
+    # validation names the first element without an inverse
+    trivial = enumerate_group([CycMatrix([[rat(1)]])])
+    d = ExtensionDatum(trivial, hyperplanes(trivial), g, [0, 0, 0, 0], {})
+    report = validate(d)
+    check = next(c for c in report.checks if c.name == "wtilde.inverses")
+    assert (check.status, check.witness) == ("fail", "element 2")
 
 
 # ---------------------------------------------------------------------------

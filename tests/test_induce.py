@@ -122,8 +122,8 @@ def z7_by_z3_datum():
     elementary abelian 2-group, where w^-1 = w)."""
     group = enumerate_group([CycMatrix([[zeta(3)]])])
     arr = hyperplanes(group)
-    s = group.generator_indices[0]
-    exponent = {group.identity_index: 0, s: 1, group.mul(s, s): 2}
+    s = group.generators[0]
+    exponent = {group.identity: 0, s: 1, group.mul(s, s): 2}
     elements = [(a, w) for w in range(3) for a in range(7)]
 
     def mul(x, y):
@@ -166,7 +166,7 @@ def test_inverse_r1_module_is_the_left_module_relabeled():
     z7 = z7_by_z3_datum()
     for d, chi in [*corpus_pairs(), *((z7, chi) for chi in z7.characters())]:
         inv = compute_chi_invariants(d, chi)
-        if inv.w_chi_zero != (d.group.identity_index,):
+        if inv.w_chi_zero != (d.group.identity,):
             continue
         d.convention = "left"
         left = build_full_r1(d, chi, inv)

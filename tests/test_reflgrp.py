@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from monodromy.cyclo import CycMatrix, CycNumber, zeta
 from monodromy.errors import CapacityError, DomainError
 from monodromy.reflgrp import (
+    CayleyGroup,
     catalog,
     catalog_order,
     enumerate_group,
@@ -66,7 +69,7 @@ def test_cap_exceeded():
 
 def test_words_realize_elements():
     g = s3_rank2()
-    gens = [g.elements[i] for i in g.generator_indices]
+    gens = [g.elements[i] for i in g.generators]
     for i, w in enumerate(g.words):
         acc = CycMatrix.identity(g.rank)
         for slot in w:
@@ -81,6 +84,13 @@ def test_mul_table_matches_matrix_products():
         for i in range(len(g)):
             for j in range(len(g)):
                 assert g.elements[g.mul(i, j)] == g.elements[i] * g.elements[j]
+
+
+def test_enumerated_groups_pass_light_and_invert_as_matrices():
+    for gens in [[mat([[1]])], catalog(3, 1, 1), catalog(3, 1, 2), catalog(2, 1, 3)]:
+        g = enumerate_group(gens)
+        assert g.associativity_witness() is None
+        assert [g.elements[b] for b in g.inverses] == [m.inverse() for m in g.elements]
 
 
 def test_inverses_and_orders():
@@ -268,4 +278,79 @@ def test_cosets_of_order_two_subgroup_in_s3():
 def test_cosets_reject_non_subgroup():
     g = s3_rank2()
     with pytest.raises(DomainError):
-        left_cosets(g, [0, g.generator_indices[0], g.mul(g.generator_indices[0], g.generator_indices[1])])
+        left_cosets(g, [0, g.generators[0], g.mul(g.generators[0], g.generators[1])])
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables whose identity is not element 0
+
+
+def relabelled(table, generators, perm):
+    """The same group with element x renamed perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return CayleyGroup(out, [perm[x] for x in generators])
+
+
+def s3_table():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+    return table, [index[(1, 0, 2)], index[(0, 2, 1)]]
+
+
+def brute_closure(g, elems):
+    e = next(x for x in range(len(g)) if all(g.table[x][y] == y for y in range(len(g))))
+    seen = {e, *elems}
+    while True:
+        grown = seen | {g.table[a][b] for a in seen for b in seen}
+        if grown == seen:
+            return e, tuple(sorted(seen))
+        seen = grown
+
+
+def test_cayley_group_with_identity_elsewhere_matches_brute_force():
+    table, gens = s3_table()
+    g = relabelled(table, gens, [3, 5, 0, 4, 1, 2])
+    n = len(g)
+    e, _ = brute_closure(g, [])
+    assert g.identity == e == 3
+    for a in range(n):
+        inverse = next(b for b in range(n) if g.table[a][b] == e == g.table[b][a])
+        assert g.inv(a) == inverse
+        naive = [e]
+        while len(naive) < 7:
+            naive.append(g.table[naive[-1]][a])
+        for k in range(7):
+            assert g.power(a, k) == naive[k]
+            assert g.power(a, -k) == next(
+                b for b in range(n) if g.table[naive[k]][b] == e
+            )
+        assert g.element_order(a) == next(k for k in range(1, 7) if naive[k] == e)
+        assert subgroup_generated(g, [a]) == brute_closure(g, [a])[1]
+    assert subgroup_generated(g, []) == (e,)
+    assert subgroup_generated(g, g.generators) == brute_closure(g, g.generators)[1]
+    assert len(subgroup_generated(g, g.generators)) == n
+    assert g.associativity_witness() is None
+    assert all(
+        g.table[g.table[a][b]][c] == g.table[a][g.table[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def test_associativity_witness_on_relabelled_loop():
+    # a latin square that is not a group table, with its identity moved to 2
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    g = relabelled(loop, [1], [2, 0, 1, 3, 4])
+    assert g.identity == 2
+    a, x, b = g.associativity_witness()
+    assert g.table[g.table[a][x]][b] != g.table[a][g.table[x][b]]
