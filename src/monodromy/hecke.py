@@ -7,9 +7,11 @@ elements, descent-rule multiplication against a certified simple system),
 and tensor products of these.  Every build certifies its claims on the
 regular representation: basis independence, closed multiplication,
 generator relations, and (in the quadratic regime) the braid relations of
-the chosen simple system.  The quadratic basis operators T_w are built
-inside the closure certificate, one product T_s T_w at a time.  Unsupported
-inputs fail with a regime error naming the obstruction.
+the chosen simple system.  One ``word_lengths`` search per candidate
+simple system tests generation and gives the lengths of the descent rule.
+The basis operators T_w are built inside the closure certificate, one
+product T_s T_w at a time.  Unsupported inputs fail with a regime error
+naming the obstruction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 
 from .cyclo import ONE, CycMatrix, CycPoly, minpoly_matrix
 from .errors import DomainError, IntegrityError, ParameterError, RegimeError
-from .reflgrp import Arrangement, ReflectionGroup, subgroup_generated
+from .reflgrp import Arrangement, ReflectionGroup, word_lengths
 
 
 class HeckeAlgebra:
@@ -99,31 +101,11 @@ def build_cyclic(rbar: CycPoly) -> HeckeAlgebra:
 # quadratic (real) regime
 
 
-def _length_function(group: ReflectionGroup, simple: list[int]) -> list[int]:
-    lengths = [-1] * len(group)
-    lengths[0] = 0
-    frontier = [0]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for w in frontier:
-            for s in simple:
-                u = group.mul(s, w)
-                if lengths[u] < 0:
-                    lengths[u] = depth
-                    nxt.append(u)
-        frontier = nxt
-    return lengths
-
-
-def _descent_matrices(group, simple, polys):
+def _descent_matrices(group, simple, polys, lengths):
     """One operator per simple reflection, acting on the element basis by
-    the length-descent rule for its quadratic relation."""
+    the length-descent rule for its quadratic relation; ``lengths`` is
+    ``word_lengths(group, simple)``, which reaches every element."""
     n = len(group)
-    lengths = _length_function(group, simple)
-    if any(l < 0 for l in lengths):
-        return None, None
     mats = []
     for s, poly in zip(simple, polys):
         c0, c1 = poly.coeffs[0], poly.coeffs[1]
@@ -136,7 +118,7 @@ def _descent_matrices(group, simple, polys):
                 triples.append((w, w, -c1))
                 triples.append((sw, w, -c0))
         mats.append(CycMatrix.from_triples(n, n, triples))
-    return mats, lengths
+    return mats
 
 
 def _braid_relation_holds(group, mats, simple, i, j) -> bool:
@@ -188,14 +170,13 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
     for size in range(smallest, len(reflections) + 1):
         for combo in itertools.combinations(reflections, size):
             elems = [c[0] for c in combo]
-            if len(subgroup_generated(group, elems)) != len(group):
+            lengths = word_lengths(group, elems)
+            if len(lengths) != len(group):
                 continue
             candidates_tried += 1
             alphas = [c[1] for c in combo]
             polys = [params[arr[a].orbit_id] for a in alphas]
-            mats, lengths = _descent_matrices(group, elems, polys)
-            if mats is None:
-                continue
+            mats = _descent_matrices(group, elems, polys, lengths)
             if not all(
                 _braid_relation_holds(group, mats, elems, i, j)
                 for i in range(size)

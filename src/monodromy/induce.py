@@ -18,7 +18,7 @@ from .errors import IntegrityError, RegimeError
 from .extension import Character, CheckResult, ExtensionDatum, FiberElement
 from .hecke import HeckeAlgebra
 from .invariants import ChiInvariants
-from .reflgrp import left_cosets
+from .reflgrp import left_cosets, word_lengths
 
 
 @dataclass
@@ -151,26 +151,15 @@ def generator_letter_decomposition(datum: ExtensionDatum):
     """For each group generator, its expression as a power of a
     distinguished generator: a list of (hyperplane, exponent) or None."""
     group = datum.group
-    arr = datum.arrangement
-    out = []
-    for slot in range(len(group.generators)):
-        g = group.generators[slot]
-        if g == group.identity:
-            out.append((None, 0))
-            continue
-        found = None
-        for alpha in range(len(arr)):
-            s = arr[alpha].distinguished_generator
-            power = s
-            for j in range(1, arr[alpha].order):
-                if power == g:
-                    found = (alpha, j)
-                    break
-                power = group.mul(power, s)
-            if found:
-                break
-        out.append(found)
-    return out
+    # the word length of s^j in s alone is the least such exponent j
+    exponents = [
+        word_lengths(group, [h.distinguished_generator]) for h in datum.arrangement.hyperplanes
+    ]
+    return [
+        (None, 0) if g == group.identity
+        else next(((alpha, ex[g]) for alpha, ex in enumerate(exponents) if g in ex), None)
+        for g in group.generators
+    ]
 
 
 def braid_lift(datum: ExtensionDatum, w: int, letter_table) -> FiberElement:

@@ -4,8 +4,9 @@ generators.
 ``CayleyGroup`` is the one group law of the package: the covering group
 read from a datum's table and every enumerated reflection group are both
 instances.  Its identity and inverses are read from the rows once; products,
-powers, element orders, conjugates and Light's associativity test are read
-from the table.
+powers, conjugates and Light's associativity test are read from the table,
+and subgroups, element orders and Coxeter lengths from one breadth-first
+search for the shortest word of each element, ``word_lengths``.
 
 Reflection groups are enumerated by breadth-first closure with
 canonical-matrix deduplication; every element keeps its discovery word in
@@ -114,13 +115,7 @@ class CayleyGroup:
         return out
 
     def element_order(self, a: int) -> int:
-        e = self.identity
-        cur = a
-        n = 1
-        while cur != e:
-            cur = self.mul(cur, a)
-            n += 1
-        return n
+        return len(word_lengths(self, [a]))
 
     def associativity_witness(self):
         """A failing triple for Light's associativity test, or None.
@@ -129,7 +124,7 @@ class CayleyGroup:
         the test stays sound for arbitrary input tables.
         """
         gens = list(dict.fromkeys(self.generators))
-        spanned = set(subgroup_generated(self, gens))
+        spanned = word_lengths(self, gens)
         gens += [x for x in range(len(self)) if x not in spanned]
         table = self.table
         for g in gens:
@@ -429,26 +424,33 @@ def catalog_order(m: int, p: int, r: int) -> int:
 # subgroups and cosets
 
 
+def word_lengths(group: CayleyGroup, gens) -> dict[int, int]:
+    """The length of a shortest word in ``gens`` for every element they
+    generate: breadth-first from the identity, each step one product on the
+    right by a distinct generator, taken in increasing order."""
+    table = group.table
+    gens = sorted(set(gens))
+    lengths = {group.identity: 0}
+    frontier = [group.identity]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for x in frontier:
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                if y not in lengths:
+                    lengths[y] = depth
+                    nxt.append(y)
+        frontier = nxt
+    return lengths
+
+
 def subgroup_generated(group: CayleyGroup, elems) -> tuple[int, ...]:
     """Smallest index set closed under multiplication containing the given
     elements and the identity."""
-    seen = {group.identity}
-    frontier = [group.identity]
-    gens = sorted(set(elems))
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g in gens:
-                j = group.mul(i, g)
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return tuple(sorted(seen))
+    return tuple(sorted(word_lengths(group, elems)))
 
 
 def left_cosets(group: CayleyGroup, subgroup):

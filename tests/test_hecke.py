@@ -13,7 +13,7 @@ from monodromy.hecke import (
     build_cyclic,
     build_product,
 )
-from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
+from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, word_lengths
 from corpus import s3_rank2_generators
 
 
@@ -67,6 +67,13 @@ def test_generator_certificate_refuses_a_singular_generator():
     nilpotent = CycMatrix.from_triples(2, 2, [(1, 0, rat(1))])
     h = HeckeAlgebra("cyclic", 2, {"t": nilpotent}, {"t": poly(0, 0, 1)})
     with pytest.raises(IntegrityError, match="not invertible"):
+        _certify_generators(h)
+
+
+def test_generator_certificate_refuses_a_relation_that_is_not_minimal():
+    # the identity satisfies z^2 - 1, but its minimal polynomial is z - 1
+    h = HeckeAlgebra("cyclic", 2, {"t": CycMatrix.identity(2)}, {"t": poly(-1, 0, 1)})
+    with pytest.raises(IntegrityError, match="differs from the declared relation"):
         _certify_generators(h)
 
 
@@ -157,6 +164,34 @@ def test_a3_and_dihedral_dimensions():
         assert h.dimension == expected == len(g)
 
 
+def star_s4():
+    """The symmetric group on four letters generated by the transpositions
+    (0 1), (0 2), (0 3), as permutation matrices."""
+
+    def transposition(i, j):
+        swap = {i: j, j: i}
+        return CycMatrix([[rat(int(swap.get(r, r) == c)) for c in range(4)] for r in range(4)])
+
+    return enumerate_group([transposition(0, 1), transposition(0, 2), transposition(0, 3)])
+
+
+def test_star_transpositions_are_not_a_simple_system_at_q_two():
+    # the star transpositions generate S4 and come first in the search, but
+    # with pairwise braid order 3 they present an infinite Coxeter group, so
+    # at q = 2 the search must reject them and go on to a simple system
+    g = star_s4()
+    arr = hyperplanes(g)
+    assert len(arr) == 6 and arr.orbits() == [[0, 1, 2, 3, 4, 5]]
+    assert [arr[a].distinguished_generator for a in (0, 1, 2)] == g.generators
+    h = build_coxeter(arr, {0: quadratic(2)})
+    assert h.simple_hyperplanes == [0, 1, 4]
+    assert sorted(h.generators) == ["s0", "s1", "s4"]
+    assert h.dimension == 24
+    # at q = 1 the algebra is the group algebra, where the star passes
+    h = build_coxeter(arr, {0: quadratic(1)})
+    assert h.simple_hyperplanes == [0, 1, 2]
+
+
 def test_coxeter_rejects_higher_order_reflections():
     g = enumerate_group(catalog(3, 1, 2))
     with pytest.raises(RegimeError):
@@ -230,11 +265,35 @@ def test_closure_certificate_needs_the_unit_column():
     arr = hyperplanes(g)
     simple = [arr[0].distinguished_generator, arr[1].distinguished_generator]
     polys = [quadratic(2), quadratic(2)]
-    mats, lengths = _descent_matrices(g, simple, polys)
+    lengths = word_lengths(g, simple)
+    mats = _descent_matrices(g, simple, polys, lengths)
     assert _closure_certificate(g, mats, simple, polys, lengths) is not None
     d = CycMatrix.from_triples(6, 6, [(i, i, rat(1 if i == 0 else 2)) for i in range(6)])
     scaled = [d * m * d.inverse() for m in mats]
     assert _closure_certificate(g, scaled, simple, polys, lengths) is None
+
+
+def test_closure_certificate_compares_descents_with_the_relation():
+    # operators of the relation at q = 2 checked against the relation at
+    # q = 3: every ascent agrees, so only the descent comparison can refuse
+    g = enumerate_group(s3_rank2_generators())
+    arr = hyperplanes(g)
+    simple = [arr[0].distinguished_generator, arr[1].distinguished_generator]
+    lengths = word_lengths(g, simple)
+    mats = _descent_matrices(g, simple, [quadratic(2)] * 2, lengths)
+    assert _closure_certificate(g, mats, simple, [quadratic(2)] * 2, lengths) is not None
+    assert _closure_certificate(g, mats, simple, [quadratic(3)] * 2, lengths) is None
+
+
+def test_closure_certificate_alone_refuses_the_star():
+    # two ascent paths to one element give different products at q = 2
+    g = star_s4()
+    lengths = word_lengths(g, g.generators)
+    for q, passes in ((2, False), (1, True)):
+        polys = [quadratic(q)] * 3
+        mats = _descent_matrices(g, g.generators, polys, lengths)
+        t_of = _closure_certificate(g, mats, g.generators, polys, lengths)
+        assert (t_of is not None) == passes
 
 
 def test_associativity_on_random_triples():

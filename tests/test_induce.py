@@ -240,7 +240,49 @@ def test_i_action_s3_faithful_eigenvalues():
 
 
 # ---------------------------------------------------------------------------
-# regime R1
+# braid-word letters
+
+
+def power_scan_letters(datum):
+    """Per group generator, the first hyperplane alpha and the least j in
+    1 .. order - 1 with s_alpha^j equal to it, found by scanning powers."""
+    group, arr = datum.group, datum.arrangement
+    out = []
+    for g in group.generators:
+        if g == group.identity:
+            out.append((None, 0))
+            continue
+        found = None
+        for alpha in range(len(arr)):
+            s = arr[alpha].distinguished_generator
+            power = s
+            for j in range(1, arr[alpha].order):
+                if power == g:
+                    found = (alpha, j)
+                    break
+                power = group.mul(power, s)
+            if found:
+                break
+        out.append(found)
+    return out
+
+
+def test_letter_decomposition_matches_the_power_scan():
+    data = [
+        load_datum(entry["file"].removesuffix(".json"))
+        for entry in manifest()
+        if entry["expected_exit"] == 0
+    ]
+    s1, s2 = s3_rank2_generators()
+    data += [
+        # the counter-clockwise generator is zeta_3, so zeta_3^2 is its square
+        direct_product_datum("z3", [CycMatrix([[zeta(3, 2)]])], 1),
+        # a rotation is no reflection power
+        direct_product_datum("s3", [s1 * s2, s1], 1),
+    ]
+    letters = [induce.generator_letter_decomposition(d) for d in data]
+    assert letters == [power_scan_letters(d) for d in data]
+    assert letters[-2:] == [[(0, 2)], [None, (0, 1)]]
 
 
 def test_r1_s3_matrices_frozen():

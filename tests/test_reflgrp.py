@@ -3,15 +3,17 @@ import itertools
 import pytest
 
 from monodromy.cyclo import CycMatrix, CycNumber, zeta
-from monodromy.errors import CapacityError, DomainError
+from monodromy.errors import CapacityError, DomainError, IntegrityError
 from monodromy.reflgrp import (
     CayleyGroup,
+    ReflectionGroup,
     catalog,
     catalog_order,
     enumerate_group,
     hyperplanes,
     left_cosets,
     subgroup_generated,
+    word_lengths,
 )
 
 
@@ -209,6 +211,29 @@ def _canonical(normal):
     return tuple(c * lead for c in normal)
 
 
+def elements_only(*matrices):
+    """A ReflectionGroup over the identity and the given matrices, with no
+    check that they form a group: enough for ``hyperplanes`` to refuse it."""
+    elements = [CycMatrix.identity(matrices[0].rows), *matrices]
+    words = [()] + [(i,) for i in range(len(matrices))]
+    return ReflectionGroup(matrices[0].rows, elements, words, [], list(range(1, len(elements))))
+
+
+def test_hyperplanes_refuse_a_stabilizer_that_is_not_cyclic():
+    # two reflections of the hyperplane x = 0, both -1 on its normal line;
+    # a cyclic stabilizer has one element per eigenvalue
+    fake = elements_only(mat([[-1, 0], [0, 1]]), mat([[-1, 0], [1, 1]]))
+    with pytest.raises(IntegrityError, match="share the normal-line eigenvalue"):
+        hyperplanes(fake)
+
+
+def test_hyperplanes_refuse_a_stabilizer_without_a_primitive_eigenvalue():
+    # a stabilizer of order two whose reflection is zeta_3, not -1, on the normal line
+    fake = elements_only(CycMatrix([[zeta(3), rat(0)], [rat(0), rat(1)]]))
+    with pytest.raises(IntegrityError, match="no distinguished generator"):
+        hyperplanes(fake)
+
+
 def test_conjugation_permutes_hyperplanes():
     # the matrix action is the reference: w sends the hyperplane with
     # normal covector n to the one with normal n * M_w^-1
@@ -354,3 +379,59 @@ def test_associativity_witness_on_relabelled_loop():
     assert g.identity == 2
     a, x, b = g.associativity_witness()
     assert g.table[g.table[a][x]][b] != g.table[a][g.table[x][b]]
+
+
+# ---------------------------------------------------------------------------
+# word lengths
+
+
+def left_bfs_lengths(group, gens):
+    """Word lengths by growing words on the left, -1 where unreached."""
+    lengths = [-1] * len(group)
+    lengths[group.identity] = 0
+    frontier = [group.identity]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                u = group.mul(s, w)
+                if lengths[u] < 0:
+                    lengths[u] = depth
+                    nxt.append(u)
+        frontier = nxt
+    return lengths
+
+
+def naive_order(group, a):
+    cur, k = a, 1
+    while cur != group.identity:
+        cur, k = group.mul(cur, a), k + 1
+    return k
+
+
+def word_length_cases():
+    for mpr in [(1, 1, 4), (2, 1, 3), (4, 4, 2)]:
+        g = enumerate_group(catalog(*mpr))
+        reflections = [h.distinguished_generator for h in hyperplanes(g).hyperplanes]
+        yield g, [g.generators, g.generators[:1], g.generators[1:], reflections[::2]]
+    table, gens = s3_table()
+    g = relabelled(table, gens, [3, 5, 0, 4, 1, 2])
+    yield g, [g.generators, g.generators[:1], [], list(range(len(g))), [5, 5, 1]]
+
+
+def test_word_lengths_match_words_grown_on_the_left():
+    for g, gen_sets in word_length_cases():
+        for gens in gen_sets:
+            lengths = word_lengths(g, gens)
+            assert [lengths.get(x, -1) for x in range(len(g))] == left_bfs_lengths(g, gens)
+            assert tuple(sorted(lengths)) == subgroup_generated(g, gens)
+        assert len(word_lengths(g, g.generators)) == len(g)
+
+
+def test_element_order_matches_the_power_loop():
+    for g, _ in word_length_cases():
+        assert [g.element_order(a) for a in range(len(g))] == [
+            naive_order(g, a) for a in range(len(g))
+        ]
