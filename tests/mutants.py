@@ -8,10 +8,10 @@ working tree is never written.  An entry with a ``survives`` reason is an
 expected survivor: its tests must still pass, and the reason says why no
 test can catch it.
 
-Run from anywhere, with the interpreter that runs the test suite:
+Run from anywhere, with the interpreter that runs the test suite; every
+entry is run each time:
 
-    python tests/mutants.py               # every entry
-    python tests/mutants.py braid closure # entries whose name holds a word
+    python tests/mutants.py
 
 The exit status is 0 when every mutant is killed and every survivor
 survives.  pytest does not collect this file: its name is not ``test_*.py``.
@@ -178,8 +178,7 @@ def pytest_run(copy: Path, tests) -> int:
     return proc.returncode
 
 
-def main(words: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
@@ -189,12 +188,12 @@ def main(words: list[str]) -> int:
                 ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".work"
             ),
         )
-        tests = sorted({node for m in chosen for node in m.tests})
+        tests = sorted({node for m in MUTANTS for node in m.tests})
         if pytest_run(copy, tests) != 0:
             print("the named tests do not all pass unmutated", file=sys.stderr)
             return 1
         bad = 0
-        for m in chosen:
+        for m in MUTANTS:
             path = copy / m.file
             original = path.read_text()
             if original.count(m.old) != 1:
@@ -214,13 +213,13 @@ def main(words: list[str]) -> int:
                 verdict, ok = ("killed", True) if code == 1 else ("SURVIVED", False)
             bad += not ok
             print(f"{'ok ' if ok else 'BAD'} {m.name}: {verdict}")
-    killed = sum(1 for m in chosen if not m.survives)
+    killed = sum(1 for m in MUTANTS if not m.survives)
     print(
-        f"{len(chosen)} mutants ({killed} to kill, {len(chosen) - killed} expected "
+        f"{len(MUTANTS)} mutants ({killed} to kill, {len(MUTANTS) - killed} expected "
         f"survivors), {bad} unexpected, {time.perf_counter() - start:.0f} s"
     )
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

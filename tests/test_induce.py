@@ -285,6 +285,10 @@ def test_letter_decomposition_matches_the_power_scan():
     assert letters[-2:] == [[(0, 2)], [None, (0, 1)]]
 
 
+# ---------------------------------------------------------------------------
+# regime R1
+
+
 def test_r1_s3_matrices_frozen():
     d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
