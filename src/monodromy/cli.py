@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .carousel import build_carousel, carousel_minpolys, twist_from_extension
-from .cyclo import ZERO, CycMatrix, CycNumber, CycPoly, zeta
+from .cyclo import ZERO, CycMatrix, CycNumber, CycPoly, json_key, zeta
 from .errors import (
     CapacityError,
     DomainError,
@@ -171,7 +171,7 @@ def _rbar_overrides_from_file(datum, inv, path):
     by_alpha = {}
     try:
         for key, poly in obj.items():
-            by_alpha[int(key)] = CycPoly.from_json(poly)
+            by_alpha[json_key(key)] = CycPoly.from_json(poly)
     except (ValueError, TypeError, DomainError) as exc:
         raise ParseError(f"bad relation override: {exc}") from exc
     extra = sorted(a for a in by_alpha if not 0 <= a < len(datum.arrangement))
@@ -258,29 +258,24 @@ def _mchi_stage(datum, chi, inv, hecke_algebra, rbar_by_alpha):
     otherwise.  Returns (section, warnings)."""
     warnings = []
     group = datum.group
-    if inv.w_chi_zero == (group.identity,):
-        try:
-            module = build_full_r1(datum, chi, inv)
-            return module.to_json(), warnings
-        except RegimeError as exc:
-            warnings.append(f"full module downgraded to ledger-only: {exc}")
-    elif (
-        len(inv.w_chi) == len(group)
-        and len(inv.w_chi_zero) == len(group)
-        and all(h.jump == 1 for h in inv.per_hyperplane)
-        and hecke_algebra is not None
-        and hecke_algebra.dimension == len(group)
-    ):
-        try:
+    try:
+        if inv.w_chi_zero == (group.identity,):
+            return build_full_r1(datum, chi, inv).to_json(), warnings
+        if (
+            len(inv.w_chi) == len(group)
+            and len(inv.w_chi_zero) == len(group)
+            and all(h.jump == 1 for h in inv.per_hyperplane)
+            and hecke_algebra is not None
+            and hecke_algebra.dimension == len(group)
+        ):
             module = build_full_r2(datum, chi, inv, hecke_algebra, rbar_by_alpha)
             return module.to_json(), warnings
-        except RegimeError as exc:
-            warnings.append(f"full module downgraded to ledger-only: {exc}")
-    else:
         warnings.append(
             "full module unavailable: nontrivial proper reflection subgroup "
             "or unsupported algebra regime; emitting ledger and inertia action"
         )
+    except RegimeError as exc:
+        warnings.append(f"full module downgraded to ledger-only: {exc}")
     action = build_i_action(datum, chi, inv)
     section = {
         "regime": "ledger-only",

@@ -84,6 +84,14 @@ def json_int(value) -> int:
     return value
 
 
+def json_key(key) -> int:
+    """The integer a JSON object key spells, only when str(int) would spell
+    it so: "00", " 0 " and "0_0" are refused rather than read as 0."""
+    if not isinstance(key, str) or not key.lstrip("-").isdigit() or str(int(key)) != key:
+        raise DomainError(f"expected an integer key, got {key!r}")
+    return int(key)
+
+
 def _prime_factors(n: int) -> tuple[int, ...]:
     out = []
     d = 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclo import CycNumber, json_int
+from .cyclo import CycNumber, json_int, json_key
 from .errors import (
     ClosureCapError,
     DomainError,
@@ -447,14 +447,11 @@ def validate(e: ExtensionDatum) -> ValidationReport:
     for a, sub in enumerate(local):
         if wt.identity not in sub:
             witness = f"hyperplane {a}: missing identity"
-            break
-    for a, sub in enumerate(local):
-        if any(wt.mul(x, y) not in sub for x in sub for y in sub):
+        elif any(wt.mul(x, y) not in sub for x in sub for y in sub):
             witness = f"hyperplane {a}: not closed"
-            break
-        stab = set(e.arrangement[a].stabilizer_elements)
-        if {e.q[x] for x in sub} != stab:
+        elif {e.q[x] for x in sub} != set(e.arrangement[a].stabilizer_elements):
             witness = f"hyperplane {a}: base image is not the local stabilizer"
+        if witness:
             break
     checks.append(CheckResult.of("local_subgroups.subgroup", witness is None, witness))
 
@@ -582,26 +579,26 @@ def datum_from_json(obj) -> ExtensionDatum:
             ) from exc
         arrangement = hyperplanes(group)
         splitting = {
-            int(a): json_int(r) for a, r in _object_items(obj["splitting"], "splitting")
+            json_key(a): json_int(r) for a, r in _object_items(obj["splitting"], "splitting")
         }
         tau = (
-            {int(x): json_int(v) for x, v in _object_items(obj["tau"], "tau")}
+            {json_key(x): json_int(v) for x, v in _object_items(obj["tau"], "tau")}
             if obj.get("tau")
             else None
         )
         wtilde_alpha = (
             {
-                int(a): frozenset(map(json_int, v))
+                json_key(a): frozenset(map(json_int, v))
                 for a, v in _object_items(obj["wtilde_alpha"], "wtilde_alpha")
             }
             if obj.get("wtilde_alpha")
             else None
         )
         sgn = {
-            int(a): json_int(v) for a, v in _object_items(obj.get("sgn", {}), "sgn")
+            json_key(a): json_int(v) for a, v in _object_items(obj.get("sgn", {}), "sgn")
         } or None
         twist = {
-            int(a): CycNumber.from_json(v)
+            json_key(a): CycNumber.from_json(v)
             for a, v in _object_items(obj.get("twist", {}), "twist")
         } or None
         relations = [
@@ -654,7 +651,7 @@ def character_from_spec(e: ExtensionDatum, spec) -> Character:
             extra = sorted(set(spec) - {"modulus", "values"})
             raise ParseError(f"character spec has keys {extra} beside modulus and values")
         values = {
-            int(x): zeta(modulus, json_int(exp))
+            json_key(x): zeta(modulus, json_int(exp))
             for x, exp in _object_items(raw, "values")
         }
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,8 +10,9 @@ generator relations, and (in the quadratic regime) the braid relations of
 the chosen simple system.  One ``word_lengths`` search per candidate
 simple system tests generation and gives the lengths of the descent rule.
 The basis operators T_w are built inside the closure certificate, one
-product T_s T_w at a time.  Unsupported inputs fail with a regime error
-naming the obstruction.
+product T_s T_w at a time; a second ascent onto a built T_w is implied by
+the descent comparisons and forms no product.  Unsupported inputs fail
+with a regime error naming the obstruction.
 """
 
 from __future__ import annotations
@@ -208,9 +209,13 @@ def _closure_certificate(group, mats, simple, polys, lengths):
     is closed under multiplication, or None when it fails.
 
     Elements are visited by length.  For each simple s, T_s T_w must equal
-    the descent rule exactly when s descends on w; otherwise it must equal
-    T_{sw}, which the first such product sets once it sends the unit basis
-    vector to sw.  Every product is compared, so T_w does not depend on the
+    the descent rule when s descends on w.  When s ascends, the first such
+    product sets T_{sw} once it sends the unit basis vector to sw; a later
+    ascent onto a set T_{sw} forms no product, since T_s T_w = T_{sw}
+    follows from two descent comparisons.  At (s, s) the rule gives
+    T_s^2 + c1 T_s + c0 = 0 with c0 != 0, so T_s + c1 = -c0 T_s^-1 is
+    invertible; at (sw, s) it gives (T_s + c1) T_{sw} = -c0 T_w, hence
+    (T_s + c1)(T_s T_w - T_{sw}) = 0.  So T_w does not depend on the
     reduced word that first reaches it."""
     n = len(group)
     t_of: list[CycMatrix | None] = [None] * n
@@ -218,12 +223,12 @@ def _closure_certificate(group, mats, simple, polys, lengths):
     for w in sorted(range(n), key=lengths.__getitem__):
         for slot, s in enumerate(simple):
             sw = group.mul(s, w)
-            prod = mats[slot] * t_of[w]
             if lengths[sw] <= lengths[w]:
                 c0, c1 = polys[slot].coeffs[0], polys[slot].coeffs[1]
-                if prod != t_of[sw] * (-c0) + t_of[w] * (-c1):
+                if mats[slot] * t_of[w] != t_of[sw] * (-c0) + t_of[w] * (-c1):
                     return None
             elif t_of[sw] is None:
+                prod = mats[slot] * t_of[w]
                 first_column = [
                     (i, row[0][1])
                     for i, row in enumerate(prod.sparse_rows)
@@ -232,8 +237,6 @@ def _closure_certificate(group, mats, simple, polys, lengths):
                 if first_column != [(sw, ONE)]:
                     return None
                 t_of[sw] = prod
-            elif prod != t_of[sw]:
-                return None
     return t_of
 
 

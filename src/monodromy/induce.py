@@ -18,7 +18,7 @@ from .errors import IntegrityError, RegimeError
 from .extension import Character, CheckResult, ExtensionDatum, FiberElement
 from .hecke import HeckeAlgebra
 from .invariants import ChiInvariants
-from .reflgrp import left_cosets, word_lengths
+from .reflgrp import left_cosets, orbit_partition, word_lengths
 
 
 @dataclass
@@ -78,11 +78,8 @@ def build_ledger(
         raise IntegrityError("dimension factorization failed")
     members, coset_of = left_cosets(group, inv.w_chi)
     if convention != "left":
-        # Hw = (w^-1 H)^-1; disjoint cosets sort by their least element
-        members = sorted(tuple(sorted(map(group.inv, c))) for c in members)
-        for pos, coset in enumerate(members):
-            for x in coset:
-                coset_of[x] = pos
+        # the cosets Hw are the orbits of H acting by left multiplication
+        members, coset_of = orbit_partition(n, group.mul, inv.w_chi)
     blocks = []
     for coset in members:
         rep = coset[0]

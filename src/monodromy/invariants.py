@@ -1,8 +1,8 @@
 """Stabilizer invariants of a character: the stabilizer subgroup, the local
-jump exponents per hyperplane, the induced partition of the arrangement, the
-reflection subgroup generated by the local stabilizers, and the degree-one
-relation character on the full-jump hyperplanes, set once from the
-per-hyperplane relation polynomials.
+jump exponents per hyperplane, the reflection subgroup generated by the
+local stabilizers, the hyperplane orbits of both subgroups (from
+``reflgrp.orbit_partition``), and the degree-one relation character on the
+full-jump hyperplanes, set once from the per-hyperplane relation polynomials.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from .cyclo import CycNumber, CycPoly
 from .errors import IntegrityError, ParameterError
 from .extension import Character, CheckResult, ExtensionDatum
-from .reflgrp import subgroup_generated
+from .reflgrp import orbit_partition, subgroup_generated
 
 
 @dataclass
@@ -54,20 +54,6 @@ class ChiInvariants:
             "rho_trivial": self.rho_trivial,
             "checks": [c.to_json() for c in self.checks],
         }
-
-
-def _orbits_under(datum: ExtensionDatum, subgroup) -> list[list[int]]:
-    arr = datum.arrangement
-    seen = [False] * len(arr)
-    orbits = []
-    for a in range(len(arr)):
-        if seen[a]:
-            continue
-        orbit = sorted({arr.act(w, a) for w in subgroup})
-        for b in orbit:
-            seen[b] = True
-        orbits.append(orbit)
-    return orbits
 
 
 def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvariants:
@@ -146,7 +132,7 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
     checks.append(CheckResult.of("chi.generators_are_reflections", witness is None, witness))
 
     # jump constancy along stabilizer orbits
-    chi_orbits = _orbits_under(datum, w_chi)
+    chi_orbits = [list(o) for o in orbit_partition(len(arr), arr.act, w_chi)[0]]
     witness = None
     for orbit in chi_orbits:
         jumps = {per[a].jump for a in orbit}
@@ -157,7 +143,7 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
     if witness is not None:
         raise IntegrityError(f"jump invariance failed: {witness}")
 
-    zero_orbits = _orbits_under(datum, w_chi_zero)
+    zero_orbits = [list(o) for o in orbit_partition(len(arr), arr.act, w_chi_zero)[0]]
 
     return ChiInvariants(
         w_chi=w_chi,

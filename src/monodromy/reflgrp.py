@@ -18,7 +18,8 @@ distinguished generator acting by the primitive counter-clockwise root of
 unity on the normal line, and the orbit decomposition under the group
 action.  An element w sends a hyperplane to the one whose distinguished
 generator is the conjugate of its own by w, so the action is read from the
-table too.
+table too.  ``orbit_partition``, fed every element of a subgroup, gives both
+the hyperplane orbits of any subgroup and the cosets of a subgroup.
 """
 
 from __future__ import annotations
@@ -359,20 +360,9 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
             )
         )
     arr = Arrangement(group, hps)
-    orbit = 0
-    for a in range(len(hps)):
-        if hps[a].orbit_id >= 0:
-            continue
-        stack = [a]
-        hps[a].orbit_id = orbit
-        while stack:
-            b = stack.pop()
-            for g in group.generators:
-                c = arr.act(g, b)
-                if hps[c].orbit_id < 0:
-                    hps[c].orbit_id = orbit
-                    stack.append(c)
-        orbit += 1
+    _, orbit_of = orbit_partition(len(hps), arr.act, range(len(group)))
+    for h, orbit in zip(hps, orbit_of):
+        h.orbit_id = orbit
     return arr
 
 
@@ -453,6 +443,23 @@ def subgroup_generated(group: CayleyGroup, elems) -> tuple[int, ...]:
     return tuple(sorted(word_lengths(group, elems)))
 
 
+def orbit_partition(points: int, image, elements):
+    """Orbits of a group acting on range(points) as (members, orbit_of):
+    each orbit's sorted points, ordered by their least point, and the orbit
+    position of every point.  ``elements`` is every element of the group,
+    not a generating set, and ``image(w, p)`` is the point w sends p to."""
+    orbit_of = [-1] * points
+    members: list[tuple[int, ...]] = []
+    for p in range(points):
+        if orbit_of[p] >= 0:
+            continue
+        orbit = tuple(sorted({image(w, p) for w in elements}))
+        for x in orbit:
+            orbit_of[x] = len(members)
+        members.append(orbit)
+    return members, orbit_of
+
+
 def left_cosets(group: CayleyGroup, subgroup):
     """Left cosets wH as (members, coset_of): each coset's sorted element
     indices, ordered by their least element, and the coset position of
@@ -465,14 +472,4 @@ def left_cosets(group: CayleyGroup, subgroup):
         for b in h:
             if group.mul(a, b) not in hset:
                 raise DomainError(f"subgroup is not closed: {a} * {b} escapes")
-    coset_of = [-1] * len(group)
-    members: list[tuple[int, ...]] = []
-    for i in range(len(group)):
-        if coset_of[i] >= 0:
-            continue
-        coset = tuple(sorted(group.mul(i, b) for b in h))
-        pos = len(members)
-        members.append(coset)
-        for x in coset:
-            coset_of[x] = pos
-    return members, coset_of
+    return orbit_partition(len(group), lambda b, i: group.mul(i, b), h)

@@ -1,4 +1,5 @@
-"""Mutation checks for the certificates of the group layer and the Hecke build.
+"""Mutation checks for the certificates of the group layer, the Hecke build
+and the local-subgroup check of datum validation.
 
 Each entry is one exact text edit of a file under ``src/monodromy`` and the
 pytest node ids that must fail once the edit is made.  The script copies the
@@ -31,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFLGRP = "src/monodromy/reflgrp.py"
 HECKE = "src/monodromy/hecke.py"
+EXTENSION = "src/monodromy/extension.py"
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ MUTANTS = (
     Mutant(
         "_closure_certificate: descent unchecked",
         HECKE,
-        "                if prod != t_of[sw] * (-c0) + t_of[w] * (-c1):\n",
+        "                if mats[slot] * t_of[w] != t_of[sw] * (-c0) + t_of[w] * (-c1):\n",
         "                if False:\n",
         nodes("test_hecke", "test_closure_certificate_compares_descents_with_the_relation"),
     ),
@@ -155,16 +157,39 @@ MUTANTS = (
         nodes("test_hecke", "test_closure_certificate_needs_the_unit_column"),
     ),
     Mutant(
-        "_closure_certificate: second ascent unchecked",
-        HECKE,
-        "            elif prod != t_of[sw]:\n",
-        "            elif False:\n",
-        nodes("test_hecke", "test_closure_certificate_alone_refuses_the_star"),
-        survives=(
-            "the descent comparison at sw implies it: T_s^2 + c1 T_s + c0 = 0 "
-            "makes T_s + c1 = -c0 T_s^-1 invertible, and the two descent rules "
-            "for T_s T_s T_w and T_s T_sw give (T_s + c1)(T_s T_w - T_sw) = 0"
-        ),
+        "left_cosets: identity unchecked",
+        REFLGRP,
+        "    if group.identity not in hset:\n",
+        "    if False:\n",
+        nodes("test_reflgrp", "test_cosets_reject_a_subgroup_without_the_identity"),
+    ),
+    Mutant(
+        "left_cosets: closure unchecked",
+        REFLGRP,
+        "            if group.mul(a, b) not in hset:\n",
+        "            if False:\n",
+        nodes("test_reflgrp", "test_cosets_reject_non_subgroup"),
+    ),
+    Mutant(
+        "validate: local subgroup identity unchecked",
+        EXTENSION,
+        "        if wt.identity not in sub:\n",
+        "        if False:\n",
+        nodes("test_extension", "test_local_subgroup_witness_names_the_first_failure[identity]"),
+    ),
+    Mutant(
+        "validate: local subgroup closure unchecked",
+        EXTENSION,
+        "        elif any(wt.mul(x, y) not in sub for x in sub for y in sub):\n",
+        "        elif False:\n",
+        nodes("test_extension", "test_local_subgroup_witness_names_the_first_failure[closure]"),
+    ),
+    Mutant(
+        "validate: local subgroup image unchecked",
+        EXTENSION,
+        "        elif {e.q[x] for x in sub} != set(e.arrangement[a].stabilizer_elements):\n",
+        "        elif False:\n",
+        nodes("test_extension", "test_local_subgroup_witness_names_the_first_failure[image]"),
     ),
 )
 

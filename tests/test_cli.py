@@ -260,6 +260,42 @@ def test_fuzzed_datum_ends_in_documented_exit(tmp_path_factory, data):
     assert code in (0, 2, 3, 4)
 
 
+# int() reads each of these as 0; a key must be spelled as str() spells it
+NON_CANONICAL_ZERO = ["00", " 0 ", "0_0", "+0", "-0"]
+ZERO_KEYED = {
+    "splitting": None,  # the datum's own entry at "0", renamed
+    "tau": None,
+    "wtilde_alpha": [0, 6],
+    "sgn": -1,
+    "twist": {"order": 1, "terms": [[1, 1, 0]]},
+}
+
+
+@pytest.mark.parametrize("key", NON_CANONICAL_ZERO)
+@pytest.mark.parametrize("section", sorted(ZERO_KEYED))
+def test_non_canonical_datum_key_is_parse_error(section, key, tmp_path, capsys):
+    datum = json.loads((FIXTURES / "s3_split_z2.json").read_text())
+    entries = datum.setdefault(section, {})
+    entries[key] = entries.pop("0") if ZERO_KEYED[section] is None else ZERO_KEYED[section]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    assert main(["analyze", str(path), "--chi", "trivial"]) == 2
+    assert f"expected an integer key, got {key!r}" in capsys.readouterr().err
+
+
+def test_non_canonical_spec_and_override_keys_are_parse_errors(tmp_path, capsys):
+    path = str(FIXTURES / "s3_over_s2.json")
+    # "03" once sat beside "3" and silently replaced its exponent
+    assert main(["analyze", path, "--chi", '{"3": 1, "03": 2, "modulus": 3}']) == 2
+    assert main(["analyze", path, "--chi", '{"modulus": 3, "values": {" 3": 1}}']) == 2
+    override = tmp_path / "rbar.json"
+    override.write_text(json.dumps({"00": CycPoly([CycNumber.rational(1)] * 2).to_json()}))
+    assert main(["analyze", path, "--chi", "trivial", "--rbar", str(override)]) == 2
+    err = capsys.readouterr().err
+    for key in ("03", " 3", "00"):
+        assert f"expected an integer key, got {key!r}" in err
+
+
 def test_missing_file_is_parse_error(tmp_path):
     assert main(["analyze", str(tmp_path / "absent.json"), "--chi", "trivial"]) == 2
 

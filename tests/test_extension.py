@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from monodromy.cyclo import CycMatrix, CycNumber, zeta
@@ -15,7 +17,7 @@ from monodromy.extension import (
 )
 from monodromy.fixtures import direct_product_datum
 from monodromy.reflgrp import enumerate_group, hyperplanes
-from corpus import load_datum, s3_rank2_generators
+from corpus import FIXTURES, load_datum, s3_rank2_generators
 
 
 def rat(x):
@@ -138,6 +140,26 @@ def test_local_subgroup_override_rejected_when_not_closed():
         c.name in ("local_subgroups.subgroup", "splitting.in_local_subgroup")
         for c in report.failures()
     )
+
+
+# s3_over_s2: the kernel is {0, 3, 4}, the transpositions {1, 2, 5} map to
+# the reflection, and the one hyperplane's stabilizer is the whole base group
+@pytest.mark.parametrize(
+    "members, witness",
+    [
+        ([1], "missing identity"),
+        ([], "missing identity"),
+        ([0, 1, 2], "not closed"),  # 1 * 2 = 4
+        ([0, 3, 4], "base image is not the local stabilizer"),
+    ],
+    ids=["identity", "empty", "closure", "image"],
+)
+def test_local_subgroup_witness_names_the_first_failure(members, witness):
+    raw = json.loads((FIXTURES / "s3_over_s2.json").read_text())
+    raw["wtilde_alpha"] = {"0": members}
+    report = validate(datum_from_json(raw))
+    check = next(c for c in report.checks if c.name == "local_subgroups.subgroup")
+    assert check.witness == f"hyperplane 0: {witness}"
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +376,10 @@ def test_datum_json_round_trip():
 def test_datum_from_json_rejects_garbage():
     with pytest.raises(ParseError):
         datum_from_json({"group": {}})
+
+
+def test_datum_from_json_refuses_keys_that_int_would_fold():
+    raw = json.loads((FIXTURES / "s3_over_s2.json").read_text())
+    raw["splitting"] = {"0": 2, "00": 1}  # int() reads both as 0
+    with pytest.raises(ParseError, match="expected an integer key, got '00'"):
+        datum_from_json(raw)

@@ -296,6 +296,61 @@ def test_closure_certificate_alone_refuses_the_star():
         assert (t_of is not None) == passes
 
 
+def every_product_closure(group, mats, simple, polys, lengths):
+    """The closure certificate that forms T_s T_w for every simple s and
+    element w and compares each second ascent with the T_sw already set."""
+    n = len(group)
+    t_of = [None] * n
+    t_of[0] = CycMatrix.identity(n)
+    for w in sorted(range(n), key=lengths.__getitem__):
+        for slot, s in enumerate(simple):
+            sw = group.mul(s, w)
+            prod = mats[slot] * t_of[w]
+            if lengths[sw] <= lengths[w]:
+                c0, c1 = polys[slot].coeffs[0], polys[slot].coeffs[1]
+                if prod != t_of[sw] * (-c0) + t_of[w] * (-c1):
+                    return None
+            elif t_of[sw] is None:
+                first_column = [
+                    (i, row[0][1])
+                    for i, row in enumerate(prod.sparse_rows)
+                    if row and row[0][0] == 0
+                ]
+                if first_column != [(sw, rat(1))]:
+                    return None
+                t_of[sw] = prod
+            elif prod != t_of[sw]:
+                return None
+    return t_of
+
+
+@pytest.mark.parametrize("mpr", [(1, 1, 4), (2, 1, 3)], ids=["A3", "B3"])
+def test_closure_certificate_matches_the_every_product_version(mpr):
+    # relations (x - 2)(x + 1) make every T_w beyond length one dense
+    g = enumerate_group(catalog(*mpr))
+    arr = hyperplanes(g)
+    h = build_coxeter(arr, {arr[a].orbit_id: quadratic(2) for a in range(len(arr))})
+    simple = [arr[a].distinguished_generator for a in h.simple_hyperplanes]
+    polys = [quadratic(2)] * len(simple)
+    lengths = word_lengths(g, simple)
+    mats = _descent_matrices(g, simple, polys, lengths)
+    t_of = _closure_certificate(g, mats, simple, polys, lengths)
+    assert t_of == every_product_closure(g, mats, simple, polys, lengths)
+    assert t_of == [h.t_of_element(w) for w in range(len(g))]
+
+
+def test_closure_certificate_versions_agree_on_the_star():
+    # both refuse the star transpositions at q = 2 and accept them at q = 1
+    g = star_s4()
+    lengths = word_lengths(g, g.generators)
+    for q in (2, 1):
+        polys = [quadratic(q)] * 3
+        mats = _descent_matrices(g, g.generators, polys, lengths)
+        assert _closure_certificate(
+            g, mats, g.generators, polys, lengths
+        ) == every_product_closure(g, mats, g.generators, polys, lengths)
+
+
 def test_associativity_on_random_triples():
     g = enumerate_group(catalog(2, 1, 2))
     h = build_coxeter(hyperplanes(g), {0: quadratic(3), 1: quadratic(5)})

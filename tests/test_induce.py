@@ -17,7 +17,7 @@ from monodromy.induce import (
     build_ledger,
 )
 from monodromy.invariants import compute_chi_invariants, with_relation_character
-from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
+from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, left_cosets
 from corpus import (
     FIXTURES,
     chi_specs,
@@ -159,6 +159,35 @@ def test_inverse_ledger_is_the_left_ledger_inverted():
             assert all(inverse.block_of[x] == pos for x in block.elements)
         pairs += 1
     assert pairs == 48
+
+
+def inverted_left_cosets(group, subgroup):
+    """The cosets Hw as (members, coset_of), read from the left cosets:
+    Hw = (w^-1 H)^-1, each sorted, disjoint cosets sorted by least element."""
+    members, coset_of = left_cosets(group, subgroup)
+    members = sorted(tuple(sorted(map(group.inv, c))) for c in members)
+    for pos, coset in enumerate(members):
+        for x in coset:
+            coset_of[x] = pos
+    return members, coset_of
+
+
+def test_inverse_ledger_matches_the_inverted_left_cosets_on_every_corpus_run():
+    runs = 0
+    for entry in manifest():
+        if entry["expected_exit"] != 0:
+            continue
+        for spec in entry["chi_specs"]:
+            d = load_datum(entry["file"].removesuffix(".json"))
+            d.convention = "inverse"
+            chi = character_from_spec(d, spec)
+            inv = compute_chi_invariants(d, chi)
+            ledger = build_ledger(d, chi, inv)
+            members, coset_of = inverted_left_cosets(d.group, inv.w_chi)
+            assert [b.elements for b in ledger.blocks] == members
+            assert ledger.block_of == coset_of
+            runs += 1
+    assert runs == 33
 
 
 def test_inverse_r1_module_is_the_left_module_relabeled():

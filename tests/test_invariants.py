@@ -12,7 +12,7 @@ from monodromy.invariants import (
     compute_chi_invariants,
     with_relation_character,
 )
-from corpus import FIXTURES, chi_specs, load_datum, s3_rank2_generators
+from corpus import FIXTURES, chi_specs, load_datum, manifest, s3_rank2_generators
 
 
 def rat(x):
@@ -161,3 +161,44 @@ def test_rbar_orbit_consistency_enforced(tmp_path):
         "parameter error: override relations differ across the stabilizer "
         f"orbit {big_orbit}"
     )
+
+
+def orbits_under(arr, subgroup):
+    """The hyperplane orbits of a subgroup, each sorted, in order of their
+    least hyperplane, from the images under every subgroup element."""
+    seen = [False] * len(arr)
+    orbits = []
+    for a in range(len(arr)):
+        if seen[a]:
+            continue
+        orbit = sorted({arr.act(w, a) for w in subgroup})
+        for b in orbit:
+            seen[b] = True
+        orbits.append(orbit)
+    return orbits
+
+
+def test_orbits_match_the_image_loop_on_every_corpus_run():
+    runs = 0
+    for entry in manifest():
+        if entry["expected_exit"] != 0:
+            continue
+        for spec in entry["chi_specs"]:
+            d = load_datum(entry["file"].removesuffix(".json"))
+            inv = compute_chi_invariants(d, character_from_spec(d, spec))
+            assert inv.chi_orbits == orbits_under(d.arrangement, inv.w_chi)
+            assert inv.zero_orbits == orbits_under(d.arrangement, inv.w_chi_zero)
+            runs += 1
+    assert runs == 33
+
+
+def test_full_jump_orbit_without_a_relation_takes_the_trivial_value():
+    # on s3_over_s2 the character of order 3 has a trivial stabilizer, so
+    # the one hyperplane is a full-jump orbit of the reflection subgroup
+    d = load_datum("s3_over_s2")
+    chi = character_from_spec(d, {"modulus": 3, "values": {"3": 1}})
+    inv = compute_chi_invariants(d, chi)
+    assert [o for o in inv.zero_orbits if inv.per_hyperplane[o[0]].a_class == "A1"] == [[0]]
+    inv = with_relation_character(inv, {})
+    assert inv.rho_values == {0: rat(1)}
+    assert inv.rho_trivial

@@ -12,6 +12,7 @@ from monodromy.reflgrp import (
     enumerate_group,
     hyperplanes,
     left_cosets,
+    orbit_partition,
     subgroup_generated,
     word_lengths,
 )
@@ -247,6 +248,61 @@ def test_conjugation_permutes_hyperplanes():
                 assert arr.act(w, a) == expected
 
 
+def generator_search_orbit_ids(arr):
+    """The orbit id of every hyperplane by a depth-first search under the
+    group's generators, ids in order of each orbit's least hyperplane."""
+    ids = [-1] * len(arr)
+    orbit = 0
+    for a in range(len(arr)):
+        if ids[a] >= 0:
+            continue
+        stack = [a]
+        ids[a] = orbit
+        while stack:
+            b = stack.pop()
+            for g in arr.group.generators:
+                c = arr.act(g, b)
+                if ids[c] < 0:
+                    ids[c] = orbit
+                    stack.append(c)
+        orbit += 1
+    return ids
+
+
+def b2_inside_g213():
+    """The reflections of G(2,1,3) that fix the third coordinate vector,
+    which generate a proper subgroup of type B2 in rank three."""
+    g = enumerate_group(catalog(2, 1, 3))
+    fixed = [
+        g.elements[h.distinguished_generator]
+        for h in hyperplanes(g).hyperplanes
+        if g.elements[h.distinguished_generator].sparse_rows[2] == ((2, rat(1)),)
+    ]
+    return enumerate_group(fixed)
+
+
+@pytest.mark.parametrize(
+    "group", [(1, 1, 4), (2, 1, 3), (4, 4, 2), "b2_in_g213"], ids=str
+)
+def test_orbit_ids_match_the_generator_search(group):
+    g = b2_inside_g213() if group == "b2_in_g213" else enumerate_group(catalog(*group))
+    arr = hyperplanes(g)
+    ids = [h.orbit_id for h in arr.hyperplanes]
+    assert ids == generator_search_orbit_ids(arr)
+    assert arr.orbits() == [
+        [a for a in range(len(arr)) if ids[a] == k] for k in range(max(ids) + 1)
+    ]
+    if group == "b2_in_g213":
+        assert (len(g), len(arr), len(arr.orbits())) == (8, 4, 2)
+
+
+def test_orbit_partition_orders_orbits_by_least_point():
+    # the rotations of a hexagon's vertices by multiples of two steps
+    members, orbit_of = orbit_partition(6, lambda k, p: (p + k) % 6, [0, 2, 4])
+    assert members == [(0, 2, 4), (1, 3, 5)]
+    assert orbit_of == [0, 1, 0, 1, 0, 1]
+
+
 # ---------------------------------------------------------------------------
 # subgroups and cosets
 
@@ -302,8 +358,14 @@ def test_cosets_of_order_two_subgroup_in_s3():
 
 def test_cosets_reject_non_subgroup():
     g = s3_rank2()
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="subgroup is not closed"):
         left_cosets(g, [0, g.generators[0], g.mul(g.generators[0], g.generators[1])])
+
+
+def test_cosets_reject_a_subgroup_without_the_identity():
+    # the empty set is the one closed set without the identity
+    with pytest.raises(DomainError, match="must contain the identity"):
+        left_cosets(s3_rank2(), [])
 
 
 # ---------------------------------------------------------------------------
