@@ -863,7 +863,7 @@ class CycMatrix:
         if not self.is_square():
             raise DomainError("only square matrices are invertible")
         n = self.rows
-        perm = _weighted_permutation(self)
+        perm = weighted_permutation(self)
         if perm is not None:
             targets, weights = perm
             return CycMatrix._from_sparse(
@@ -897,7 +897,7 @@ class CycMatrix:
         return CycMatrix([[CycNumber.from_json(x) for x in row] for row in obj])
 
 
-def _weighted_permutation(m: CycMatrix):
+def weighted_permutation(m: CycMatrix):
     """(targets, weights) with m e_j = weights[j] e_{targets[j]} for every
     column j, when the square m holds one nonzero per row and no two in a
     column; otherwise None."""
@@ -965,7 +965,7 @@ def minpoly_matrix(m: CycMatrix) -> CycPoly:
     if not m.is_square():
         raise DomainError("minimal polynomials need a square matrix")
     n = m.rows
-    perm = _weighted_permutation(m)
+    perm = weighted_permutation(m)
     if perm is not None:
         targets, weights = perm
         shapes = set()

@@ -11,8 +11,10 @@ the chosen simple system.  One ``word_lengths`` search per candidate
 simple system tests generation and gives the lengths of the descent rule.
 The basis operators T_w are built inside the closure certificate, one
 product T_s T_w at a time; a second ascent onto a built T_w is implied by
-the descent comparisons and forms no product.  Unsupported inputs fail
-with a regime error naming the obstruction.
+the descent comparisons and forms no product.  For a Coxeter generator
+the closure certificate is also the relation and invertibility
+certificate.  Unsupported inputs fail with a regime error naming the
+obstruction.
 """
 
 from __future__ import annotations
@@ -196,7 +198,9 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
             h.group = group
             h.simple_hyperplanes = alphas
             h._element_matrices = dict(enumerate(t_of))
-            _certify_generators(h)
+            # the closure certificate set T_s e_1 = e_s, so T_s is no scalar,
+            # and compared T_s T_s with -c0 - c1 T_s: the relation is the
+            # minimal polynomial of T_s, and c0 != 0 makes T_s invertible
             return h
     raise RegimeError(
         "unsupported regime 'coxeter': no certified simple system found "

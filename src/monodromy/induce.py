@@ -1,19 +1,19 @@
 """The induced braid-cover module: dimension and block ledger, the inertia
 action on blocks, and full matrix models in two regimes.
 
-Regime R1 (trivial reflection subgroup): a monomial representation on coset
-lifts, with scalars from the extended kernel characters.  Regime R2
-(invariant character with unit jumps): the deformed group algebra carries
-the whole action and kernel elements act by scalars.  Outside these
-regimes only the ledger and the inertia action are produced; the general
-word-level induction is deliberately not approximated.
+Regime R1 (trivial reflection subgroup): the braid generators permute the
+coset lifts, and the scalars of the extended kernel characters enter through
+the kernel only.  Regime R2 (invariant character with unit jumps): the
+deformed group algebra carries the whole action and kernel elements act by
+scalars.  Outside these regimes only the ledger and the inertia action are
+produced; the general word-level induction is deliberately not approximated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix
+from .cyclo import ONE, CycMatrix, CycNumber, CycPoly, minpoly_matrix, weighted_permutation
 from .errors import IntegrityError, RegimeError
 from .extension import Character, CheckResult, ExtensionDatum, FiberElement
 from .hecke import HeckeAlgebra
@@ -73,9 +73,7 @@ def build_ledger(
         raise IntegrityError(
             f"reflection subgroup order {n_zero} does not divide {n}"
         )
-    index = n // n_zero
-    if n_zero * index != n:
-        raise IntegrityError("dimension factorization failed")
+    index = n // n_zero  # exact after the divisibility check
     members, coset_of = left_cosets(group, inv.w_chi)
     if convention != "left":
         # the cosets Hw are the orbits of H acting by left multiplication
@@ -191,7 +189,6 @@ class InducedModule:
     i_matrices: dict[int, CycMatrix]  # kernel element -> action
     checks: list[CheckResult]
     datum: ExtensionDatum
-    chi: Character
 
     def represent(self, g: FiberElement) -> CycMatrix:
         """Evaluate the module action on a fiber element by splitting it
@@ -251,7 +248,7 @@ def _common_verifications(module: InducedModule):
             # rho(s) rho(x) rho(s)^-1 = rho(s x s^-1) because rho(s) is
             # already known to be invertible: in R1 by the monomial check,
             # for R2's simple and cyclic generators by the algebra's
-            # generator certificate, and for R2's conjugates t^-1 T t
+            # relation certificate, and for R2's conjugates t^-1 T t
             # because they were built from a computed t^-1
             _check(
                 checks,
@@ -292,8 +289,9 @@ def build_full_r1(
     chi: Character,
     inv: ChiInvariants,
 ) -> InducedModule:
-    """Monomial model on coset lifts, defined when the reflection subgroup
-    is trivial and the degree-one relation character is trivial."""
+    """Model on coset lifts, defined when the reflection subgroup is trivial
+    and the degree-one relation character is trivial: the braid generators
+    permute the lifts, and the scalars enter through the kernel only."""
     group = datum.group
     if inv.w_chi_zero != (group.identity,):
         raise RegimeError(
@@ -315,9 +313,12 @@ def build_full_r1(
     lift_inverses = [datum.fiber_inv(g) for g in lifts]
 
     checks: list[CheckResult] = []
+    # h = lift(target)^-1 sigma_alpha lift(w) is a product of splitting
+    # images and their inverses, so its kernel part is the identity and its
+    # entry chi(e) tau(e) is 1; fiber_check still checks each lift and
+    # sigma_alpha, in the inertia matrices and in _common_verifications
     gen_matrices = {}
     for alpha in range(len(datum.arrangement)):
-        sigma = datum.r_tilde(((alpha, 1),))
         s = datum.arrangement[alpha].distinguished_generator
         triples = []
         for w in range(n):
@@ -325,11 +326,7 @@ def build_full_r1(
                 target = group.mul(group.inv(s), w)
             else:
                 target = group.mul(w, s)
-            h = datum.fiber_mul(datum.fiber_mul(lift_inverses[target], sigma), lifts[w])
-            scalar = datum.eval_chi_hat(chi, h) * CycNumber.rational(
-                datum.eval_tau_hat(h)
-            )
-            triples.append((target, w, scalar))
+            triples.append((target, w, ONE))
         gen_matrices[alpha] = CycMatrix.from_triples(n, n, triples)
 
     i_matrices = {}
@@ -344,9 +341,7 @@ def build_full_r1(
             )
         i_matrices[x] = CycMatrix.diagonal(entries)
 
-    module = InducedModule(
-        "R1", ledger, i_action, gen_matrices, i_matrices, checks, datum, chi
-    )
+    module = InducedModule("R1", ledger, i_action, gen_matrices, i_matrices, checks, datum)
     for alpha, m in gen_matrices.items():
         _check(
             checks,
@@ -360,10 +355,8 @@ def build_full_r1(
 
 def _is_monomial_of_roots(m: CycMatrix) -> bool:
     """One nonzero entry per row and per column, each a root of unity."""
-    for rows in (m.sparse_rows, m.transpose().sparse_rows):
-        if any(len(row) != 1 for row in rows):
-            return False
-    return all(row[0][1].root_of_unity_order() is not None for row in m.sparse_rows)
+    perm = weighted_permutation(m)
+    return perm is not None and all(a.root_of_unity_order() is not None for a in perm[1])
 
 
 def build_full_r2(
@@ -441,9 +434,7 @@ def build_full_r2(
         for x in datum.kernel
     }
     checks: list[CheckResult] = []
-    module = InducedModule(
-        "R2", ledger, i_action, gen_matrices, i_matrices, checks, datum, chi
-    )
+    module = InducedModule("R2", ledger, i_action, gen_matrices, i_matrices, checks, datum)
     for alpha, rbar in sorted(rbar_by_alpha.items()):
         m = gen_matrices[alpha]
         # a generator used as is had its relation certified as its minimal

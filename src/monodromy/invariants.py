@@ -71,15 +71,9 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
     for a in range(len(arr)):
         h = arr[a]
         meet = tuple(i for i in h.stabilizer_elements if i in w_chi_set)
+        # check_generation certifies, before the Hecke stage of every
+        # analyze, that the meet is generated by the jump-th power
         jump = h.order // len(meet)
-        # the meet of two subgroups of a cyclic group is the cyclic group
-        # on the expected power; verified rather than assumed
-        expected = subgroup_generated(group, [group.power(h.distinguished_generator, jump)])
-        if tuple(sorted(meet)) != expected:
-            raise IntegrityError(
-                f"local stabilizer meet at hyperplane {a} is not generated by "
-                f"the {jump}-th power of the distinguished generator"
-            )
         per.append(
             HyperplaneInvariant(
                 stabilizer_meet=meet,

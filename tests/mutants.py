@@ -1,5 +1,6 @@
-"""Mutation checks for the certificates of the group layer, the Hecke build
-and the local-subgroup check of datum validation.
+"""Mutation checks for the certificates of the group layer, the Hecke build,
+the local-subgroup check of datum validation, the character invariants and
+the induced module.
 
 Each entry is one exact text edit of a file under ``src/monodromy`` and the
 pytest node ids that must fail once the edit is made.  The script copies the
@@ -33,6 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REFLGRP = "src/monodromy/reflgrp.py"
 HECKE = "src/monodromy/hecke.py"
 EXTENSION = "src/monodromy/extension.py"
+INVARIANTS = "src/monodromy/invariants.py"
+INDUCE = "src/monodromy/induce.py"
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,26 @@ class Mutant:
 def nodes(module: str, *names: str) -> tuple[str, ...]:
     return tuple(f"tests/{module}.py::{name}" for name in names)
 
+
+# an expected survivor names tests that reach its site over the whole corpus
+GOLDEN = ("tests/test_cli.py::test_reports_match_reference_digests",)
+INVARIANTS_SURVIVOR_TESTS = GOLDEN + nodes(
+    "test_invariants",
+    "test_orbits_match_the_image_loop_on_every_corpus_run",
+    "test_stabilizer_order_divides_group_order",
+)
+LEDGER_SURVIVOR_TESTS = GOLDEN + nodes(
+    "test_induce",
+    "test_ledger_identities_across_fixture_characters",
+    "test_inverse_ledger_is_the_left_ledger_inverted",
+)
+MODULE_SURVIVOR_TESTS = GOLDEN + nodes(
+    "test_induce",
+    "test_r1_generators_match_the_fiber_route_on_every_corpus_run",
+    "test_inverse_r1_module_is_the_left_module_relabeled",
+    "test_r2_s3_group_algebra",
+    "test_r2_b2_split",
+)
 
 MUTANTS = (
     Mutant(
@@ -190,6 +213,175 @@ MUTANTS = (
         "        elif {e.q[x] for x in sub} != set(e.arrangement[a].stabilizer_elements):\n",
         "        elif False:\n",
         nodes("test_extension", "test_local_subgroup_witness_names_the_first_failure[image]"),
+    ),
+    Mutant(
+        "compute_chi_invariants: containment assumed",
+        INVARIANTS,
+        "    containment = set(w_chi_zero) <= w_chi_set\n",
+        "    containment = True\n",
+        INVARIANTS_SURVIVOR_TESTS,
+        survives="the local meets lie in the stabilizer, so the subgroup they generate does",
+    ),
+    Mutant(
+        "compute_chi_invariants: local meet identity unchecked",
+        INVARIANTS,
+        "        if got != per[a].stabilizer_meet:\n",
+        "        if False:\n",
+        INVARIANTS_SURVIVOR_TESTS,
+        survives=(
+            "the reflection subgroup contains each meet and lies in the "
+            "stabilizer, so it meets each local stabilizer in exactly the meet"
+        ),
+    ),
+    Mutant(
+        "compute_chi_invariants: generators are reflections unchecked",
+        INVARIANTS,
+        "        if diff.rank() != 1:\n",
+        "        if False:\n",
+        INVARIANTS_SURVIVOR_TESTS,
+        survives=(
+            "every generator is a non-identity element of a pointwise "
+            "stabilizer of a hyperplane, which fixes exactly that hyperplane"
+        ),
+    ),
+    Mutant(
+        "compute_chi_invariants: jump constancy unchecked",
+        INVARIANTS,
+        "        if len(jumps) > 1:\n",
+        "        if False:\n",
+        INVARIANTS_SURVIVOR_TESTS,
+        survives=(
+            "an element of the stabilizer conjugates one local stabilizer and "
+            "its meet onto the other's, so the jumps of an orbit agree"
+        ),
+    ),
+    Mutant(
+        "with_relation_character: degree unchecked",
+        INVARIANTS,
+        "        if poly.degree != 1:\n",
+        "        if False:\n",
+        nodes("test_invariants", "test_rho_rejects_high_degree_on_full_jump"),
+    ),
+    Mutant(
+        "with_relation_character: root of unity unchecked",
+        INVARIANTS,
+        "        if root.root_of_unity_order() is None:\n",
+        "        if False:\n",
+        nodes("test_invariants", "test_rho_rejects_a_root_that_is_not_a_root_of_unity"),
+    ),
+    Mutant(
+        "check_generation: meets unchecked",
+        INVARIANTS,
+        "        if tuple(sorted(meet)) != expected:\n",
+        "        if False:\n",
+        nodes("test_invariants", "test_check_generation_detects_a_corrupted_meet"),
+    ),
+    Mutant(
+        "check_generation: regeneration unchecked",
+        INVARIANTS,
+        "    if regenerated != inv.w_chi_zero:\n",
+        "    if False:\n",
+        nodes("test_invariants", "test_check_generation_detects_corruption"),
+    ),
+    Mutant(
+        "build_ledger: divisibility unchecked",
+        INDUCE,
+        "    if n % n_zero:\n",
+        "    if False:\n",
+        nodes("test_induce", "test_ledger_refuses_a_reflection_subgroup_order_that_does_not_divide"),
+    ),
+    Mutant(
+        "build_ledger: block character constancy unchecked",
+        INDUCE,
+        "            if datum.act_on_character(w_member, chi) != char:\n",
+        "            if False:\n",
+        nodes("test_induce", "test_ledger_refuses_a_coset_with_two_block_characters"),
+    ),
+    Mutant(
+        "build_ledger: block size unchecked",
+        INDUCE,
+        "        if len(coset) != n_chi:\n",
+        "        if False:\n",
+        LEDGER_SURVIVOR_TESTS,
+        survives="the blocks are the cosets of the stabilizer, each of its size",
+    ),
+    Mutant(
+        "build_ledger: dimension sum unchecked",
+        INDUCE,
+        "    if sum(b.dimension for b in blocks) != n:\n",
+        "    if False:\n",
+        LEDGER_SURVIVOR_TESTS,
+        survives="the blocks are the cosets of the stabilizer, which partition the group",
+    ),
+    Mutant(
+        "build_full_r1: monomial assumed",
+        INDUCE,
+        "            _is_monomial_of_roots(m),\n",
+        "            True,\n",
+        MODULE_SURVIVOR_TESTS,
+        survives="every R1 generator is built as a permutation matrix",
+    ),
+    Mutant(
+        "_common_verifications: inertia restriction assumed",
+        INDUCE,
+        "            module.i_matrices[x] == expected,\n",
+        "            True,\n",
+        nodes("test_induce", "test_inertia_certificate_catches_a_wrong_kernel_action"),
+    ),
+    Mutant(
+        "_common_verifications: conjugation assumed",
+        INDUCE,
+        "                rep_sigma * module.i_matrices[x]\n"
+        "                == module.represent(conj) * rep_sigma,\n",
+        "                True,\n",
+        nodes("test_induce", "test_conjugation_certificate_catches_a_wrong_generator"),
+    ),
+    Mutant(
+        "_common_verifications: kernel product assumed",
+        INDUCE,
+        "                module.represent(\n"
+        "                    datum.fiber_mul(datum.embed_inertia(x), sigma)\n"
+        "                )\n"
+        "                == module.i_matrices[x] * rep_sigma,\n",
+        "                True,\n",
+        MODULE_SURVIVOR_TESTS,
+        survives=(
+            "represent splits x sigma into the kernel part x and the word "
+            "sigma, so both sides compute the same product"
+        ),
+    ),
+    Mutant(
+        "_common_verifications: braid relation base images assumed",
+        INDUCE,
+        "            p1 == p2,\n",
+        "            True,\n",
+        nodes("test_induce", "test_braid_relation_base_certificate_refuses_distinct_base_images"),
+    ),
+    Mutant(
+        "_common_verifications: braid relation assumed",
+        INDUCE,
+        "            module.represent(datum.r_tilde(w1))\n"
+        "            == module.represent(datum.r_tilde(w2)),\n",
+        "            True,\n",
+        nodes("test_induce", "test_braid_relation_certificate_catches_a_wrong_generator"),
+    ),
+    Mutant(
+        "build_full_r2: missing conjugator unchecked",
+        INDUCE,
+        "            if conjugator is None:\n",
+        "            if False:\n",
+        MODULE_SURVIVOR_TESTS,
+        survives=(
+            "every reflection of a finite Coxeter group is conjugate to a "
+            "simple one, and build_coxeter certified the simple system"
+        ),
+    ),
+    Mutant(
+        "build_full_r2: generator relation assumed",
+        INDUCE,
+        "            got == rbar,\n",
+        "            True,\n",
+        nodes("test_induce", "test_generator_relation_certificate_refuses_a_changed_relation"),
     ),
 )
 

@@ -1,9 +1,13 @@
+import json
 import random
 
 import pytest
 
+from monodromy import cli
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
 from monodromy.errors import IntegrityError, ParameterError, RegimeError
+from monodromy.extension import datum_to_json
+from monodromy.fixtures import direct_product_datum
 from monodromy.hecke import (
     HeckeAlgebra,
     _certify_generators,
@@ -14,7 +18,7 @@ from monodromy.hecke import (
     build_product,
 )
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, word_lengths
-from corpus import s3_rank2_generators
+from corpus import FIXTURES, manifest, s3_rank2_generators
 
 
 def rat(x):
@@ -349,6 +353,60 @@ def test_closure_certificate_versions_agree_on_the_star():
         assert _closure_certificate(
             g, mats, g.generators, polys, lengths
         ) == every_product_closure(g, mats, g.generators, polys, lengths)
+
+
+def assert_generators_certified(h):
+    """The generator certificate that build_coxeter leaves to the closure
+    certificate: each minimal polynomial is the declared relation, and its
+    constant term is nonzero."""
+    for key, m in h.generators.items():
+        got = minpoly_matrix(m)
+        assert got == h.params[key], key
+        assert not got.constant_term.is_zero(), key
+
+
+def test_pipeline_coxeter_generators_have_their_relation_as_minimal_polynomial(
+    monkeypatch, tmp_path
+):
+    built = []
+
+    def recording_build_coxeter(arr, params):
+        built.append(build_coxeter(arr, params))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_coxeter", recording_build_coxeter)
+    for entry in manifest():
+        if entry["expected_exit"] == 0:
+            for spec in entry["chi_specs"]:
+                assert cli.run_analyze(str(FIXTURES / entry["file"]), spec)[1] == 0
+    corpus_algebras = len(built)
+    # the covers of the benchmark ladder, with the sign character on Z/2
+    for name, mpr in (("z2_g114", (1, 1, 4)), ("z2_g213", (2, 1, 3))):
+        datum = direct_product_datum(name, catalog(*mpr), 2, tau_exponent=1)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(datum_to_json(datum)))
+        generator = next(x for x in datum.kernel if x != datum.wtilde.identity)
+        for spec in ("trivial", {str(generator): 1, "modulus": 2}):
+            assert cli.run_analyze(str(path), spec)[1] == 0
+    assert (corpus_algebras, len(built)) == (14, 18)
+    for h in built:
+        assert h.regime == "coxeter"
+        assert_generators_certified(h)
+
+
+@pytest.mark.parametrize(
+    "group, relation",
+    [
+        (lambda: enumerate_group(catalog(1, 1, 4)), quadratic(2)),
+        (lambda: enumerate_group(catalog(2, 1, 3)), quadratic(2)),
+        (star_s4, poly(-1, 0, 1)),
+    ],
+    ids=["A3", "B3", "star"],
+)
+def test_coxeter_generators_have_their_relation_as_minimal_polynomial(group, relation):
+    arr = hyperplanes(group())
+    h = build_coxeter(arr, {arr[a].orbit_id: relation for a in range(len(arr))})
+    assert_generators_certified(h)
 
 
 def test_associativity_on_random_triples():

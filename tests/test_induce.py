@@ -4,7 +4,7 @@ import pytest
 
 from monodromy.carousel import build_carousel, carousel_minpolys, twist_from_extension
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
-from monodromy.errors import RegimeError
+from monodromy.errors import IntegrityError, RegimeError
 from monodromy.cli import run_analyze
 from monodromy.extension import Character, ExtensionDatum, character_from_spec, datum_from_json
 from monodromy.fixtures import direct_product_datum, table_from_elements
@@ -99,6 +99,26 @@ def test_ledger_identities_across_fixture_characters():
             assert ledger.dim_m0 * ledger.index == ledger.dim_mchi
             assert sum(b.dimension for b in ledger.blocks) == ledger.dim_mchi
             assert all(b.dimension == len(inv.w_chi) for b in ledger.blocks)
+
+
+def test_ledger_refuses_a_reflection_subgroup_order_that_does_not_divide():
+    d = load_datum("s3_split_z2")
+    chi = Character.trivial(d.kernel)
+    inv = compute_chi_invariants(d, chi)
+    inv.w_chi_zero = (0, 1, 2, 3)  # fault injection: 4 elements in a group of 6
+    with pytest.raises(IntegrityError, match="reflection subgroup order 4 does not divide 6"):
+        build_ledger(d, chi, inv)
+
+
+def test_ledger_refuses_a_coset_with_two_block_characters():
+    # the whole base group as the stabilizer of a character it moves
+    d = load_datum("s3_over_s2")
+    chi = faithful_chi(d)
+    inv = compute_chi_invariants(d, chi)
+    assert inv.w_chi == (0,)
+    inv.w_chi = (0, 1)  # fault injection
+    with pytest.raises(IntegrityError, match="block character not constant on the coset of 0"):
+        build_ledger(d, chi, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +417,56 @@ def test_r1_flip_convention_consistency():
     assert all(c.status == "pass" for c in module.checks)
 
 
+def fiber_route_generators(datum, chi):
+    """The R1 generator matrices through the fiber product: the entry at
+    (target, w) is chi-hat times tau-hat of lift(target)^-1 sigma lift(w)."""
+    group = datum.group
+    n = len(group)
+    letter_table = induce.generator_letter_decomposition(datum)
+    lifts = []
+    for w in range(n):
+        label = w if datum.convention == "left" else group.inv(w)
+        lifts.append(induce.braid_lift(datum, label, letter_table))
+    lift_inverses = [datum.fiber_inv(g) for g in lifts]
+    gen_matrices = {}
+    for alpha in range(len(datum.arrangement)):
+        sigma = datum.r_tilde(((alpha, 1),))
+        s = datum.arrangement[alpha].distinguished_generator
+        triples = []
+        for w in range(n):
+            if datum.convention == "left":
+                target = group.mul(group.inv(s), w)
+            else:
+                target = group.mul(w, s)
+            h = datum.fiber_mul(datum.fiber_mul(lift_inverses[target], sigma), lifts[w])
+            scalar = datum.eval_chi_hat(chi, h) * CycNumber.rational(datum.eval_tau_hat(h))
+            triples.append((target, w, scalar))
+        gen_matrices[alpha] = CycMatrix.from_triples(n, n, triples)
+    return gen_matrices
+
+
+def test_r1_generators_match_the_fiber_route_on_every_corpus_run():
+    runs = []
+    for entry in manifest():
+        if entry["expected_exit"] != 0:
+            continue
+        name = entry["file"].removesuffix(".json")
+        for spec in entry["chi_specs"]:
+            report, code, _ = run_analyze(str(FIXTURES / entry["file"]), spec)
+            if report["m_chi"]["regime"] != "R1":
+                continue
+            d = load_datum(name)
+            chi = character_from_spec(d, spec)
+            inv = compute_chi_invariants(d, chi)
+            for convention in ("left", "inverse"):
+                d.convention = convention
+                got = build_full_r1(d, chi, inv).gen_matrices
+                assert got == fiber_route_generators(d, chi), (name, spec, convention)
+            if got:
+                runs.append(name)
+    assert runs == ["dicyclic12_over_s2", "s3_over_s2", "s3xs3_over_v4"]
+
+
 def test_conjugation_certificate_catches_a_wrong_generator(monkeypatch):
     # generator 0 acts by the identity when the verifications run: it is
     # still monomial, but it no longer conjugates the kernel action
@@ -415,6 +485,37 @@ def test_conjugation_certificate_catches_a_wrong_generator(monkeypatch):
     assert code == 4
     assert report["error"].startswith("integrity error: conjugation[alpha=0,x=3]")
     assert regimes == ["R1"]
+
+
+def test_inertia_certificate_catches_a_wrong_kernel_action(monkeypatch):
+    original = induce._common_verifications
+
+    def with_identity_kernel_action(module):
+        module.i_matrices[3] = CycMatrix.identity(module.ledger.dim_mchi)
+        original(module)
+
+    monkeypatch.setattr(induce, "_common_verifications", with_identity_kernel_action)
+    report, code, _ = run_analyze(
+        str(FIXTURES / "s3_over_s2.json"), {"3": 1, "modulus": 3}
+    )
+    assert code == 4
+    assert report["error"] == (
+        "integrity error: inertia_restriction[x=3]: kernel action differs from "
+        "the block scalars"
+    )
+
+
+def test_braid_relation_base_certificate_refuses_distinct_base_images(tmp_path):
+    # validation assumes the asserted relations; sigma_0 = 1 has base images s, e
+    raw = json.loads((FIXTURES / "s3_over_s2.json").read_text())
+    raw["braid_relations"] = [[[[0, 1]], []]]
+    path = tmp_path / "s3_over_s2_bad_relation.json"
+    path.write_text(json.dumps(raw))
+    report, code, _ = run_analyze(str(path), {"3": 1, "modulus": 3})
+    assert code == 4
+    assert report["error"].startswith(
+        "integrity error: braid_relation_base[0]: asserted relation has distinct base images"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +604,40 @@ def test_r2_b2_split():
         f"generator_relation[alpha={a}]": "pass" for a in range(len(d.arrangement))
     }
     assert all(c.status == "pass" for c in module.checks)
+
+
+def test_braid_relation_certificate_catches_a_wrong_generator(monkeypatch):
+    # any two reflection generators of S3 satisfy the asserted braid
+    # relation, and the kernel acts by scalars in R2, so with the identity in
+    # place of generator 0 only the braid-relation certificate can refuse
+    original = induce._common_verifications
+    regimes = []
+
+    def with_identity_generator(module):
+        regimes.append(module.regime)
+        module.gen_matrices[0] = CycMatrix.identity(module.ledger.dim_mchi)
+        original(module)
+
+    monkeypatch.setattr(induce, "_common_verifications", with_identity_generator)
+    report, code, _ = run_analyze(str(FIXTURES / "s3_split_z2.json"), "trivial")
+    assert code == 4
+    assert report["error"] == (
+        "integrity error: braid_relation[0]: module action separates an "
+        "asserted braid relation"
+    )
+    assert regimes == ["R2"]
+
+
+def test_generator_relation_certificate_refuses_a_changed_relation():
+    d = direct_product_datum("s3dp", s3_rank2_generators(), 2)
+    chi = Character.trivial(d.kernel)
+    inv = compute_chi_invariants(d, chi)
+    rbar = CycPoly([rat(-1), rat(0), rat(1)])
+    params = {oid: rbar for oid in {d.arrangement[a].orbit_id for a in range(3)}}
+    hecke = build_coxeter(d.arrangement, params)
+    changed = {0: CycPoly([rat(-2), rat(-1), rat(1)]), 1: rbar, 2: rbar}
+    with pytest.raises(IntegrityError, match=r"generator_relation\[alpha=0\]"):
+        build_full_r2(d, chi, inv, hecke, changed)
 
 
 def test_r2_refused_outside_regime():

@@ -123,6 +123,18 @@ def test_check_generation_detects_corruption():
     assert not ok and "mismatch" in witness
 
 
+def test_check_generation_detects_a_corrupted_meet():
+    # the other two reflections of S3 still generate the reflection
+    # subgroup, so only the meet comparison can refuse this
+    d = load_datum("s3_split_z2")
+    inv = compute_chi_invariants(d, Character.trivial(d.kernel))
+    assert len(inv.w_chi_zero) == 6
+    inv.per_hyperplane[0].stabilizer_meet = (d.group.identity,)  # fault injection
+    ok, witness = check_generation(d, inv)
+    assert not ok
+    assert witness == "hyperplane 0: meet is not generated by the jump power"
+
+
 def test_rho_from_degree_one_relations():
     d = load_datum("s3_over_s2")
     chi = faithful_chi(d)
@@ -137,6 +149,14 @@ def test_rho_rejects_high_degree_on_full_jump():
     chi = faithful_chi(d)
     rbar = CycPoly([rat(-1), rat(0), rat(1)])  # z^2 - 1
     with pytest.raises(ParameterError):
+        with_relation_character(compute_chi_invariants(d, chi), {0: rbar})
+
+
+def test_rho_rejects_a_root_that_is_not_a_root_of_unity():
+    d = load_datum("s3_over_s2")
+    chi = faithful_chi(d)
+    rbar = CycPoly([rat(-2), rat(1)])  # z - 2, root 2
+    with pytest.raises(ParameterError, match="is not a root of unity"):
         with_relation_character(compute_chi_invariants(d, chi), {0: rbar})
 
 
