@@ -6,9 +6,13 @@ them), 3 for datum validation and parameter errors, 4 for integrity
 failures.  Reports are deterministic: identical inputs produce
 byte-identical JSON.
 
+Each fact is certified once: a stage does not re-check what an earlier
+certificate or its own construction proves, and says why at that site.
+
 A report is a dict of JSON values in which matrices may stay ``CycMatrix``
-objects (the R1/R2 ``m_chi.generator_matrices`` and ``inertia_matrices``
-do).  ``render_report`` is the one serializer: it writes the text of
+objects (the carousel models' ``lambda_inv`` and ``mu_e`` and the R1/R2
+``m_chi.generator_matrices`` and ``inertia_matrices`` do).
+``render_report`` is the one serializer: it writes the text of
 ``json.dumps(report, indent=2, sort_keys=True)`` for the report with each
 matrix as its dense ``to_json`` lists, straight from the sparse rows, and
 the CLI streams the same chunks to ``--out`` or stdout.
@@ -120,12 +124,9 @@ def _carousel_stage(datum, chi, inv, rbar_overrides):
     certified = {}
     for orbit in inv.chi_orbits:
         rep = orbit[0]
+        # the orbit's distinguished generators are conjugate (Arrangement.act),
+        # and hyperplanes() certified each to have its hyperplane's order
         n = datum.arrangement[rep].order
-        for a in orbit[1:]:
-            if datum.arrangement[a].order != n:
-                raise IntegrityError(
-                    f"hyperplane orders differ along the stabilizer orbit {orbit}"
-                )
         e = inv.per_hyperplane[rep].jump
         sgn = _orbit_constant(orbit, datum.sgn, 1, "sign datum")
         twists = {a: datum.twist.get(a) or twist_from_extension(datum, a, chi) for a in orbit}
@@ -223,12 +224,9 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
             gens.append(next(i for i in meet if i != group.identity))
     arr = datum.arrangement
     if len(sub) != len(group):
+        # sub is the closure of the meets in W's table of exact matrix
+        # products, so the matrix closure has its order
         subgroup = enumerate_group([group.elements[g] for g in sorted(set(gens))])
-        if len(subgroup) != len(sub):
-            raise IntegrityError(
-                f"re-enumerated reflection subgroup has order {len(subgroup)}, "
-                f"expected {len(sub)}"
-            )
         arr = hyperplanes(subgroup)
     params = {}
     for b in range(len(arr)):

@@ -1,9 +1,11 @@
 """Mutation checks for the certificates of the group layer, the Hecke build,
-the local-subgroup check of datum validation, the character invariants and
-the induced module.
+the local-subgroup check of datum validation, the character invariants,
+the carousel and the induced module.
 
 Each entry is one exact text edit of a file under ``src/monodromy`` and the
-pytest node ids that must fail once the edit is made.  The script copies the
+pytest node ids that must fail once the edit is made.  The script first
+checks that every entry's old text occurs exactly once, and lists every
+entry whose text does not before it runs any test.  It then copies the
 repository to a temporary directory, checks that every named test passes
 there unmutated, then applies one edit at a time and runs its tests; the
 working tree is never written.  An entry with a ``survives`` reason is an
@@ -36,6 +38,7 @@ HECKE = "src/monodromy/hecke.py"
 EXTENSION = "src/monodromy/extension.py"
 INVARIANTS = "src/monodromy/invariants.py"
 INDUCE = "src/monodromy/induce.py"
+CAROUSEL = "src/monodromy/carousel.py"
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,6 @@ INVARIANTS_SURVIVOR_TESTS = GOLDEN + nodes(
     "test_invariants",
     "test_orbits_match_the_image_loop_on_every_corpus_run",
     "test_stabilizer_order_divides_group_order",
-)
-LEDGER_SURVIVOR_TESTS = GOLDEN + nodes(
-    "test_induce",
-    "test_ledger_identities_across_fixture_characters",
-    "test_inverse_ledger_is_the_left_ledger_inverted",
 )
 MODULE_SURVIVOR_TESTS = GOLDEN + nodes(
     "test_induce",
@@ -284,6 +282,42 @@ MUTANTS = (
         nodes("test_invariants", "test_check_generation_detects_corruption"),
     ),
     Mutant(
+        "carousel_minpolys: degree unchecked",
+        CAROUSEL,
+        "    if r.degree != m.n:\n",
+        "    if False:\n",
+        nodes("test_carousel", "test_minpolys_refuse_a_shift_with_two_cycles"),
+    ),
+    Mutant(
+        "carousel_minpolys: power-support fold unchecked",
+        CAROUSEL,
+        "    if folded != rbar:\n",
+        "    if False:\n",
+        nodes("test_carousel", "test_minpolys_refuse_powers_that_break_the_fold"),
+    ),
+    Mutant(
+        "carousel_minpolys: constant terms unchecked",
+        CAROUSEL,
+        "    if r.constant_term.is_zero() or rbar.constant_term.is_zero() or "
+        "rbar_mu.constant_term.is_zero():\n",
+        "    if False:\n",
+        nodes("test_carousel", "test_minpolys_refuse_a_singular_family_monodromy"),
+    ),
+    Mutant(
+        "carousel_minpolys: theta twist unchecked",
+        CAROUSEL,
+        "    if rbar_mu != expected_mu:\n",
+        "    if False:\n",
+        nodes("test_carousel", "test_minpolys_refuse_a_family_monodromy_off_the_theta_twist"),
+    ),
+    Mutant(
+        "twist_from_extension: closing up unchecked",
+        CAROUSEL,
+        "    if datum.q[full_turn] != datum.group.identity:\n",
+        "    if False:\n",
+        nodes("test_carousel", "test_twist_refuses_a_splitting_element_that_does_not_close_up"),
+    ),
+    Mutant(
         "build_ledger: divisibility unchecked",
         INDUCE,
         "    if n % n_zero:\n",
@@ -296,22 +330,6 @@ MUTANTS = (
         "            if datum.act_on_character(w_member, chi) != char:\n",
         "            if False:\n",
         nodes("test_induce", "test_ledger_refuses_a_coset_with_two_block_characters"),
-    ),
-    Mutant(
-        "build_ledger: block size unchecked",
-        INDUCE,
-        "        if len(coset) != n_chi:\n",
-        "        if False:\n",
-        LEDGER_SURVIVOR_TESTS,
-        survives="the blocks are the cosets of the stabilizer, each of its size",
-    ),
-    Mutant(
-        "build_ledger: dimension sum unchecked",
-        INDUCE,
-        "    if sum(b.dimension for b in blocks) != n:\n",
-        "    if False:\n",
-        LEDGER_SURVIVOR_TESTS,
-        survives="the blocks are the cosets of the stabilizer, which partition the group",
     ),
     Mutant(
         "build_full_r1: monomial assumed",
@@ -397,6 +415,11 @@ def pytest_run(copy: Path, tests) -> int:
 
 def main() -> int:
     start = time.perf_counter()
+    stale = [m for m in MUTANTS if (ROOT / m.file).read_text().count(m.old) != 1]
+    for m in stale:
+        print(f"{m.name}: the old text does not occur exactly once in {m.file}", file=sys.stderr)
+    if stale:
+        return 1
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(
@@ -413,9 +436,6 @@ def main() -> int:
         for m in MUTANTS:
             path = copy / m.file
             original = path.read_text()
-            if original.count(m.old) != 1:
-                print(f"{m.name}: the old text does not occur exactly once", file=sys.stderr)
-                return 1
             path.write_text(original.replace(m.old, m.new))
             try:
                 code = pytest_run(copy, m.tests)

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from monodromy.carousel import (
+    CarouselModel,
     build_carousel,
     carousel_minpolys,
     twist_from_extension,
@@ -14,7 +17,8 @@ from monodromy.cyclo import (
     theta,
     zeta,
 )
-from monodromy.errors import DomainError
+from monodromy.errors import DomainError, IntegrityError
+from monodromy.extension import Character
 from monodromy.fixtures import direct_product_datum
 from corpus import load_datum, nontrivial_character, s3_rank2_generators
 
@@ -89,6 +93,79 @@ def test_bad_parameters_rejected():
         build_carousel(4, 2, 1, rat(2))  # not a root of unity
 
 
+def certify_model(m):
+    """The model certificate that construction stands in for: the
+    shift structure of lambda_inv, mu_e as the signed power, and the image
+    of the first basis vector under mu_e."""
+    n = m.n
+    sign = rat(m.sgn)
+    columns = m.lambda_inv.transpose().sparse_rows
+    for j in range(n):
+        assert columns[j] == (((j + 1, sign),) if j < n - 1 else ((0, sign * m.twist),)), j
+    assert m.mu_e == (m.lambda_inv**m.e) * rat(m.k)
+    expected = [rat(0)] * n
+    if m.e < n:
+        expected[m.e] = rat(1)
+    else:
+        expected[0] = m.twist
+    assert m.mu_e.apply(tuple(rat(int(i == 0)) for i in range(n))) == tuple(expected)
+
+
+def test_every_grid_model_is_the_shift_and_its_signed_power():
+    # the 3220 tuples of acceptance criterion 3
+    count = 0
+    for n in range(1, 13):
+        for e in (e for e in range(1, n + 1) if n % e == 0):
+            for sgn in (1, -1):
+                for k in range(1, 13):
+                    for j in range(k):
+                        if math.gcd(j, k) == 1 or (j == 0 and k == 1):
+                            certify_model(build_carousel(n, e, sgn, zeta(k, j)))
+                            count += 1
+    assert count == 3220
+
+
+def faulty_model(n, e, lambda_inv, mu_e):
+    """A model with sign and twist one that build_carousel would never
+    make, for carousel_minpolys to refuse."""
+    return CarouselModel(n, e, 1, rat(1), lambda_inv, mu_e)
+
+
+def permutation(n, images):
+    """The permutation matrix sending basis vector j to images[j]."""
+    return CycMatrix.from_triples(n, n, [(images[j], j, rat(1)) for j in range(n)])
+
+
+def test_minpolys_refuse_a_shift_with_two_cycles():
+    two_cycles = permutation(4, [1, 0, 3, 2])
+    m = faulty_model(4, 1, two_cycles, two_cycles)
+    with pytest.raises(IntegrityError, match="minimal degree 2, expected 4"):
+        carousel_minpolys(m)
+
+
+def test_minpolys_refuse_powers_that_break_the_fold():
+    # the companion matrix of z^2 - z - 1: its square has minimal polynomial
+    # z^2 - 3z + 1, and z^2 - z - 1 is not supported on even exponents
+    companion = CycMatrix([[rat(0), rat(1)], [rat(1), rat(1)]])
+    m = faulty_model(2, 2, companion, companion**2)
+    with pytest.raises(IntegrityError, match="power-support factorization failed"):
+        carousel_minpolys(m)
+
+
+def test_minpolys_refuse_a_singular_family_monodromy():
+    swap = permutation(2, [1, 0])
+    m = faulty_model(2, 1, swap, CycMatrix.diagonal([rat(1), rat(0)]))
+    with pytest.raises(IntegrityError, match="zero constant term"):
+        carousel_minpolys(m)
+
+
+def test_minpolys_refuse_a_family_monodromy_off_the_theta_twist():
+    swap = permutation(2, [1, 0])
+    m = faulty_model(2, 1, swap, CycMatrix.identity(2))
+    with pytest.raises(IntegrityError, match="sign-twisted involution"):
+        carousel_minpolys(m)
+
+
 def sweep_tuples(n_max=8, twist_orders=(1, 2, 3, 4)):
     for n in range(1, n_max + 1):
         for e in range(1, n + 1):
@@ -121,6 +198,18 @@ def test_twist_from_direct_product_is_one():
         assert twist_from_extension(d, alpha, chi).is_one()
 
 
+def test_twist_refuses_a_splitting_element_that_does_not_close_up():
+    # an unvalidated datum: hyperplane 0 of s4_over_s3 split over an element
+    # above a 3-cycle, whose square is not in the kernel
+    d = load_datum("s4_over_s3")
+    assert d.arrangement[0].order == 2
+    d.splitting[0] = next(
+        r for r in range(len(d.wtilde)) if d.group.element_order(d.q[r]) == 3
+    )
+    with pytest.raises(IntegrityError, match="hyperplane 0 does not close up"):
+        twist_from_extension(d, 0, Character.trivial(d.kernel))
+
+
 def test_twist_from_z8_cover_is_minus_one():
     d = load_datum("cyclic_z8_over_z4")
     chi = nontrivial_character(d)
@@ -129,8 +218,6 @@ def test_twist_from_z8_cover_is_minus_one():
 
 def test_twist_trivial_character():
     d = load_datum("cyclic_z8_over_z4")
-    from monodromy.extension import Character
-
     assert twist_from_extension(d, 0, Character.trivial(d.kernel)).is_one()
 
 

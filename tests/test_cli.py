@@ -260,6 +260,22 @@ def test_fuzzed_datum_ends_in_documented_exit(tmp_path_factory, data):
     assert code in (0, 2, 3, 4)
 
 
+def test_sign_checks_refuse_a_kernel_that_is_not_closed(tmp_path):
+    # with q[3] changed, q is no homomorphism and the kernel {0, 4} is not
+    # closed: 4 * 4 = 3 has no sign, so tau.multiplicative fails instead
+    # of raising a KeyError
+    datum = json.loads((FIXTURES / "s3_over_s2.json").read_text())
+    datum["q"][3] = 1
+    del datum["tau"]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    report, code, _ = run_analyze(str(path), "trivial")
+    assert code == 3
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert verdicts["q.homomorphism"]["status"] == "fail"
+    assert verdicts["tau.multiplicative"]["status"] == "fail"
+
+
 # int() reads each of these as 0; a key must be spelled as str() spells it
 NON_CANONICAL_ZERO = ["00", " 0 ", "0_0", "+0", "-0"]
 ZERO_KEYED = {
@@ -484,6 +500,32 @@ def test_proper_reflection_subgroup_gets_its_own_coxeter_algebra(tmp_path):
     assert any("full module unavailable" in w for w in warnings)
 
 
+def test_re_enumerated_reflection_subgroup_has_the_order_of_its_closure(tmp_path, monkeypatch):
+    """On every character of the cover whose reflection subgroup is proper,
+    the matrix closure of the meets has the order of their closure in W's
+    table, which _hecke_stage takes as proved."""
+    seen = []
+
+    def recording(subgroup):
+        seen.append(len(subgroup))
+        return hyperplanes(subgroup)
+
+    monkeypatch.setattr("monodromy.cli.hyperplanes", recording)
+    datum, x, y = _b2_swap_cover()
+    path = tmp_path / "b2_swap_cover.json"
+    path.write_text(json.dumps(datum_to_json(datum)))
+    proper = 0
+    for a in (0, 1):
+        for b in (0, 1):
+            seen.clear()
+            report, code, _ = run_analyze(str(path), {str(x): a, str(y): b, "modulus": 2})
+            assert code == 0, report.get("error")
+            if seen:
+                assert seen == [report["chi_invariants"]["w_chi_zero_order"]]
+                proper += 1
+    assert proper == 2
+
+
 # ---------------------------------------------------------------------------
 # golden determinism
 
@@ -580,8 +622,15 @@ def test_render_matches_json_dumps_on_every_payload(tmp_path):
         for section in ("generator_matrices", "inertia_matrices")
         for m in payload.get("m_chi", {}).get(section, {}).values()
     ]
+    # so do the carousel models, of analyze reports and carousel payloads
+    carousels = [run_carousel(6, 2, -1, zeta(4)), run_carousel(1, 1, 1, zeta(1))]
+    models = [
+        section["model"] for payload in payloads for section in payload.get("carousel", [])
+    ] + [payload["model"] for payload in carousels]
+    assert len(models) > len(carousels)
+    matrices += [model[key] for model in models for key in ("lambda_inv", "mu_e")]
     assert matrices and all(isinstance(m, CycMatrix) for m in matrices)
-    payloads += [run_catalog("g", 2, 1, 3), run_carousel(6, 2, -1, zeta(4))]
+    payloads += [run_catalog("g", 2, 1, 3)] + carousels
     for payload in payloads:
         assert render_report(payload) == oracle_render(payload)
 

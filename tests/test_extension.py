@@ -17,7 +17,7 @@ from monodromy.extension import (
 )
 from monodromy.fixtures import direct_product_datum
 from monodromy.reflgrp import enumerate_group, hyperplanes
-from corpus import FIXTURES, load_datum, s3_rank2_generators
+from corpus import FIXTURES, load_datum, manifest, s3_rank2_generators
 
 
 def rat(x):
@@ -178,12 +178,32 @@ def test_character_enumeration_counts():
     assert len(load_datum("dicyclic12_over_s2").characters()) == 6
 
 
+def check_character(d, chi):
+    """The character certificate that the closure loop of
+    character_from_values stands in for."""
+    assert set(chi.values) == set(d.kernel)
+    for x in d.kernel:
+        assert chi(x).root_of_unity_order() is not None
+    for a in d.kernel:
+        for b in d.kernel:
+            assert chi(d.wtilde.mul(a, b)) == chi(a) * chi(b), (a, b)
+
+
 def test_characters_are_multiplicative():
-    d = load_datum("s3xs3_over_v4")
-    for chi in d.characters():
-        for a in d.kernel:
-            for b in d.kernel:
-                assert chi(d.wtilde.mul(a, b)) == chi(a) * chi(b)
+    # every character of every corpus datum, as enumerated and as extended
+    # from its values, and the character of every manifest spec
+    characters = 0
+    for entry in manifest():
+        if entry["expected_exit"] != 0:
+            continue
+        d = load_datum(entry["file"].removesuffix(".json"))
+        for chi in d.characters():
+            check_character(d, chi)
+            check_character(d, d.character_from_values(chi.values))
+            characters += 1
+        for spec in entry["chi_specs"]:
+            check_character(d, character_from_spec(d, spec))
+    assert characters == 48
 
 
 def test_character_from_spec():

@@ -6,7 +6,13 @@ from monodromy.carousel import build_carousel, carousel_minpolys, twist_from_ext
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
 from monodromy.errors import IntegrityError, RegimeError
 from monodromy.cli import run_analyze
-from monodromy.extension import Character, ExtensionDatum, character_from_spec, datum_from_json
+from monodromy.extension import (
+    Character,
+    ExtensionDatum,
+    character_from_spec,
+    datum_from_json,
+    datum_to_json,
+)
 from monodromy.fixtures import direct_product_datum, table_from_elements
 from monodromy.hecke import build_coxeter, build_cyclic
 from monodromy import induce
@@ -89,16 +95,23 @@ def test_ledger_s4_partition_blocks():
 
 
 def test_ledger_identities_across_fixture_characters():
-    for name in ("s3_over_s2", "cyclic_z8_over_z4", "dicyclic12_over_s2",
-                 "s4_over_s3", "quaternion_over_v4"):
-        d = load_datum(name)
-        for chi in d.characters():
-            inv = compute_chi_invariants(d, chi)
+    # the block-size and dimension-sum checks that the coset certificate of
+    # left_cosets stands in for, on every corpus ledger under both conventions
+    ledgers = 0
+    for d, chi in corpus_pairs():
+        inv = compute_chi_invariants(d, chi)
+        for convention in ("left", "inverse"):
+            d.convention = convention
             ledger = build_ledger(d, chi, inv)
             assert ledger.dim_mchi == len(d.group)
             assert ledger.dim_m0 * ledger.index == ledger.dim_mchi
+            for b in ledger.blocks:
+                assert len(b.elements) == b.dimension == len(inv.w_chi)
             assert sum(b.dimension for b in ledger.blocks) == ledger.dim_mchi
-            assert all(b.dimension == len(inv.w_chi) for b in ledger.blocks)
+            elements = sorted(x for b in ledger.blocks for x in b.elements)
+            assert elements == list(range(len(d.group)))
+            ledgers += 1
+    assert ledgers == 96
 
 
 def test_ledger_refuses_a_reflection_subgroup_order_that_does_not_divide():
@@ -604,6 +617,38 @@ def test_r2_b2_split():
         f"generator_relation[alpha={a}]": "pass" for a in range(len(d.arrangement))
     }
     assert all(c.status == "pass" for c in module.checks)
+
+
+def test_r2_generators_have_their_relation_as_minimal_polynomial(tmp_path):
+    # the minimal polynomial that build_full_r2 reads from the algebra,
+    # recomputed for every R2 generator of the corpus and the ladder covers
+    runs = [
+        (FIXTURES / entry["file"], spec)
+        for entry in manifest()
+        if entry["expected_exit"] == 0
+        for spec in entry["chi_specs"]
+    ]
+    for name, mpr in (("z2_g114", (1, 1, 4)), ("z2_g213", (2, 1, 3))):
+        datum = direct_product_datum(name, catalog(*mpr), 2, tau_exponent=1)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(datum_to_json(datum)))
+        generator = next(x for x in datum.kernel if x != datum.wtilde.identity)
+        runs += [(path, "trivial"), (path, {str(generator): 1, "modulus": 2})]
+    generators = set()
+    for path, spec in runs:
+        report, code, _ = run_analyze(str(path), spec)
+        assert code == 0
+        if report["m_chi"]["regime"] != "R2":
+            continue
+        rbar = {
+            a: CycPoly.from_json(section["applied_rbar"])
+            for section in report["carousel"]
+            for a in section["orbit"]
+        }
+        for key, m in report["m_chi"]["generator_matrices"].items():
+            assert minpoly_matrix(m) == rbar[int(key)], (path.name, spec, key)
+            generators.add(path.name)
+    assert {"z2_g114.json", "z2_g213.json"} <= generators
 
 
 def test_braid_relation_certificate_catches_a_wrong_generator(monkeypatch):

@@ -212,6 +212,21 @@ def test_orbits_match_the_image_loop_on_every_corpus_run():
     assert runs == 33
 
 
+def test_hyperplane_order_is_constant_on_every_corpus_stabilizer_orbit():
+    # the constancy that the carousel stage takes as proved: the orbit's
+    # distinguished generators are conjugate, so they have one order
+    orbits = 0
+    for entry in manifest():
+        if entry["expected_exit"] != 0:
+            continue
+        d = load_datum(entry["file"].removesuffix(".json"))
+        for chi in d.characters():
+            for orbit in compute_chi_invariants(d, chi).chi_orbits:
+                assert len({d.arrangement[a].order for a in orbit}) == 1, (entry["file"], orbit)
+                orbits += len(orbit) > 1
+    assert orbits == 22  # orbits of more than one hyperplane
+
+
 def test_full_jump_orbit_without_a_relation_takes_the_trivial_value():
     # on s3_over_s2 the character of order 3 has a trivial stabilizer, so
     # the one hyperplane is a full-jump orbit of the reflection subgroup
