@@ -5,16 +5,16 @@ Supported regimes: cyclic (one generator, companion matrix of its
 relation), real groups with quadratic relations (basis indexed by group
 elements, descent-rule multiplication against a certified simple system),
 and tensor products of these.  Every build certifies its claims on the
-regular representation: basis independence, closed multiplication,
-generator relations, and (in the quadratic regime) the braid relations of
-the chosen simple system.  One ``word_lengths`` search per candidate
-simple system tests generation and gives the lengths of the descent rule.
-The basis operators T_w are built inside the closure certificate, one
-product T_s T_w at a time; a second ascent onto a built T_w is implied by
-the descent comparisons and forms no product.  For a Coxeter generator
-the closure certificate is also the relation and invertibility
-certificate.  Unsupported inputs fail with a regime error naming the
-obstruction.
+regular representation: basis independence, closed multiplication, and
+generator relations.  The cyclic and product regimes hold them by
+construction; the quadratic regime certifies them in one closure
+certificate per candidate simple system, and ``build_coxeter`` states what
+that certificate implies for the braid relations.  One ``word_lengths``
+search per candidate simple system tests generation and gives the lengths
+of the descent rule.  The basis operators T_w are built inside the closure
+certificate, one product T_s T_w at a time; a second ascent onto a built
+T_w is implied by the descent comparisons and forms no product.
+Unsupported inputs fail with a regime error naming the obstruction.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .cyclo import ONE, CycMatrix, CycPoly, minpoly_matrix
-from .errors import DomainError, IntegrityError, ParameterError, RegimeError
+from .cyclo import ONE, CycMatrix, CycPoly
+from .errors import DomainError, ParameterError, RegimeError
 from .reflgrp import Arrangement, ReflectionGroup, word_lengths
 
 
@@ -68,36 +68,24 @@ def _check_relation(poly: CycPoly, what: str):
         raise ParameterError(f"{what}: relation has zero constant term")
 
 
-def _certify_generators(h: HeckeAlgebra):
-    """Each generator's minimal polynomial is its declared relation.  A
-    matrix is invertible exactly when its minimal polynomial has a nonzero
-    constant term, so that check proves invertibility."""
-    for key, m in h.generators.items():
-        got = minpoly_matrix(m)
-        if got != h.params[key]:
-            raise IntegrityError(
-                f"generator {key}: minimal polynomial {got!r} differs from "
-                f"the declared relation {h.params[key]!r}"
-            )
-        if got.constant_term.is_zero():
-            raise IntegrityError(f"generator {key} is not invertible")
-
-
 # ---------------------------------------------------------------------------
 # cyclic regime
 
 
 def build_cyclic(rbar: CycPoly) -> HeckeAlgebra:
     """The algebra of one invertible generator with the given relation:
-    companion-matrix regular representation on the power basis."""
+    companion-matrix regular representation on the power basis.
+
+    t sends e_j to e_{j+1} for j < d - 1, so e_0, t e_0, ...,
+    t^{d-1} e_0 are independent and no relation of degree below d holds:
+    the monic relation is the minimal polynomial of t.  Its constant term
+    is nonzero (``_check_relation``), so t is invertible."""
     _check_relation(rbar, "cyclic relation")
     d = rbar.degree
     shift = [(j + 1, j, ONE) for j in range(d - 1)]
     last = [(i, d - 1, -c) for i, c in enumerate(rbar.coeffs[:-1])]
     t = CycMatrix.from_triples(d, d, shift + last)
-    h = HeckeAlgebra("cyclic", d, {"t": t}, {"t": rbar})
-    _certify_generators(h)
-    return h
+    return HeckeAlgebra("cyclic", d, {"t": t}, {"t": rbar})
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +112,27 @@ def _descent_matrices(group, simple, polys, lengths):
     return mats
 
 
-def _braid_relation_holds(group, mats, simple, i, j) -> bool:
-    m = group.element_order(group.mul(simple[i], simple[j]))
-    lhs = CycMatrix.identity(len(group))
-    rhs = CycMatrix.identity(len(group))
-    for k in range(m):
-        lhs = lhs * (mats[i] if k % 2 == 0 else mats[j])
-        rhs = rhs * (mats[j] if k % 2 == 0 else mats[i])
-    return lhs == rhs
-
-
 def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
     """Quadratic-relation algebra over the real reflection group of arr.
 
     params maps arrangement orbit ids to monic quadratic relations with
     nonzero constant term.  The simple system is found by certified
     search: the lexicographically first set of reflections that generates
-    the group and passes the basis, braid, and relation certificates.
+    the group and passes the closure certificate, which is also its basis
+    and relation certificate.
+
+    No separate braid certificate runs.  Take simple s, t with st of
+    order m, and d = sts... = tst... (m letters).  The closure certificate
+    gives T_w e_1 = e_w, so a -> a e_1 is injective on the span of the
+    T_w; that span holds 1 and is closed under each T_s, so it holds both
+    sides of the braid relation, and they agree when they agree on e_1.
+    It also gives T_s T_w = T_sw whenever l(sw) > l(w).  When both words
+    of m letters are reduced, as for every Coxeter system (Humphreys,
+    Reflection Groups and Coxeter Groups, 5.5), each letter is an ascent
+    and both sides send e_1 to e_d.  A generating set that is no Coxeter
+    system can pass with a word that is not reduced; the argument does not
+    cover it, and the test suite checks the braid relations of every such
+    set that passes on its small groups.
     """
     group = arr.group
     if len(arr) == 0:
@@ -180,12 +172,6 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
             alphas = [c[1] for c in combo]
             polys = [params[arr[a].orbit_id] for a in alphas]
             mats = _descent_matrices(group, elems, polys, lengths)
-            if not all(
-                _braid_relation_holds(group, mats, elems, i, j)
-                for i in range(size)
-                for j in range(i + 1, size)
-            ):
-                continue
             t_of = _closure_certificate(group, mats, elems, polys, lengths)
             if t_of is None:
                 continue
@@ -228,8 +214,12 @@ def _closure_certificate(group, mats, simple, polys, lengths):
         for slot, s in enumerate(simple):
             sw = group.mul(s, w)
             if lengths[sw] <= lengths[w]:
+                # the rule -c0 T_sw - c1 T_w, with no product by 1 or 0
                 c0, c1 = polys[slot].coeffs[0], polys[slot].coeffs[1]
-                if mats[slot] * t_of[w] != t_of[sw] * (-c0) + t_of[w] * (-c1):
+                rule = t_of[sw] if (-c0).is_one() else t_of[sw] * (-c0)
+                if not c1.is_zero():
+                    rule = rule + t_of[w] * (-c1)
+                if mats[slot] * t_of[w] != rule:
                     return None
             elif t_of[sw] is None:
                 prod = mats[slot] * t_of[w]
@@ -264,7 +254,8 @@ def build_product(parts: list[HeckeAlgebra]) -> HeckeAlgebra:
                 full = leg if full is None else full.kron(leg)
             generators[f"leg{i}.{key}"] = full
             params[f"leg{i}.{key}"] = part.params[key]
+    # p(I x t x I) = I x p(t) x I, so each full generator satisfies exactly
+    # the polynomials its leg does: its part's builder certified that
+    # relation as the minimal polynomial, with nonzero constant term
     dimension = math.prod(p.dimension for p in parts)
-    h = HeckeAlgebra("product", dimension, generators, params)
-    _certify_generators(h)
-    return h
+    return HeckeAlgebra("product", dimension, generators, params)

@@ -1,6 +1,6 @@
-"""Mutation checks for the certificates of the group layer, the Hecke build,
-the local-subgroup check of datum validation, the character invariants,
-the carousel and the induced module.
+"""Mutation checks for the certificates of the group layer, the Hecke build
+and stage, the local-subgroup and character checks of datum validation,
+the character invariants, the carousel and the induced module.
 
 Each entry is one exact text edit of a file under ``src/monodromy`` and the
 pytest node ids that must fail once the edit is made.  The script first
@@ -39,6 +39,7 @@ EXTENSION = "src/monodromy/extension.py"
 INVARIANTS = "src/monodromy/invariants.py"
 INDUCE = "src/monodromy/induce.py"
 CAROUSEL = "src/monodromy/carousel.py"
+CLI = "src/monodromy/cli.py"
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,15 @@ INVARIANTS_SURVIVOR_TESTS = GOLDEN + nodes(
     "test_invariants",
     "test_orbits_match_the_image_loop_on_every_corpus_run",
     "test_stabilizer_order_divides_group_order",
+)
+HECKE_STAGE_SURVIVOR_TESTS = GOLDEN + nodes(
+    "test_cli",
+    "test_b2_swap_cover_reports_match_recorded_digests",
+    "test_proper_reflection_subgroup_gets_its_own_coxeter_algebra",
+    "test_b2_with_quadratic_override",
+)
+CHARACTER_SURVIVOR_TESTS = GOLDEN + nodes(
+    "test_extension", "test_characters_are_multiplicative", "test_character_from_spec"
 )
 MODULE_SURVIVOR_TESTS = GOLDEN + nodes(
     "test_induce",
@@ -123,20 +133,6 @@ MUTANTS = (
         nodes("test_reflgrp", "test_conjugation_permutes_hyperplanes"),
     ),
     Mutant(
-        "_certify_generators: relation unchecked",
-        HECKE,
-        "        if got != h.params[key]:\n",
-        "        if False:\n",
-        nodes("test_hecke", "test_generator_certificate_refuses_a_relation_that_is_not_minimal"),
-    ),
-    Mutant(
-        "_certify_generators: invertibility unchecked",
-        HECKE,
-        "        if got.constant_term.is_zero():\n",
-        "        if False:\n",
-        nodes("test_hecke", "test_generator_certificate_refuses_a_singular_generator"),
-    ),
-    Mutant(
         "build_coxeter: generation test dropped",
         HECKE,
         "            if len(lengths) != len(group):\n                continue\n",
@@ -144,31 +140,33 @@ MUTANTS = (
         nodes("test_hecke", "test_star_transpositions_are_not_a_simple_system_at_q_two"),
     ),
     Mutant(
-        "_braid_relation_holds: always false",
+        "_closure_certificate: descent unchecked",
         HECKE,
-        "    return lhs == rhs\n",
-        "    return False\n",
-        nodes("test_hecke", "test_star_transpositions_are_not_a_simple_system_at_q_two"),
+        "                if mats[slot] * t_of[w] != rule:\n",
+        "                if False:\n",
+        nodes("test_hecke", "test_closure_certificate_compares_descents_with_the_relation"),
     ),
     Mutant(
-        "_braid_relation_holds: always true",
+        "_closure_certificate: -c0 T_sw taken as T_sw",
         HECKE,
-        "    return lhs == rhs\n",
-        "    return True\n",
-        nodes("test_hecke", "test_star_transpositions_are_not_a_simple_system_at_q_two"),
-        survives=(
-            "a passing closure certificate gives T_s T_t ... = T_(st...) by "
-            "ascents on both sides of each braid relation, so it implies the "
-            "braid relations; on the star the closure certificate refuses "
-            "what the braid certificate would have"
+        "                rule = t_of[sw] if (-c0).is_one() else t_of[sw] * (-c0)\n",
+        "                rule = t_of[sw]\n",
+        nodes(
+            "test_hecke",
+            "test_closure_certificate_matches_the_every_product_version_on_each_rule_shape"
+            "[A2-x2-2]",
         ),
     ),
     Mutant(
-        "_closure_certificate: descent unchecked",
+        "_closure_certificate: -c1 T_w term dropped",
         HECKE,
-        "                if mats[slot] * t_of[w] != t_of[sw] * (-c0) + t_of[w] * (-c1):\n",
+        "                if not c1.is_zero():\n",
         "                if False:\n",
-        nodes("test_hecke", "test_closure_certificate_compares_descents_with_the_relation"),
+        nodes(
+            "test_hecke",
+            "test_closure_certificate_matches_the_every_product_version_on_each_rule_shape"
+            "[A2-x2-x-1]",
+        ),
     ),
     Mutant(
         "_closure_certificate: unit column unchecked",
@@ -176,6 +174,38 @@ MUTANTS = (
         "                if first_column != [(sw, ONE)]:\n",
         "                if False:\n",
         nodes("test_hecke", "test_closure_certificate_needs_the_unit_column"),
+    ),
+    Mutant(
+        "_hecke_stage: relation agreement unchecked",
+        CLI,
+        "        if params.setdefault(oid, poly) != poly:\n",
+        "        if False:\n",
+        nodes("test_cli", "test_relation_polynomials_must_agree_on_a_whole_group_orbit"),
+    ),
+    Mutant(
+        "run_analyze: hecke.dimension never fails",
+        CLI,
+        "                    \"pass\" if hecke_algebra.dimension == len(inv.w_chi_zero) else \"fail\",\n"
+        "                    f\"dimension {hecke_algebra.dimension} vs subgroup order \"\n"
+        "                    f\"{len(inv.w_chi_zero)}\",\n"
+        "                )\n"
+        "            )\n"
+        "            if hecke_algebra.dimension != len(inv.w_chi_zero):\n",
+        "                    \"pass\",\n"
+        "                    f\"dimension {hecke_algebra.dimension} vs subgroup order \"\n"
+        "                    f\"{len(inv.w_chi_zero)}\",\n"
+        "                )\n"
+        "            )\n"
+        "            if False:\n",
+        HECKE_STAGE_SURVIVOR_TESTS,
+        survives=(
+            "the trivial subgroup gets the algebra of z - 1, of dimension 1; a "
+            "cyclic one is a meet of order n/e and gets the companion algebra "
+            "of a relation of degree n/e (carousel_minpolys folds r of degree "
+            "n by the e-th power, and an override must have degree n/e); a "
+            "Coxeter algebra has one basis element per element of W or of the "
+            "matrix closure of the meets, which has the order of W_chi^0"
+        ),
     ),
     Mutant(
         "left_cosets: identity unchecked",
@@ -211,6 +241,18 @@ MUTANTS = (
         "        elif {e.q[x] for x in sub} != set(e.arrangement[a].stabilizer_elements):\n",
         "        elif False:\n",
         nodes("test_extension", "test_local_subgroup_witness_names_the_first_failure[image]"),
+    ),
+    Mutant(
+        "character_from_values: root of unity unchecked",
+        EXTENSION,
+        "            if known[x].root_of_unity_order() is None:\n",
+        "            if False:\n",
+        CHARACTER_SURVIVOR_TESTS,
+        survives=(
+            "on a finite kernel the closure loop reaches x^k = e for each x "
+            "and compares the value there with 1, so every value is already "
+            "a root of unity; the check stays because it guards outside input"
+        ),
     ),
     Mutant(
         "compute_chi_invariants: containment assumed",

@@ -526,6 +526,28 @@ def test_re_enumerated_reflection_subgroup_has_the_order_of_its_closure(tmp_path
     assert proper == 2
 
 
+# sha256 of the rendered report of each character {x: a, y: b} of the cover
+B2_SWAP_DIGESTS = {
+    (0, 0): "c0b0937b055c000a4ddd2404a699bf94132e13c485316bd6a722e04636b8892f",
+    (0, 1): "47d95822523499d688bcef1d80415bd1ac79d0fc144274ae28a9c35e675aea13",
+    (1, 0): "29e7afb40ced3b8a7463b5ba7d54c2b2b46e45245f1f9fe182b505b8725fb65d",
+    (1, 1): "777a91e9deb85b322bc11374f4e1905a200756d4c4c444a44264481398293117",
+}
+
+
+def test_b2_swap_cover_reports_match_recorded_digests(tmp_path):
+    """Two of the four characters build the Hecke algebra of a proper
+    reflection subgroup, a path that no reference digest covers, so the
+    report bytes of all four are pinned here."""
+    datum, x, y = _b2_swap_cover()
+    path = tmp_path / "b2_swap_cover.json"
+    path.write_text(json.dumps(datum_to_json(datum)))
+    for (a, b), digest in B2_SWAP_DIGESTS.items():
+        report, code, _ = run_analyze(str(path), {str(x): a, str(y): b, "modulus": 2})
+        assert code == 0, report.get("error")
+        assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest, (a, b)
+
+
 # ---------------------------------------------------------------------------
 # golden determinism
 

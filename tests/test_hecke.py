@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -10,7 +11,6 @@ from monodromy.extension import datum_to_json
 from monodromy.fixtures import direct_product_datum
 from monodromy.hecke import (
     HeckeAlgebra,
-    _certify_generators,
     _closure_certificate,
     _descent_matrices,
     build_coxeter,
@@ -36,6 +36,44 @@ def quadratic(q):
     return CycPoly([-q, rat(1) - q, rat(1)])
 
 
+def certify_generators(h):
+    """The generator certificate that the builders leave to their
+    construction or to the closure certificate: each generator's minimal
+    polynomial is its declared relation, and its constant term is nonzero,
+    which makes the generator invertible."""
+    for key, m in h.generators.items():
+        got = minpoly_matrix(m)
+        if got != h.params[key]:
+            raise IntegrityError(
+                f"generator {key}: minimal polynomial {got!r} differs from "
+                f"the declared relation {h.params[key]!r}"
+            )
+        if got.constant_term.is_zero():
+            raise IntegrityError(f"generator {key} is not invertible")
+
+
+def braid_relation_holds(group, mats, simple, i, j):
+    """The braid relation of slots i and j, by the 2m matrix products of
+    its two sides, m the order of s_i s_j in the group."""
+    m = group.element_order(group.mul(simple[i], simple[j]))
+    lhs = CycMatrix.identity(len(group))
+    rhs = CycMatrix.identity(len(group))
+    for k in range(m):
+        lhs = lhs * (mats[i] if k % 2 == 0 else mats[j])
+        rhs = rhs * (mats[j] if k % 2 == 0 else mats[i])
+    return lhs == rhs
+
+
+def braid_relations_hold(arr, h):
+    """Every braid relation of the simple system build_coxeter chose."""
+    simple = [arr[a].distinguished_generator for a in h.simple_hyperplanes]
+    mats = [h.generators[f"s{a}"] for a in h.simple_hyperplanes]
+    return all(
+        braid_relation_holds(arr.group, mats, simple, i, j)
+        for i, j in itertools.combinations(range(len(simple)), 2)
+    )
+
+
 # ---------------------------------------------------------------------------
 # cyclic regime
 
@@ -58,6 +96,7 @@ def test_cyclic_generic_quadratic():
     h = build_cyclic(rbar)
     assert h.dimension == 2
     assert minpoly_matrix(h.generators["t"]) == rbar
+    certify_generators(h)
 
 
 def test_cyclic_rejects_zero_constant():
@@ -71,14 +110,14 @@ def test_generator_certificate_refuses_a_singular_generator():
     nilpotent = CycMatrix.from_triples(2, 2, [(1, 0, rat(1))])
     h = HeckeAlgebra("cyclic", 2, {"t": nilpotent}, {"t": poly(0, 0, 1)})
     with pytest.raises(IntegrityError, match="not invertible"):
-        _certify_generators(h)
+        certify_generators(h)
 
 
 def test_generator_certificate_refuses_a_relation_that_is_not_minimal():
     # the identity satisfies z^2 - 1, but its minimal polynomial is z - 1
     h = HeckeAlgebra("cyclic", 2, {"t": CycMatrix.identity(2)}, {"t": poly(-1, 0, 1)})
     with pytest.raises(IntegrityError, match="differs from the declared relation"):
-        _certify_generators(h)
+        certify_generators(h)
 
 
 def test_cyclic_orders_up_to_twelve():
@@ -88,6 +127,7 @@ def test_cyclic_orders_up_to_twelve():
         assert h.dimension == d
         t = h.generators["t"]
         assert t**d == CycMatrix.identity(d)
+        certify_generators(h)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +383,30 @@ def test_closure_certificate_matches_the_every_product_version(mpr):
     assert t_of == [h.t_of_element(w) for w in range(len(g))]
 
 
+@pytest.mark.parametrize(
+    "relation",
+    [poly(-1, 0, 1), poly(-2, 0, 1), poly(-1, -1, 1), quadratic(2)],
+    ids=["x2-1", "x2-2", "x2-x-1", "(x-2)(x+1)"],
+)
+@pytest.mark.parametrize(
+    "group",
+    [lambda: enumerate_group(catalog(1, 1, 3)), lambda: enumerate_group(catalog(2, 1, 2)), star_s4],
+    ids=["A2", "B2", "star"],
+)
+def test_closure_certificate_matches_the_every_product_version_on_each_rule_shape(
+    group, relation
+):
+    # the four relations cover -c0 = 1 or not and c1 = 0 or not, the cases
+    # in which the descent comparison skips a product by 1 or a zero term
+    g = group()
+    polys = [relation] * len(g.generators)
+    lengths = word_lengths(g, g.generators)
+    mats = _descent_matrices(g, g.generators, polys, lengths)
+    assert _closure_certificate(g, mats, g.generators, polys, lengths) == every_product_closure(
+        g, mats, g.generators, polys, lengths
+    )
+
+
 def test_closure_certificate_versions_agree_on_the_star():
     # both refuse the star transpositions at q = 2 and accept them at q = 1
     g = star_s4()
@@ -355,43 +419,66 @@ def test_closure_certificate_versions_agree_on_the_star():
         ) == every_product_closure(g, mats, g.generators, polys, lengths)
 
 
-def assert_generators_certified(h):
-    """The generator certificate that build_coxeter leaves to the closure
-    certificate: each minimal polynomial is the declared relation, and its
-    constant term is nonzero."""
-    for key, m in h.generators.items():
-        got = minpoly_matrix(m)
-        assert got == h.params[key], key
-        assert not got.constant_term.is_zero(), key
+@pytest.fixture(scope="module")
+def pipeline_algebras(tmp_path_factory):
+    """Every algebra that the analyze pipeline builds over the positive
+    corpus runs and both covers of the benchmark ladder, recorded from
+    build_coxeter as (arrangement, algebra) and from build_cyclic."""
+    built = {"coxeter": [], "cyclic": []}
+
+    def recording_build_coxeter(arr, params):
+        built["coxeter"].append((arr, build_coxeter(arr, params)))
+        return built["coxeter"][-1][1]
+
+    def recording_build_cyclic(rbar):
+        built["cyclic"].append(build_cyclic(rbar))
+        return built["cyclic"][-1]
+
+    tmp_path = tmp_path_factory.mktemp("ladder")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_coxeter", recording_build_coxeter)
+        mp.setattr(cli, "build_cyclic", recording_build_cyclic)
+        for entry in manifest():
+            if entry["expected_exit"] == 0:
+                for spec in entry["chi_specs"]:
+                    assert cli.run_analyze(str(FIXTURES / entry["file"]), spec)[1] == 0
+        built["corpus_coxeter"] = len(built["coxeter"])
+        built["corpus_cyclic"] = len(built["cyclic"])
+        # the covers of the benchmark ladder, with the sign character on Z/2
+        for name, mpr in (("z2_g114", (1, 1, 4)), ("z2_g213", (2, 1, 3))):
+            datum = direct_product_datum(name, catalog(*mpr), 2, tau_exponent=1)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(datum_to_json(datum)))
+            generator = next(x for x in datum.kernel if x != datum.wtilde.identity)
+            for spec in ("trivial", {str(generator): 1, "modulus": 2}):
+                assert cli.run_analyze(str(path), spec)[1] == 0
+    return built
 
 
 def test_pipeline_coxeter_generators_have_their_relation_as_minimal_polynomial(
-    monkeypatch, tmp_path
+    pipeline_algebras,
 ):
-    built = []
-
-    def recording_build_coxeter(arr, params):
-        built.append(build_coxeter(arr, params))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_coxeter", recording_build_coxeter)
-    for entry in manifest():
-        if entry["expected_exit"] == 0:
-            for spec in entry["chi_specs"]:
-                assert cli.run_analyze(str(FIXTURES / entry["file"]), spec)[1] == 0
-    corpus_algebras = len(built)
-    # the covers of the benchmark ladder, with the sign character on Z/2
-    for name, mpr in (("z2_g114", (1, 1, 4)), ("z2_g213", (2, 1, 3))):
-        datum = direct_product_datum(name, catalog(*mpr), 2, tau_exponent=1)
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(datum_to_json(datum)))
-        generator = next(x for x in datum.kernel if x != datum.wtilde.identity)
-        for spec in ("trivial", {str(generator): 1, "modulus": 2}):
-            assert cli.run_analyze(str(path), spec)[1] == 0
-    assert (corpus_algebras, len(built)) == (14, 18)
-    for h in built:
+    built = pipeline_algebras["coxeter"]
+    assert (pipeline_algebras["corpus_coxeter"], len(built)) == (14, 18)
+    for _, h in built:
         assert h.regime == "coxeter"
-        assert_generators_certified(h)
+        certify_generators(h)
+
+
+def test_pipeline_coxeter_algebras_satisfy_the_braid_relations(pipeline_algebras):
+    # the corpus algebras and both ladder rungs, Z/2 x G(1,1,4) and Z/2 x G(2,1,3)
+    for arr, h in pipeline_algebras["coxeter"]:
+        assert braid_relations_hold(arr, h), h.simple_hyperplanes
+
+
+def test_pipeline_cyclic_generators_have_their_relation_as_minimal_polynomial(
+    pipeline_algebras,
+):
+    built = pipeline_algebras["cyclic"]
+    assert (pipeline_algebras["corpus_cyclic"], len(built)) == (17, 17)
+    for h in built:
+        assert h.regime == "cyclic"
+        certify_generators(h)
 
 
 @pytest.mark.parametrize(
@@ -406,7 +493,74 @@ def test_pipeline_coxeter_generators_have_their_relation_as_minimal_polynomial(
 def test_coxeter_generators_have_their_relation_as_minimal_polynomial(group, relation):
     arr = hyperplanes(group())
     h = build_coxeter(arr, {arr[a].orbit_id: relation for a in range(len(arr))})
-    assert_generators_certified(h)
+    certify_generators(h)
+
+
+@pytest.mark.parametrize(
+    "group, relations",
+    [
+        (lambda: enumerate_group(catalog(1, 1, 3)), (quadratic(3), quadratic(5))),
+        (lambda: enumerate_group(catalog(2, 1, 2)), (quadratic(3), quadratic(5))),
+        (lambda: enumerate_group(catalog(1, 1, 4)), (quadratic(3), quadratic(5))),
+        (lambda: enumerate_group(catalog(5, 5, 2)), (quadratic(3), quadratic(5))),
+        (lambda: enumerate_group(catalog(8, 8, 2)), (quadratic(3), quadratic(5))),
+        (star_s4, (quadratic(2),)),
+        (star_s4, (quadratic(1),)),
+    ],
+    ids=["A2", "B2", "A3", "I2(5)", "I2(8)", "star-q2", "star-q1"],
+)
+def test_accepted_simple_systems_satisfy_the_braid_relations(group, relations):
+    arr = hyperplanes(group())
+    orbit_ids = sorted({h.orbit_id for h in arr.hyperplanes})
+    h = build_coxeter(arr, dict(zip(orbit_ids, relations)))
+    assert braid_relations_hold(arr, h)
+
+
+def _alternating_words_are_reduced(group, lengths, s, t):
+    """Whether both words sts... and tst... of m letters have length m,
+    m the order of st: the case in which build_coxeter proves the braid
+    relation from the closure certificate."""
+    m = group.element_order(group.mul(s, t))
+    d = group.identity
+    for k in range(m):
+        d = group.mul(s if k % 2 == 0 else t, d)
+    return lengths[d] == m
+
+
+@pytest.mark.parametrize(
+    "group",
+    [lambda: enumerate_group(catalog(1, 1, 3)), lambda: enumerate_group(catalog(2, 1, 2)), star_s4],
+    ids=["A2", "B2", "star"],
+)
+def test_closure_certificate_implies_the_braid_relations(group):
+    # every generating set of reflections, every assignment of the relations
+    # to the orbits: whenever the closure certificate passes, the braid
+    # relations hold, also for sets whose alternating words are not reduced
+    relations = (quadratic(2), poly(-1, 0, 1), poly(1, 0, 1))
+    g = group()
+    arr = hyperplanes(g)
+    reflections = sorted((h.distinguished_generator, a) for a, h in enumerate(arr.hyperplanes))
+    orbit_ids = sorted({h.orbit_id for h in arr.hyperplanes})
+    passed = unreduced = 0
+    for assignment in itertools.product(relations, repeat=len(orbit_ids)):
+        params = dict(zip(orbit_ids, assignment))
+        for size in range(2, 5):
+            for combo in itertools.combinations(reflections, size):
+                simple = [c[0] for c in combo]
+                lengths = word_lengths(g, simple)
+                if len(lengths) != len(g):
+                    continue
+                polys = [params[arr[a].orbit_id] for _, a in combo]
+                mats = _descent_matrices(g, simple, polys, lengths)
+                if _closure_certificate(g, mats, simple, polys, lengths) is None:
+                    continue
+                passed += 1
+                for i, j in itertools.combinations(range(size), 2):
+                    assert braid_relation_holds(g, mats, simple, i, j), (assignment, combo)
+                    unreduced += not _alternating_words_are_reduced(
+                        g, lengths, simple[i], simple[j]
+                    )
+    assert passed and unreduced
 
 
 def test_associativity_on_random_triples():
@@ -445,5 +599,19 @@ def test_mixed_product_dimensions_and_commutation():
     a = h.generators["leg0.t"]
     b = next(m for key, m in h.generators.items() if key.startswith("leg1."))
     assert a * b == b * a
-    for key, m in h.generators.items():
-        assert minpoly_matrix(m) == h.params[key]
+    certify_generators(h)
+
+
+def test_product_generators_pass_the_generator_oracle():
+    # the products of the Hecke-dimension acceptance criterion
+    one = rat(1)
+    prod = build_product(
+        [build_cyclic(CycPoly([-zeta(3), rat(0), rat(0), one])),
+         build_cyclic(CycPoly([rat(-1), rat(0), one]))]
+    )
+    g = enumerate_group(catalog(1, 1, 2))
+    cox = build_coxeter(hyperplanes(g), {0: quadratic(3)})
+    mixed = build_product([build_cyclic(CycPoly([-zeta(4), one]))] + [cox])
+    assert (len(prod.generators), len(mixed.generators)) == (2, 2)
+    certify_generators(prod)
+    certify_generators(mixed)
