@@ -4,17 +4,18 @@ generators, in three certified regimes.
 Supported regimes: cyclic (one generator, companion matrix of its
 relation), real groups with quadratic relations (basis indexed by group
 elements, descent-rule multiplication against a certified simple system),
-and tensor products of these.  Every build certifies its claims on the
-regular representation: basis independence, closed multiplication, and
-generator relations.  The cyclic and product regimes hold them by
-construction; the quadratic regime certifies them in one closure
-certificate per candidate simple system, and ``build_coxeter`` states what
-that certificate implies for the braid relations.  One ``word_lengths``
-search per candidate simple system tests generation and gives the lengths
-of the descent rule.  The basis operators T_w are built inside the closure
-certificate, one product T_s T_w at a time; a second ascent onto a built
-T_w is implied by the descent comparisons and forms no product.
-Unsupported inputs fail with a regime error naming the obstruction.
+and tensor products of these.  Every build's claims hold on the regular
+representation, by construction or by certificate: basis independence,
+closed multiplication, generator relations, and (in the quadratic regime)
+the braid relations of the chosen simple system.  One ``word_lengths``
+search per candidate simple system tests generation and gives the
+lengths of the descent rule.  The basis operators T_w are built inside
+the closure certificate, one product T_s T_w at a time; a second ascent
+onto a built T_w is implied by the descent comparisons and forms no
+product.  For a Coxeter generator the closure certificate is also the
+relation and invertibility certificate, and it implies each braid
+relation whose words are reduced.  Unsupported inputs fail with a regime
+error naming the obstruction.
 """
 
 from __future__ import annotations
@@ -74,12 +75,10 @@ def _check_relation(poly: CycPoly, what: str):
 
 def build_cyclic(rbar: CycPoly) -> HeckeAlgebra:
     """The algebra of one invertible generator with the given relation:
-    companion-matrix regular representation on the power basis.
-
-    t sends e_j to e_{j+1} for j < d - 1, so e_0, t e_0, ...,
-    t^{d-1} e_0 are independent and no relation of degree below d holds:
-    the monic relation is the minimal polynomial of t.  Its constant term
-    is nonzero (``_check_relation``), so t is invertible."""
+    companion-matrix regular representation on the power basis.  t sends
+    e_j to e_{j+1} for j < d - 1, so no relation of degree below d holds:
+    the relation is the minimal polynomial of t, and t is invertible since
+    ``_check_relation`` refuses a zero constant term."""
     _check_relation(rbar, "cyclic relation")
     d = rbar.degree
     shift = [(j + 1, j, ONE) for j in range(d - 1)]
@@ -112,6 +111,27 @@ def _descent_matrices(group, simple, polys, lengths):
     return mats
 
 
+def _braid_relation_holds(group, mats, simple, lengths, i, j) -> bool:
+    """The braid relation of simple slots i and j, once the closure
+    certificate passed.  It gives T_w e_1 = e_w, so a -> a e_1 is injective
+    on the span of the T_w, and T_s T_w = T_sw when l(sw) > l(w).  So if
+    d = sts... = tst... (m letters, m the order of st) has l(d) = m, as on
+    every Coxeter system (Humphreys, Reflection Groups and Coxeter Groups,
+    5.5), both sides send e_1 to e_d by ascents.  Only a set that is no
+    Coxeter system can have l(d) < m; only then are 2m products formed."""
+    m = group.element_order(group.mul(simple[i], simple[j]))
+    word = [i, j] * m  # sts... is word[:m], tst... is word[1 : m + 1]
+    d = group.identity
+    for slot in word[:m]:
+        d = group.mul(d, simple[slot])
+    if lengths[d] == m:
+        return True
+    lhs = rhs = CycMatrix.identity(len(group))
+    for k in range(m):
+        lhs, rhs = lhs * mats[word[k]], rhs * mats[word[k + 1]]
+    return lhs == rhs
+
+
 def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
     """Quadratic-relation algebra over the real reflection group of arr.
 
@@ -119,20 +139,7 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
     nonzero constant term.  The simple system is found by certified
     search: the lexicographically first set of reflections that generates
     the group and passes the closure certificate, which is also its basis
-    and relation certificate.
-
-    No separate braid certificate runs.  Take simple s, t with st of
-    order m, and d = sts... = tst... (m letters).  The closure certificate
-    gives T_w e_1 = e_w, so a -> a e_1 is injective on the span of the
-    T_w; that span holds 1 and is closed under each T_s, so it holds both
-    sides of the braid relation, and they agree when they agree on e_1.
-    It also gives T_s T_w = T_sw whenever l(sw) > l(w).  When both words
-    of m letters are reduced, as for every Coxeter system (Humphreys,
-    Reflection Groups and Coxeter Groups, 5.5), each letter is an ascent
-    and both sides send e_1 to e_d.  A generating set that is no Coxeter
-    system can pass with a word that is not reduced; the argument does not
-    cover it, and the test suite checks the braid relations of every such
-    set that passes on its small groups.
+    and relation certificate, and the braid certificate.
     """
     group = arr.group
     if len(arr) == 0:
@@ -173,7 +180,10 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
             polys = [params[arr[a].orbit_id] for a in alphas]
             mats = _descent_matrices(group, elems, polys, lengths)
             t_of = _closure_certificate(group, mats, elems, polys, lengths)
-            if t_of is None:
+            if t_of is None or not all(
+                _braid_relation_holds(group, mats, elems, lengths, i, j)
+                for i, j in itertools.combinations(range(size), 2)
+            ):
                 continue
             h = HeckeAlgebra(
                 "coxeter",
@@ -214,12 +224,8 @@ def _closure_certificate(group, mats, simple, polys, lengths):
         for slot, s in enumerate(simple):
             sw = group.mul(s, w)
             if lengths[sw] <= lengths[w]:
-                # the rule -c0 T_sw - c1 T_w, with no product by 1 or 0
                 c0, c1 = polys[slot].coeffs[0], polys[slot].coeffs[1]
-                rule = t_of[sw] if (-c0).is_one() else t_of[sw] * (-c0)
-                if not c1.is_zero():
-                    rule = rule + t_of[w] * (-c1)
-                if mats[slot] * t_of[w] != rule:
+                if mats[slot] * t_of[w] != t_of[sw] * (-c0) + t_of[w] * (-c1):
                     return None
             elif t_of[sw] is None:
                 prod = mats[slot] * t_of[w]
@@ -239,7 +245,12 @@ def _closure_certificate(group, mats, simple, polys, lengths):
 
 
 def build_product(parts: list[HeckeAlgebra]) -> HeckeAlgebra:
-    """Tensor product; generators act on their own leg."""
+    """Tensor product; generators act on their own leg.
+
+    Each part must come from ``build_cyclic``, ``build_coxeter`` or
+    ``build_product``, whose builder certified its generators: the product
+    certifies nothing, since p(I x t x I) = I x p(t) x I gives each full
+    generator exactly the relations of its leg."""
     if not parts:
         raise DomainError("product of no algebras")
     if len(parts) == 1:
@@ -254,8 +265,5 @@ def build_product(parts: list[HeckeAlgebra]) -> HeckeAlgebra:
                 full = leg if full is None else full.kron(leg)
             generators[f"leg{i}.{key}"] = full
             params[f"leg{i}.{key}"] = part.params[key]
-    # p(I x t x I) = I x p(t) x I, so each full generator satisfies exactly
-    # the polynomials its leg does: its part's builder certified that
-    # relation as the minimal polynomial, with nonzero constant term
     dimension = math.prod(p.dimension for p in parts)
     return HeckeAlgebra("product", dimension, generators, params)

@@ -11,6 +11,7 @@ from monodromy.extension import datum_to_json
 from monodromy.fixtures import direct_product_datum
 from monodromy.hecke import (
     HeckeAlgebra,
+    _braid_relation_holds,
     _closure_certificate,
     _descent_matrices,
     build_coxeter,
@@ -383,30 +384,6 @@ def test_closure_certificate_matches_the_every_product_version(mpr):
     assert t_of == [h.t_of_element(w) for w in range(len(g))]
 
 
-@pytest.mark.parametrize(
-    "relation",
-    [poly(-1, 0, 1), poly(-2, 0, 1), poly(-1, -1, 1), quadratic(2)],
-    ids=["x2-1", "x2-2", "x2-x-1", "(x-2)(x+1)"],
-)
-@pytest.mark.parametrize(
-    "group",
-    [lambda: enumerate_group(catalog(1, 1, 3)), lambda: enumerate_group(catalog(2, 1, 2)), star_s4],
-    ids=["A2", "B2", "star"],
-)
-def test_closure_certificate_matches_the_every_product_version_on_each_rule_shape(
-    group, relation
-):
-    # the four relations cover -c0 = 1 or not and c1 = 0 or not, the cases
-    # in which the descent comparison skips a product by 1 or a zero term
-    g = group()
-    polys = [relation] * len(g.generators)
-    lengths = word_lengths(g, g.generators)
-    mats = _descent_matrices(g, g.generators, polys, lengths)
-    assert _closure_certificate(g, mats, g.generators, polys, lengths) == every_product_closure(
-        g, mats, g.generators, polys, lengths
-    )
-
-
 def test_closure_certificate_versions_agree_on_the_star():
     # both refuse the star transpositions at q = 2 and accept them at q = 1
     g = star_s4()
@@ -518,8 +495,8 @@ def test_accepted_simple_systems_satisfy_the_braid_relations(group, relations):
 
 def _alternating_words_are_reduced(group, lengths, s, t):
     """Whether both words sts... and tst... of m letters have length m,
-    m the order of st: the case in which build_coxeter proves the braid
-    relation from the closure certificate."""
+    m the order of st: the case in which the closure certificate implies
+    the braid relation and _braid_relation_holds forms no product."""
     m = group.element_order(group.mul(s, t))
     d = group.identity
     for k in range(m):
@@ -561,6 +538,51 @@ def test_closure_certificate_implies_the_braid_relations(group):
                         g, lengths, simple[i], simple[j]
                     )
     assert passed and unreduced
+
+
+def b2_without_reflection_3(relations):
+    """B2 = G(2,1,2) with the reflections of hyperplanes 0, 1 and 2, which
+    generate it but are no Coxeter system: the pairs (0, 1) and (0, 2) have
+    m = 4 and a braid word of length 2.  Returns the group, the simple
+    reflections, their word lengths and their descent operators for the
+    relations of orbits 0 and 1."""
+    g = enumerate_group(catalog(2, 1, 2))
+    arr = hyperplanes(g)
+    simple = [arr[a].distinguished_generator for a in (0, 1, 2)]
+    polys = [relations[arr[a].orbit_id] for a in (0, 1, 2)]
+    lengths = word_lengths(g, simple)
+    return g, simple, lengths, _descent_matrices(g, simple, polys, lengths), polys
+
+
+def test_braid_certificate_multiplies_on_words_that_are_not_reduced():
+    g, simple, lengths, mats, polys = b2_without_reflection_3(
+        {0: poly(-1, 0, 1), 1: quadratic(3)}
+    )
+    assert _closure_certificate(g, mats, simple, polys, lengths) is not None
+    pairs = list(itertools.combinations(range(3), 2))
+    assert [_alternating_words_are_reduced(g, lengths, simple[i], simple[j]) for i, j in pairs] == [
+        False, False, True
+    ]
+    assert all(_braid_relation_holds(g, mats, simple, lengths, i, j) for i, j in pairs)
+    # the relations of the two orbits swapped break both unreduced pairs
+    _, _, _, swapped, _ = b2_without_reflection_3({0: quadratic(3), 1: poly(-1, 0, 1)})
+    assert [_braid_relation_holds(g, swapped, simple, lengths, i, j) for i, j in pairs] == [
+        False, False, True
+    ]
+
+
+def test_braid_certificate_forms_no_product_on_a_coxeter_system():
+    # distinct relations on the conjugate simple reflections of A2 break its
+    # braid relation, but its words are reduced, so the certificate trusts
+    # the closure certificate (which refuses these operators) and multiplies
+    # nothing
+    g = enumerate_group(catalog(1, 1, 3))
+    lengths = word_lengths(g, g.generators)
+    polys = [poly(-1, 0, 1), quadratic(3)]
+    mats = _descent_matrices(g, g.generators, polys, lengths)
+    assert _closure_certificate(g, mats, g.generators, polys, lengths) is None
+    assert not braid_relation_holds(g, mats, g.generators, 0, 1)
+    assert _braid_relation_holds(g, mats, g.generators, lengths, 0, 1)
 
 
 def test_associativity_on_random_triples():
@@ -612,6 +634,19 @@ def test_product_generators_pass_the_generator_oracle():
     g = enumerate_group(catalog(1, 1, 2))
     cox = build_coxeter(hyperplanes(g), {0: quadratic(3)})
     mixed = build_product([build_cyclic(CycPoly([-zeta(4), one]))] + [cox])
-    assert (len(prod.generators), len(mixed.generators)) == (2, 2)
+    nested = build_product([prod, cox])
+    assert (len(prod.generators), len(mixed.generators), len(nested.generators)) == (2, 2, 3)
     certify_generators(prod)
     certify_generators(mixed)
+    certify_generators(nested)
+
+
+def test_product_certifies_nothing_of_its_parts():
+    # build_product takes its parts from the builders, which certified their
+    # generators; a hand-built part's fault passes through to the product
+    nilpotent = CycMatrix.from_triples(2, 2, [(1, 0, rat(1))])
+    part = HeckeAlgebra("cyclic", 2, {"t": nilpotent}, {"t": poly(0, 0, 1)})
+    h = build_product([part, build_cyclic(poly(-1, 0, 1))])
+    assert h.dimension == 4
+    with pytest.raises(IntegrityError, match="not invertible"):
+        certify_generators(h)
