@@ -14,8 +14,10 @@ objects (the carousel models' ``lambda_inv`` and ``mu_e`` and the R1/R2
 ``m_chi.generator_matrices`` and ``inertia_matrices`` do).
 ``render_report`` is the one serializer: it writes the text of
 ``json.dumps(report, indent=2, sort_keys=True)`` for the report with each
-matrix as its dense ``to_json`` lists, straight from the sparse rows, and
-the CLI streams the same chunks to ``--out`` or stdout.
+matrix as its dense ``to_json`` lists.  The text around the matrices is
+built with a NUL mark where each matrix goes, and each matrix is written
+row by row from its sparse rows at its mark; the CLI streams the same
+chunks to ``--out`` or stdout.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -391,73 +394,67 @@ def run_analyze(datum_path, chi_spec, rbar_path=None, convention=None):
 # ---------------------------------------------------------------------------
 # report writer
 
-_LEAVES = (str, int, type(None))  # bool is an int
 
+def _text(obj, ind, texts, matrices):
+    """What ``json.dumps(obj, indent=2, sort_keys=True)`` writes for ``obj``
+    after ``ind``, the newline and indent of the line it starts on.
 
-def _leaf(value, texts):
-    """``json.dumps(value)``, computed once per (type, value) in ``texts``;
-    equal values of one leaf type print alike."""
-    if not isinstance(value, _LEAVES):
-        raise TypeError(
-            f"report leaves must be str, int, bool or None, not {type(value).__name__}"
-        )
-    key = (type(value), value)
-    text = texts.get(key)
-    if text is None:
-        text = texts[key] = json.dumps(value)
-    return text
-
-
-def _write(obj, level, out, texts):
-    """Append to ``out`` the text of ``obj`` as ``json.dumps(obj, indent=2,
-    sort_keys=True)`` writes it when ``obj`` sits ``level`` levels deep.
-
-    Dict keys must be ``str``.  A ``CycMatrix`` is appended as the pair
-    (matrix, level), for ``_report_chunks`` to write row by row.  ``texts``
-    is the render call's cache of leaf texts by (type, value) and of
-    scalar texts by (scalar, level)."""
-    if isinstance(obj, CycMatrix):
-        out.append((obj, level))
-        return
+    Dict keys must be exactly ``str``.  A ``CycMatrix`` is written as the
+    mark ``"\\0"`` and appended as (matrix, ind) to ``matrices``, for
+    ``_report_chunks`` to write row by row; json.dumps escapes every control
+    character, so a raw NUL in the text is always a mark.  ``texts`` is the
+    render call's cache of str texts by value and of scalar texts by
+    (scalar, indent).  str, int and None values are written in the loop,
+    not by a call per leaf."""
     if isinstance(obj, dict):
         for key in obj:
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
-        items = [(_leaf(key, texts) + ": ", obj[key]) for key in sorted(obj)]
+        keys = sorted(obj)
+        values = [obj[key] for key in keys]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        items = [("", item) for item in obj]
-        brackets = "[]"
+        keys, values, brackets = None, obj, "[]"
+    elif isinstance(obj, CycMatrix):
+        matrices.append((obj, ind))
+        return "\0"
+    elif isinstance(obj, (str, int, type(None))):  # bool is an int
+        return json.dumps(obj)
     else:
-        out.append(_leaf(obj, texts))
-        return
-    if not items:
-        out.append(brackets)
-        return
-    inner = "\n" + "  " * (level + 1)
-    sep = brackets[0] + inner
-    for head, value in items:
-        out.append(sep + head)
-        _write(value, level + 1, out, texts)
-        sep = "," + inner
-    out.append("\n" + "  " * level + brackets[1])
+        raise TypeError(
+            f"report leaves must be str, int, bool or None, not {type(obj).__name__}"
+        )
+    if not values:
+        return brackets
+    inner = ind + "  "
+    parts = []
+    for value in values:
+        cls = type(value)
+        if cls is str:
+            parts.append(texts.get(value) or texts.setdefault(value, json.dumps(value)))
+        elif cls is int:
+            parts.append(int.__repr__(value))
+        elif value is None:
+            parts.append("null")
+        else:
+            parts.append(_text(value, inner, texts, matrices))
+    if keys is not None:
+        parts = [
+            (texts.get(key) or texts.setdefault(key, json.dumps(key))) + ": " + part
+            for key, part in zip(keys, parts)
+        ]
+    return brackets[0] + inner + ("," + inner).join(parts) + ind + brackets[1]
 
 
-def _matrix_chunks(m, level, texts):
+def _matrix_rows(m, ind, texts):
     """The rows of ``m`` written from its sparse rows: every cell starts as
     the zero scalar's text and the nonzero entries overwrite theirs."""
-    inner = "\n" + "  " * (level + 1)
-    cell_level = level + 2
-    cell_inner = "\n" + "  " * cell_level
+    inner = ind + "  "
+    cell_ind = inner + "  "
 
     def text(x):
-        key = (x, cell_level)
-        out = texts.get(key)
-        if out is None:
-            pieces = []
-            _write(x.to_json(), cell_level, pieces, texts)
-            out = texts[key] = "".join(pieces)
-        return out
+        key = (x, cell_ind)
+        return texts.get(key) or texts.setdefault(key, _text(x.to_json(), cell_ind, texts, []))
 
     zero = text(ZERO)
     sep = "[" + inner
@@ -465,25 +462,20 @@ def _matrix_chunks(m, level, texts):
         cells = [zero] * m.cols
         for j, x in row:
             cells[j] = text(x)
-        yield sep + "[" + cell_inner + ("," + cell_inner).join(cells) + inner + "]"
+        yield sep + "[" + cell_ind + ("," + cell_ind).join(cells) + inner + "]"
         sep = "," + inner
-    yield "\n" + "  " * level + "]"
+    yield ind + "]"
 
 
 def _report_chunks(report):
     """The report's text in chunks: the text between two matrices is one
     chunk and each matrix row is one more."""
-    texts = {}
-    pieces = []
-    _write(report, 0, pieces, texts)
-    pieces.append("\n")
-    start = 0
-    for i, piece in enumerate(pieces):
-        if not isinstance(piece, str):
-            yield "".join(pieces[start:i])
-            yield from _matrix_chunks(*piece, texts)
-            start = i + 1
-    yield "".join(pieces[start:])
+    texts, matrices = {}, []
+    pieces = (_text(report, "\n", texts, matrices) + "\n").split("\0")
+    for piece, (m, ind) in zip(pieces, matrices):
+        yield piece
+        yield from _matrix_rows(m, ind, texts)
+    yield pieces[-1]
 
 
 def render_report(report) -> str:
@@ -525,14 +517,19 @@ def run_carousel(n, e, sgn, twist):
 
 def _write_report(report, out: str | None):
     """Stream the rendered report to the --out file when one is given, else
-    to stdout; a destination that cannot be written is a usage error."""
+    to stdout; a destination that cannot be written, a closed stdout pipe
+    among them, is a usage error."""
     try:
         if out:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(_report_chunks(report))
         else:
             sys.stdout.writelines(_report_chunks(report))
+            sys.stdout.flush()
     except OSError as exc:
+        if not out:
+            # the flush at exit must not fail again: send what is left to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ParseError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from exc
 
 

@@ -1,6 +1,7 @@
 """Mutation checks for the certificates of the group layer, the Hecke build
 and stage, the local-subgroup and character checks of datum validation,
-the character invariants, the carousel and the induced module.
+the character invariants, the carousel and the induced module, and for the
+report writer's refusals and its handling of a closed stdout.
 
 Each entry is one exact text edit of a file under ``src/monodromy`` and the
 pytest node ids that must fail once the edit is made.  The script first
@@ -205,6 +206,29 @@ MUTANTS = (
             "Coxeter algebra has one basis element per element of W or of the "
             "matrix closure of the meets, which has the order of W_chi^0"
         ),
+    ),
+    Mutant(
+        "_text: report key type unchecked",
+        CLI,
+        "            if type(key) is not str:\n",
+        "            if False:\n",
+        nodes("test_cli", "test_render_edge_cases"),
+    ),
+    Mutant(
+        "_text: any leaf written by json.dumps",
+        CLI,
+        "        raise TypeError(\n"
+        "            f\"report leaves must be str, int, bool or None, not {type(obj).__name__}\"\n"
+        "        )\n",
+        "        return json.dumps(obj)\n",
+        nodes("test_cli", "test_render_edge_cases"),
+    ),
+    Mutant(
+        "_write_report: closed stdout left in place",
+        CLI,
+        "            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+        "            pass\n",
+        nodes("test_cli", "test_closed_stdout_pipe_is_usage_error"),
     ),
     Mutant(
         "left_cosets: identity unchecked",

@@ -548,6 +548,35 @@ def test_b2_swap_cover_reports_match_recorded_digests(tmp_path):
         assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest, (a, b)
 
 
+# sha256 of the stdout of each command, recorded before the report writer
+# was rewritten: payloads and override paths no reference digest covers
+STDOUT_DIGESTS = {
+    "catalog": "863f280c1a0e73f41a37b8814c12fd64ebe66ef4f9243a6a9ae314d01ef02e87",
+    "carousel": "49851137bf6cf25c97c61f4d87ed0eac9cac64fd70c6937f4daff959a8df0c02",
+    "rbar": "1625e2312f12a9099524b6e3256eea283e73ec6915a7349f9802b57547171beb",
+    "flip-inertia": "1a4a35bb0ebf181b35d63bf7d73b75e5f4398e139c631293a9d580e61ad54097",
+}
+
+
+def test_stdout_matches_recorded_digests(tmp_path):
+    rat = CycNumber.rational
+    rbar = CycPoly([rat(-3), rat(-2), rat(1)])  # as in test_b2_with_quadratic_override
+    override = tmp_path / "rbar.json"
+    override.write_text(json.dumps({str(a): rbar.to_json() for a in range(4)}))
+    b2 = ["analyze", str(FIXTURES / "b2_split_z2.json"), "--chi", "trivial"]
+    runs = {
+        "catalog": ["catalog", "g", "2", "1", "3"],
+        "carousel": ["carousel", "--n", "6", "--e", "2", "--sgn", "-1", "--twist", "1/4"],
+        "rbar": b2 + ["--rbar", str(override)],
+        "flip-inertia": b2 + ["--convention", "flip-inertia"],
+    }
+    for name, argv in runs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, name
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == STDOUT_DIGESTS[name], name
+
+
 # ---------------------------------------------------------------------------
 # golden determinism
 
@@ -696,9 +725,13 @@ def test_render_edge_cases():
         "equal leaves of other types": [1, True, 0, False, None, "1", "true"],
     }
     assert render_report(tree) == oracle_render(tree)
+    # json.dumps escapes a NUL in a key or a string, so only a matrix marks the text
+    nul = {"\x00": "\x00", "m": matrices[1], "l": ["\x00", matrices[0], {"\x00": matrices[2]}]}
+    assert render_report(nul) == oracle_render(nul)
     assert render_report([]) == "[]\n" and render_report({}) == "{}\n"
     # json.dumps would write a non-str key as a string; floats never enter
-    for bad in ({1: "x"}, {"a": [{None: 0}]}, {"a": {("b",): 0}}, {"a": [0.5]}, [zeta(3)]):
+    bad_trees = ({1: "x"}, {True: 0}, {"a": [{None: 0}]}, {"a": {("b",): 0}}, {"a": [0.5]})
+    for bad in bad_trees + ([zeta(3)],):
         with pytest.raises(TypeError):
             render_report(bad)
 
@@ -724,6 +757,37 @@ def test_unwritable_out_is_usage_error(argv, tmp_path):
     assert proc.stderr.startswith(f"error: cannot write {out}")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", str(FIXTURES / "trivial_w_z2.json"), "--chi", "trivial"],
+        ["catalog", "g", "1", "1", "2"],
+        ["carousel", "--n", "1", "--e", "1"],
+    ],
+    ids=["analyze", "catalog", "carousel"],
+)
+def test_closed_stdout_pipe_is_usage_error(argv):
+    """A stdout pipe with no reader is a usage error, also when stdout is
+    block-buffered and the report fits in the buffer, so that the first
+    write to the pipe would be the flush at interpreter exit."""
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "monodromy.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_out_file_holds_the_rendered_report(tmp_path):
