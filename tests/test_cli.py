@@ -730,8 +730,8 @@ def test_render_edge_cases():
     assert render_report(nul) == oracle_render(nul)
     assert render_report([]) == "[]\n" and render_report({}) == "{}\n"
     # json.dumps would write a non-str key as a string; floats never enter
-    bad_trees = ({1: "x"}, {True: 0}, {"a": [{None: 0}]}, {"a": {("b",): 0}}, {"a": [0.5]})
-    for bad in bad_trees + ([zeta(3)],):
+    for bad in ({1: "x"}, {True: 0}, {"a": [{None: 0}]}, {"a": {("b",): 0}}, {"a": [0.5]},
+                [zeta(3)]):
         with pytest.raises(TypeError):
             render_report(bad)
 
