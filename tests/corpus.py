@@ -3,11 +3,14 @@
 Every call parses its file again, so a test may mutate what it gets.
 """
 
+import itertools
 import json
 from pathlib import Path
 
-from monodromy.cyclo import CycMatrix, CycNumber
-from monodromy.extension import datum_from_json
+from monodromy.cyclo import ONE, CycMatrix, CycNumber
+from monodromy.extension import ExtensionDatum, datum_from_json
+from monodromy.fixtures import table_from_elements
+from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -41,3 +44,73 @@ def s3_rank2_generators():
         CycMatrix([[rat(-1), rat(1)], [rat(0), rat(1)]]),
         CycMatrix([[rat(1), rat(0)], [rat(1), rat(-1)]]),
     ]
+
+
+def _semidirect_datum(name, group, arr, kernel, act, add, kernel_gens):
+    """The split cover kernel x| W, (v, w)(v', w') = (v + w.v', ww'), whose
+    splitting lifts the inverse distinguished generator of each hyperplane
+    to (0, s^-1).  Returns the datum and the indices of ``kernel_gens``."""
+    zero = kernel[0]
+
+    def mul(x, y):
+        return add(x[0], act(x[1], y[0])), group.mul(x[1], y[1])
+
+    elements = [(v, w) for v in kernel for w in range(len(group))]
+    gens = [(kernel_gens[0], 0)] + [(zero, g) for g in group.generators]
+    wtilde, index = table_from_elements(elements, mul, gens)
+    splitting = {
+        a: index[(zero, group.inv(arr[a].distinguished_generator))]
+        for a in range(len(arr))
+    }
+    datum = ExtensionDatum(
+        group, arr, wtilde, [w for (_, w) in elements], splitting, name=name
+    )
+    return datum, [index[(v, 0)] for v in kernel_gens]
+
+
+def swap_cover(name, mpr):
+    """(Z/2)^r x| W for a real monomial W = G(m, p, r): w acts on (Z/2)^r by
+    its permutation part, (w.v)_i = v_j where row i of w is nonzero in
+    column j.  Returns the datum and the unit vectors of the kernel."""
+    group = enumerate_group(catalog(*mpr))
+    r = group.rank
+    columns = [
+        [group.elements[w].sparse_rows[i][0][0] for i in range(r)]
+        for w in range(len(group))
+    ]
+
+    def act(w, v):
+        return tuple(v[j] for j in columns[w])
+
+    def add(u, v):
+        return tuple((a + b) % 2 for a, b in zip(u, v))
+
+    units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    kernel = list(itertools.product((0, 1), repeat=r))
+    return _semidirect_datum(name, group, hyperplanes(group), kernel, act, add, units)
+
+
+def det_cover(name, mpr):
+    """Z/3 x| W for a monomial W = G(m, p, r) whose determinants are fourth
+    roots of unity: w acts by x -> det(w)^2 x.  Returns the datum and the
+    kernel generator 1."""
+    group = enumerate_group(catalog(*mpr))
+    signs = []
+    for m in group.elements:
+        # the permutation's sign squares to 1, so det^2 is the square of
+        # the product of the entries
+        product = ONE
+        for row in m.sparse_rows:
+            product = product * row[0][1]
+        square = product * product
+        if square not in (ONE, -ONE):
+            raise ValueError(f"det^2 = {square!r} is not a sign")
+        signs.append(1 if square == ONE else -1)
+
+    def act(w, x):
+        return x * signs[w] % 3
+
+    def add(x, y):
+        return (x + y) % 3
+
+    return _semidirect_datum(name, group, hyperplanes(group), [0, 1, 2], act, add, [1])

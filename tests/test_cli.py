@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from monodromy.cli import _hecke_stage, main, run_analyze, run_carousel, run_catalog, render_report
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, zeta
 from monodromy.errors import IntegrityError, ParseError
-from monodromy.extension import Character, ExtensionDatum, datum_to_json
-from monodromy.fixtures import direct_product_datum, table_from_elements
-from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
+from monodromy.extension import Character, datum_to_json
+from monodromy.fixtures import direct_product_datum
+from monodromy.reflgrp import catalog, hyperplanes
 from monodromy.invariants import compute_chi_invariants
-from corpus import FIXTURES, chi_specs, load_datum, manifest
+from corpus import FIXTURES, chi_specs, det_cover, load_datum, manifest, swap_cover
 from test_cyclo import cyc_numbers, dense_matrices
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -450,39 +450,12 @@ def test_b2_with_quadratic_override(tmp_path):
         assert gen["minimal_polynomial"] == rbar.to_json()
 
 
-def _b2_swap_cover():
-    """(Z/2)^2 x| B2 over B2 = G(2,1,2), where B2 swaps the two factors
-    through its quotient by the sign changes diag(+-1, +-1); split by the
-    lifts (0, s).  Returns the datum and the kernel generators (1, 0) and
-    (0, 1)."""
-    group = enumerate_group(catalog(2, 1, 2))
-    arr = hyperplanes(group)
-    # a signed permutation swaps the axes when its first row is off the diagonal
-    swaps = [group.elements[w].sparse_rows[0][0][0] == 1 for w in range(len(group))]
-
-    def mul(x, y):
-        a, b = (y[1], y[0]) if swaps[x[2]] else (y[0], y[1])
-        return ((x[0] + a) % 2, (x[1] + b) % 2, group.mul(x[2], y[2]))
-
-    elements = [(a, b, w) for a in (0, 1) for b in (0, 1) for w in range(len(group))]
-    gens = [(1, 0, 0)] + [(0, 0, g) for g in group.generators]
-    wtilde, index = table_from_elements(elements, mul, gens)
-    splitting = {
-        a: index[(0, 0, group.inv(arr[a].distinguished_generator))]
-        for a in range(len(arr))
-    }
-    datum = ExtensionDatum(
-        group, arr, wtilde, [w for (_, _, w) in elements], splitting, name="b2_swap_cover"
-    )
-    return datum, index[(1, 0, 0)], index[(0, 1, 0)]
-
-
 def test_proper_reflection_subgroup_gets_its_own_coxeter_algebra(tmp_path):
     """chi = (-1, 1) is fixed by the sign changes and moved by the swaps, so
     W_chi^0 = <s_x, s_y> is a proper, non-cyclic reflection subgroup: its
     algebra is built over the re-enumerated subgroup, and the module stays
     ledger-only."""
-    datum, x, y = _b2_swap_cover()
+    datum, (x, y) = swap_cover("b2_swap_cover", (2, 1, 2))
     path = tmp_path / "b2_swap_cover.json"
     path.write_text(json.dumps(datum_to_json(datum)))
     spec = {str(x): 1, str(y): 0, "modulus": 2}
@@ -511,7 +484,7 @@ def test_re_enumerated_reflection_subgroup_has_the_order_of_its_closure(tmp_path
         return hyperplanes(subgroup)
 
     monkeypatch.setattr("monodromy.cli.hyperplanes", recording)
-    datum, x, y = _b2_swap_cover()
+    datum, (x, y) = swap_cover("b2_swap_cover", (2, 1, 2))
     path = tmp_path / "b2_swap_cover.json"
     path.write_text(json.dumps(datum_to_json(datum)))
     proper = 0
@@ -539,13 +512,62 @@ def test_b2_swap_cover_reports_match_recorded_digests(tmp_path):
     """Two of the four characters build the Hecke algebra of a proper
     reflection subgroup, a path that no reference digest covers, so the
     report bytes of all four are pinned here."""
-    datum, x, y = _b2_swap_cover()
+    datum, (x, y) = swap_cover("b2_swap_cover", (2, 1, 2))
     path = tmp_path / "b2_swap_cover.json"
     path.write_text(json.dumps(datum_to_json(datum)))
     for (a, b), digest in B2_SWAP_DIGESTS.items():
         report, code, _ = run_analyze(str(path), {str(x): a, str(y): b, "modulus": 2})
         assert code == 0, report.get("error")
         assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest, (a, b)
+
+
+# sha256 of the rendered report of every character of each cover, keyed by
+# the exponents of its kernel generators, recorded before the Hecke stage
+# restricted W's table and arrangement to a proper reflection subgroup
+FAMILY_DIGESTS = Path(__file__).resolve().parent / "family_digests.json"
+FAMILIES = (
+    ("swap_g114", swap_cover, (1, 1, 4), 2),
+    ("swap_g213", swap_cover, (2, 1, 3), 2),
+    ("swap_g223", swap_cover, (2, 2, 3), 2),
+    ("det_g412", det_cover, (4, 1, 2), 3),
+    ("det_g413", det_cover, (4, 1, 3), 3),
+)
+
+
+def test_family_reports_match_recorded_digests(tmp_path):
+    """Every character of the swap and det covers: 30 of the 38 runs build
+    the Coxeter algebra of a proper reflection subgroup, and 4 of those meet
+    order-4 hyperplanes in order 2.  Each run also passes the benchmark's
+    identities."""
+    recorded = json.loads(FAMILY_DIGESTS.read_text())
+    proper = partial = 0
+    for name, build, mpr, modulus in FAMILIES:
+        datum, gens = build(name, mpr)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(datum_to_json(datum)))
+        assert len(recorded[name]) == modulus ** len(gens), name
+        for key, digest in recorded[name].items():
+            spec = {str(g): int(e) for g, e in zip(gens, key)}
+            report, code, _ = run_analyze(str(path), {**spec, "modulus": modulus})
+            assert code == 0, (name, key, report.get("error"))
+            assert all(v["status"] != "fail" for v in report["verdicts"]), (name, key)
+            ledger, hecke = report["m_chi"]["ledger"], report["hecke"]
+            inv = report["chi_invariants"]
+            assert ledger["dim_mchi"] == report["group"]["order"]
+            assert ledger["dim_m0"] * ledger["index"] == ledger["dim_mchi"]
+            dimension = hecke.get("dimension", hecke.get("predicted_dimension"))
+            assert dimension == inv["w_chi_zero_order"], (name, key)
+            assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest, (
+                name, key,
+            )
+            if hecke["regime"] == "coxeter" and inv["w_chi_zero_order"] < len(datum.group):
+                proper += 1
+                orders = [h["order"] for h in report["arrangement"]]
+                partial += any(
+                    1 < len(h["stabilizer_meet"]) < orders[h["index"]]
+                    for h in inv["per_hyperplane"]
+                )
+    assert (proper, partial) == (30, 4)
 
 
 # sha256 of the stdout of each command, recorded before the report writer
