@@ -49,7 +49,7 @@ from .extension import (
 from .hecke import build_coxeter, build_cyclic
 from .induce import build_full_r1, build_full_r2, build_i_action
 from .invariants import check_generation, compute_chi_invariants, with_relation_character
-from .reflgrp import catalog, catalog_order, enumerate_group, hyperplanes
+from .reflgrp import catalog, catalog_order, enumerate_group, restrict
 
 SCHEMA_VERSION = 1
 
@@ -215,9 +215,8 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
     if cyclic_alpha is not None:
         algebra = build_cyclic(rbar_by_alpha[cyclic_alpha])
         return algebra, algebra.to_json()
-    # quadratic: all nontrivial meets have order two; over the whole group
-    # the datum's own enumeration and arrangement are reused so module
-    # builders can share them, and a proper subgroup is enumerated again
+    # quadratic: all nontrivial meets have order two; the whole group keeps
+    # the datum's arrangement, since the R2 module needs its group object
     gens = []
     for a in range(len(datum.arrangement)):
         meet = inv.per_hyperplane[a].stabilizer_meet
@@ -225,16 +224,12 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
             return None, _unsupported_hecke(inv, f"local order {len(meet)} at hyperplane {a}")
         if len(meet) == 2:
             gens.append(next(i for i in meet if i != group.identity))
-    arr = datum.arrangement
+    arr, alphas = datum.arrangement, range(len(datum.arrangement))
     if len(sub) != len(group):
-        # sub is the closure of the meets in W's table of exact matrix
-        # products, so the matrix closure has its order
-        subgroup = enumerate_group([group.elements[g] for g in sorted(set(gens))])
-        arr = hyperplanes(subgroup)
+        arr, alphas = restrict(datum.arrangement, gens)
     params = {}
-    for b in range(len(arr)):
-        oid = arr[b].orbit_id
-        poly = rbar_by_alpha[datum.arrangement.index_of_normal(arr[b].normal)]
+    for h, alpha in zip(arr.hyperplanes, alphas):
+        oid, poly = h.orbit_id, rbar_by_alpha[alpha]
         if params.setdefault(oid, poly) != poly:
             raise IntegrityError(
                 f"relation polynomials disagree on subgroup orbit {oid}"

@@ -806,13 +806,6 @@ class CycMatrix:
             out.append(ZERO if acc is None else acc)
         return tuple(out)
 
-    def transpose(self) -> "CycMatrix":
-        cols: list[list] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.sparse_rows):
-            for j, x in row:
-                cols[j].append((i, x))
-        return CycMatrix._from_sparse(self.cols, self.rows, tuple([tuple(col) for col in cols]))
-
     def kron(self, other: "CycMatrix") -> "CycMatrix":
         """Kronecker product: block (i, j) is self[i][j] * other."""
         width = other.cols

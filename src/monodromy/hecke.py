@@ -25,7 +25,7 @@ import math
 
 from .cyclo import ONE, CycMatrix, CycPoly
 from .errors import DomainError, ParameterError, RegimeError
-from .reflgrp import Arrangement, ReflectionGroup, word_lengths
+from .reflgrp import Arrangement, CayleyGroup, word_lengths
 
 
 class HeckeAlgebra:
@@ -38,7 +38,7 @@ class HeckeAlgebra:
         # generator key -> relation, certified to be its minimal polynomial
         self.params: dict[str, CycPoly] = dict(params)
         # filled by the quadratic-regime builder
-        self.group: ReflectionGroup | None = None
+        self.group: CayleyGroup | None = None
         self.simple_hyperplanes: list[int] = []
         self._element_matrices: dict[int, CycMatrix] = {}
 

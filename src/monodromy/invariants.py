@@ -183,23 +183,16 @@ def with_relation_character(
 
 
 def check_generation(datum: ExtensionDatum, inv: ChiInvariants):
-    """Confirm the reflection subgroup is generated by the local meets and
-    that each meet is the cyclic group on the jump-th power.  Returns
-    (ok, witness)."""
+    """Confirm that each meet is the cyclic group on the jump-th power;
+    returns (ok, witness).  That the meets generate ``w_chi_zero`` holds by
+    construction: ``compute_chi_invariants`` builds it as
+    ``subgroup_generated`` of the same meets."""
     group = datum.group
     arr = datum.arrangement
-    gens = []
     for a in range(len(arr)):
         meet = inv.per_hyperplane[a].stabilizer_meet
         power = group.power(arr[a].distinguished_generator, inv.per_hyperplane[a].jump)
         expected = subgroup_generated(group, [power])
         if tuple(sorted(meet)) != expected:
             return False, f"hyperplane {a}: meet is not generated by the jump power"
-        gens.extend(meet)
-    regenerated = subgroup_generated(group, gens)
-    if regenerated != inv.w_chi_zero:
-        return False, (
-            f"reflection subgroup mismatch: generated {len(regenerated)} elements, "
-            f"stored {len(inv.w_chi_zero)}"
-        )
     return True, None

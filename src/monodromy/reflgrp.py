@@ -19,7 +19,8 @@ unity on the normal line, and the orbit decomposition under the group
 action.  An element w sends a hyperplane to the one whose distinguished
 generator is the conjugate of its own by w, so the action is read from the
 table too.  ``orbit_partition``, fed every element of a subgroup, gives both
-the hyperplane orbits of any subgroup and the cosets of a subgroup.
+the hyperplane orbits of any subgroup and the cosets of a subgroup, and
+``restrict`` reads a reflection subgroup and its arrangement off the group's.
 """
 
 from __future__ import annotations
@@ -243,28 +244,27 @@ class Hyperplane:
     stabilizer_elements: tuple[int, ...]
     order: int  # the stabilizer size
     distinguished_generator: int  # element index
-    orbit_id: int
+    orbit_id: int = -1  # set by Arrangement
 
 
 class Arrangement:
-    """The reflection hyperplanes of an enumerated group."""
+    """The reflection hyperplanes of a group, each given its orbit id."""
 
-    def __init__(self, group: ReflectionGroup, hyperplanes: list[Hyperplane]):
+    def __init__(self, group: CayleyGroup, hyperplanes: list[Hyperplane]):
         self.group = group
         self.hyperplanes = hyperplanes
-        self._by_normal = {h.normal: a for a, h in enumerate(hyperplanes)}
         self._by_generator = {
             h.distinguished_generator: a for a, h in enumerate(hyperplanes)
         }
+        _, orbit_of = orbit_partition(len(hyperplanes), self.act, range(len(group)))
+        for h, orbit in zip(hyperplanes, orbit_of):
+            h.orbit_id = orbit
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
 
     def __getitem__(self, alpha: int) -> Hyperplane:
         return self.hyperplanes[alpha]
-
-    def index_of_normal(self, normal) -> int:
-        return self._by_normal[normal]
 
     def act(self, w: int, alpha: int) -> int:
         """The hyperplane index of w applied to hyperplane alpha: the one
@@ -350,20 +350,37 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
                 f"no distinguished generator with eigenvalue {primitive!r} on the "
                 f"normal line of {normal!r}; stabilizer is not cyclic of order {n_alpha}"
             )
-        hps.append(
-            Hyperplane(
-                normal=normal,
-                stabilizer_elements=tuple(stab),
-                order=n_alpha,
-                distinguished_generator=eigen[primitive],
-                orbit_id=-1,
-            )
-        )
-    arr = Arrangement(group, hps)
-    _, orbit_of = orbit_partition(len(hps), arr.act, range(len(group)))
-    for h, orbit in zip(hps, orbit_of):
-        h.orbit_id = orbit
-    return arr
+        hps.append(Hyperplane(normal, tuple(stab), n_alpha, eigen[primitive]))
+    return Arrangement(group, hps)
+
+
+def restrict(arr: Arrangement, gens) -> tuple[Arrangement, list[int]]:
+    """The subgroup generated by ``gens`` with its arrangement, read off
+    ``arr`` and its group's table, and the index in ``arr`` of each of its
+    hyperplanes.  Labels follow ``word_lengths``, ``enumerate_group``'s
+    discovery order over the same generators (both search breadth-first by
+    right products with the sorted generators).  A subgroup reflection is
+    one of the group, and the subgroup meets the cyclic stabilizer <s> of
+    order n of a hyperplane in a cyclic group of some order n' | n, made by
+    s^(n/n'), which acts by zeta_n' on the normal line (G. I. Lehrer and
+    D. E. Taylor, Unitary Reflection Groups, CUP 2009)."""
+    group = arr.group
+    labels = list(word_lengths(group, gens))
+    label = {w: i for i, w in enumerate(labels)}
+    table = group.table
+    sub = CayleyGroup([[label[table[a][b]] for b in labels] for a in labels])
+    met = []  # (meet, alpha); each meet starts at the identity, label 0
+    for alpha, h in enumerate(arr.hyperplanes):
+        meet = sorted(label[w] for w in h.stabilizer_elements if w in label)
+        if len(meet) > 1:
+            met.append((meet, alpha))
+    met.sort()  # by least non-identity label, the order hyperplanes() finds them in
+    hps = []
+    for meet, alpha in met:
+        h = arr[alpha]
+        s = group.power(h.distinguished_generator, h.order // len(meet))
+        hps.append(Hyperplane(h.normal, tuple(meet), len(meet), label[s]))
+    return Arrangement(sub, hps), [alpha for _, alpha in met]
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,11 @@ def s3_rank2_generators():
     ]
 
 
-def _semidirect_datum(name, group, arr, kernel, act, add, kernel_gens):
-    """The split cover kernel x| W, (v, w)(v', w') = (v + w.v', ww'), whose
-    splitting lifts the inverse distinguished generator of each hyperplane
-    to (0, s^-1).  Returns the datum and the indices of ``kernel_gens``."""
+def _semidirect_datum(name, group, kernel, act, add, kernel_gens):
+    """The cover kernel x| W, (v, w)(v', w') = (v + w.v', ww'), split at each
+    hyperplane by (0, s^-1), s its distinguished generator.  Returns the
+    datum and the indices of ``kernel_gens``."""
+    arr = hyperplanes(group)
     zero = kernel[0]
 
     def mul(x, y):
@@ -87,7 +88,7 @@ def swap_cover(name, mpr):
 
     units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     kernel = list(itertools.product((0, 1), repeat=r))
-    return _semidirect_datum(name, group, hyperplanes(group), kernel, act, add, units)
+    return _semidirect_datum(name, group, kernel, act, add, units)
 
 
 def det_cover(name, mpr):
@@ -113,4 +114,4 @@ def det_cover(name, mpr):
     def add(x, y):
         return (x + y) % 3
 
-    return _semidirect_datum(name, group, hyperplanes(group), [0, 1, 2], act, add, [1])
+    return _semidirect_datum(name, group, [0, 1, 2], act, add, [1])

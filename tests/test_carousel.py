@@ -93,13 +93,22 @@ def test_bad_parameters_rejected():
         build_carousel(4, 2, 1, rat(2))  # not a root of unity
 
 
+def sparse_columns(m):
+    """Per column of m, its (row, entry) pairs in row order."""
+    columns = [[] for _ in range(m.cols)]
+    for i, row in enumerate(m.sparse_rows):
+        for j, x in row:
+            columns[j].append((i, x))
+    return [tuple(column) for column in columns]
+
+
 def certify_model(m):
     """The model certificate that construction stands in for: the
     shift structure of lambda_inv, mu_e as the signed power, and the image
     of the first basis vector under mu_e."""
     n = m.n
     sign = rat(m.sgn)
-    columns = m.lambda_inv.transpose().sparse_rows
+    columns = sparse_columns(m.lambda_inv)
     for j in range(n):
         assert columns[j] == (((j + 1, sign),) if j < n - 1 else ((0, sign * m.twist),)), j
     assert m.mu_e == (m.lambda_inv**m.e) * rat(m.k)

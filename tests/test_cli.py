@@ -17,7 +17,7 @@ from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, zeta
 from monodromy.errors import IntegrityError, ParseError
 from monodromy.extension import Character, datum_to_json
 from monodromy.fixtures import direct_product_datum
-from monodromy.reflgrp import catalog, hyperplanes
+from monodromy.reflgrp import catalog
 from monodromy.invariants import compute_chi_invariants
 from corpus import FIXTURES, chi_specs, det_cover, load_datum, manifest, swap_cover
 from test_cyclo import cyc_numbers, dense_matrices
@@ -453,7 +453,7 @@ def test_b2_with_quadratic_override(tmp_path):
 def test_proper_reflection_subgroup_gets_its_own_coxeter_algebra(tmp_path):
     """chi = (-1, 1) is fixed by the sign changes and moved by the swaps, so
     W_chi^0 = <s_x, s_y> is a proper, non-cyclic reflection subgroup: its
-    algebra is built over the re-enumerated subgroup, and the module stays
+    algebra is built over the restricted subgroup, and the module stays
     ledger-only."""
     datum, (x, y) = swap_cover("b2_swap_cover", (2, 1, 2))
     path = tmp_path / "b2_swap_cover.json"
@@ -471,32 +471,6 @@ def test_proper_reflection_subgroup_gets_its_own_coxeter_algebra(tmp_path):
     assert all(v["status"] != "fail" for v in report["verdicts"])
     assert report["m_chi"]["regime"] == "ledger-only"
     assert any("full module unavailable" in w for w in warnings)
-
-
-def test_re_enumerated_reflection_subgroup_has_the_order_of_its_closure(tmp_path, monkeypatch):
-    """On every character of the cover whose reflection subgroup is proper,
-    the matrix closure of the meets has the order of their closure in W's
-    table, which _hecke_stage takes as proved."""
-    seen = []
-
-    def recording(subgroup):
-        seen.append(len(subgroup))
-        return hyperplanes(subgroup)
-
-    monkeypatch.setattr("monodromy.cli.hyperplanes", recording)
-    datum, (x, y) = swap_cover("b2_swap_cover", (2, 1, 2))
-    path = tmp_path / "b2_swap_cover.json"
-    path.write_text(json.dumps(datum_to_json(datum)))
-    proper = 0
-    for a in (0, 1):
-        for b in (0, 1):
-            seen.clear()
-            report, code, _ = run_analyze(str(path), {str(x): a, str(y): b, "modulus": 2})
-            assert code == 0, report.get("error")
-            if seen:
-                assert seen == [report["chi_invariants"]["w_chi_zero_order"]]
-                proper += 1
-    assert proper == 2
 
 
 # sha256 of the rendered report of each character {x: a, y: b} of the cover

@@ -684,11 +684,8 @@ def test_sparse_apply_matches_dense(pair):
 
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(dims, dims).flatmap(lambda s: dense_matrices(*s)))
-def test_sparse_rank_and_transpose_match_dense(a):
-    m = CycMatrix(a)
-    assert m.rank() == dense_rank(a)
-    assert_canonical(m.transpose())
-    assert m.transpose().entries == tuple(zip(*a))
+def test_sparse_rank_matches_dense(a):
+    assert CycMatrix(a).rank() == dense_rank(a)
 
 
 @settings(max_examples=60, deadline=None)

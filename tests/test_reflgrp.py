@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from monodromy.reflgrp import (
     hyperplanes,
     left_cosets,
     orbit_partition,
+    restrict,
     subgroup_generated,
     word_lengths,
 )
@@ -235,17 +237,74 @@ def test_hyperplanes_refuse_a_stabilizer_without_a_primitive_eigenvalue():
         hyperplanes(fake)
 
 
+def covector_times(normal, m):
+    """The row vector normal * m: the rows of m weighted by the entries of
+    normal."""
+    out = [rat(0)] * m.cols
+    for c, row in zip(normal, m.sparse_rows):
+        for j, x in row:
+            out[j] = out[j] + c * x
+    return tuple(out)
+
+
+def index_by_normal(arr):
+    return {h.normal: a for a, h in enumerate(arr.hyperplanes)}
+
+
 def test_conjugation_permutes_hyperplanes():
     # the matrix action is the reference: w sends the hyperplane with
     # normal covector n to the one with normal n * M_w^-1
     for mpr in [(2, 1, 2), (3, 3, 2), (1, 1, 3), (3, 1, 2), (2, 1, 3)]:
         g = enumerate_group(catalog(*mpr))
         arr = hyperplanes(g)
+        by_normal = index_by_normal(arr)
         for w in range(len(g)):
-            m_inv_t = g.elements[w].inverse().transpose()
+            m_inv = g.elements[w].inverse()
             for a, h in enumerate(arr.hyperplanes):
-                expected = arr.index_of_normal(_canonical(m_inv_t.apply(h.normal)))
+                expected = by_normal[_canonical(covector_times(h.normal, m_inv))]
                 assert arr.act(w, a) == expected
+
+
+def assert_restrict_matches_re_enumeration(arr, gens):
+    """``restrict`` against the matrix closure of the generators and its
+    arrangement, mapped back to ``arr`` by normal; returns the (n', n)
+    order pair of every compared hyperplane."""
+    group = arr.group
+    sub = enumerate_group([group.elements[g] for g in sorted(set(gens))])
+    sub_arr = hyperplanes(sub)
+    by_normal = index_by_normal(arr)
+    got, alphas = restrict(arr, gens)
+    assert [list(row) for row in got.group.table] == sub.table
+    assert got.hyperplanes == sub_arr.hyperplanes
+    assert alphas == [by_normal[h.normal] for h in sub_arr.hyperplanes]
+    return [(h.order, arr[a].order) for h, a in zip(got.hyperplanes, alphas)]
+
+
+RESTRICT_GROUPS = [
+    (1, 1, 4), (2, 1, 3), (3, 1, 2), (4, 2, 2), (3, 3, 3), (6, 2, 2), (2, 2, 3), (4, 1, 2)
+]
+
+
+def test_restrict_matches_the_re_enumerated_subgroup():
+    rng = random.Random(24)
+    orders = []
+    for mpr in RESTRICT_GROUPS:
+        arr = hyperplanes(enumerate_group(catalog(*mpr)))
+        reflections = sorted({w for h in arr.hyperplanes for w in h.stabilizer_elements[1:]})
+        for _ in range(25):
+            gens = rng.sample(reflections, rng.randint(1, min(3, len(reflections))))
+            orders += assert_restrict_matches_re_enumeration(arr, gens)
+    # subgroups of G(4,1,2) that meet the order-4 coordinate hyperplanes in
+    # order 2: <diag(-1, 1), (1 2)>, <diag(-1, 1), diag(1, -1)>, <diag(-1, 1)>
+    g = enumerate_group(catalog(4, 1, 2))
+    arr = hyperplanes(g)
+    index = {m: w for w, m in enumerate(g.elements)}
+    flip, flop, swap = (index[mat(rows)] for rows in (
+        [[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]
+    ))
+    for gens in ([flip, swap], [flip, flop], [flip]):
+        orders += assert_restrict_matches_re_enumeration(arr, gens)
+    assert any(1 < sub_order < order for sub_order, order in orders)
 
 
 def generator_search_orbit_ids(arr):
