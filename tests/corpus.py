@@ -115,3 +115,30 @@ def det_cover(name, mpr):
         return (x + y) % 3
 
     return _semidirect_datum(name, group, [0, 1, 2], act, add, [1])
+
+
+def sign_cover(name, mpr, k):
+    """Z/k x| W for a real monomial W = G(m, p, r): w acts by x -> det(w) x,
+    det(w) the sign of its column permutation times the product of its
+    entries.  Returns the datum and the kernel generator 1."""
+    group = enumerate_group(catalog(*mpr))
+    signs = []
+    for m in group.elements:
+        columns = [row[0][0] for row in m.sparse_rows]
+        det = ONE
+        for i, row in enumerate(m.sparse_rows):
+            det = det * row[0][1]
+            # one transposition per inversion of the column permutation
+            if sum(c < columns[i] for c in columns[i + 1:]) % 2:
+                det = -det
+        if det not in (ONE, -ONE):
+            raise ValueError(f"det = {det!r} is not a sign")
+        signs.append(1 if det == ONE else -1)
+
+    def act(w, x):
+        return x * signs[w] % k
+
+    def add(x, y):
+        return (x + y) % k
+
+    return _semidirect_datum(name, group, list(range(k)), act, add, [1])

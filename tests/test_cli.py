@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ from monodromy.extension import Character, datum_to_json
 from monodromy.fixtures import direct_product_datum
 from monodromy.reflgrp import catalog
 from monodromy.invariants import compute_chi_invariants
-from corpus import FIXTURES, chi_specs, det_cover, load_datum, manifest, swap_cover
+from corpus import FIXTURES, chi_specs, det_cover, load_datum, manifest, sign_cover, swap_cover
 from test_cyclo import cyc_numbers, dense_matrices
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -496,8 +497,10 @@ def test_b2_swap_cover_reports_match_recorded_digests(tmp_path):
 
 
 # sha256 of the rendered report of every character of each cover, keyed by
-# the exponents of its kernel generators, recorded before the Hecke stage
-# restricted W's table and arrangement to a proper reflection subgroup
+# the exponents of its kernel generators.  The swap and det covers were
+# recorded before the Hecke stage restricted W's table and arrangement to a
+# proper reflection subgroup, the sign covers before the kernel characters
+# left the package
 FAMILY_DIGESTS = Path(__file__).resolve().parent / "family_digests.json"
 FAMILIES = (
     ("swap_g114", swap_cover, (1, 1, 4), 2),
@@ -505,16 +508,22 @@ FAMILIES = (
     ("swap_g223", swap_cover, (2, 2, 3), 2),
     ("det_g412", det_cover, (4, 1, 2), 3),
     ("det_g413", det_cover, (4, 1, 3), 3),
+    ("sign_g114", functools.partial(sign_cover, k=3), (1, 1, 4), 3),
+    ("sign_g213", functools.partial(sign_cover, k=3), (2, 1, 3), 3),
+    ("sign_g552", functools.partial(sign_cover, k=3), (5, 5, 2), 3),
+    ("sign_g223", functools.partial(sign_cover, k=4), (2, 2, 3), 4),
+    ("sign_g113", functools.partial(sign_cover, k=5), (1, 1, 3), 5),
 )
 
 
 def test_family_reports_match_recorded_digests(tmp_path):
-    """Every character of the swap and det covers: 30 of the 38 runs build
-    the Coxeter algebra of a proper reflection subgroup, and 4 of those meet
-    order-4 hyperplanes in order 2.  Each run also passes the benchmark's
-    identities."""
+    """Every character of the swap, det and sign covers: 30 of the 56 runs
+    build the Coxeter algebra of a proper reflection subgroup, and 4 of
+    those meet order-4 hyperplanes in order 2.  12 sign-cover runs are R1
+    with W_chi^0 = 1 inside a larger W_chi.  Each run also passes the
+    benchmark's identities."""
     recorded = json.loads(FAMILY_DIGESTS.read_text())
-    proper = partial = 0
+    proper = partial = r1_inside = 0
     for name, build, mpr, modulus in FAMILIES:
         datum, gens = build(name, mpr)
         path = tmp_path / f"{name}.json"
@@ -541,7 +550,39 @@ def test_family_reports_match_recorded_digests(tmp_path):
                     1 < len(h["stabilizer_meet"]) < orders[h["index"]]
                     for h in inv["per_hyperplane"]
                 )
-    assert (proper, partial) == (30, 4)
+            r1_inside += report["m_chi"]["regime"] == "R1" and inv["w_chi_order"] > 1
+    assert (proper, partial, r1_inside) == (30, 4, 12)
+
+
+# sha256 of the report of Z/2 x G(4,2,2) with the sign tau, the trivial
+# character and (x - 3)(x + 1) on every hyperplane, recorded before the
+# kernel characters left the package
+UNSUPPORTED_HECKE_DIGEST = "b3b362203b591865ef38a2b9c04a25015b3ec4e717951f6c98c0adf1bb6f1fea"
+
+
+def test_unsupported_hecke_report_matches_recorded_digest(tmp_path):
+    """G(4,2,2) is generated by no two of its reflections, so the Coxeter
+    build refuses every candidate, the Hecke section only predicts its
+    dimension, and the module stays ledger-only."""
+    datum = direct_product_datum("z2_g422", catalog(4, 2, 2), 2, tau_exponent=1)
+    path = tmp_path / "z2_g422.json"
+    path.write_text(json.dumps(datum_to_json(datum)))
+    rbar = CycPoly([CycNumber.rational(-3), CycNumber.rational(-2), CycNumber.rational(1)])
+    override = tmp_path / "rbar.json"
+    override.write_text(
+        json.dumps({str(a): rbar.to_json() for a in range(len(datum.arrangement))})
+    )
+    report, code, warnings = run_analyze(str(path), "trivial", rbar_path=str(override))
+    assert code == 0, report.get("error")
+    assert report["hecke"] == {
+        "regime": "unsupported",
+        "predicted_dimension": 16,
+        "note": "dimension asserted, not certified here (unsupported regime 'coxeter': "
+        "no certified simple system found (27 generating candidates tried))",
+    }
+    assert report["m_chi"]["regime"] == "ledger-only"
+    assert len(warnings) == 2
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == UNSUPPORTED_HECKE_DIGEST
 
 
 # sha256 of the stdout of each command, recorded before the report writer
