@@ -42,12 +42,6 @@ class Character:
     def __eq__(self, other):
         return isinstance(other, Character) and self.values == other.values
 
-    def __hash__(self):
-        return hash(tuple(sorted((k, v) for k, v in self.values.items())))
-
-    def inverse(self) -> "Character":
-        return Character({x: v.inverse() for x, v in self.values.items()})
-
     def to_json(self) -> dict:
         return {str(x): v.to_json() for x, v in sorted(self.values.items())}
 
@@ -97,9 +91,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if c.status == "fail"]
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
@@ -312,54 +303,6 @@ class ExtensionDatum:
             if known[x].root_of_unity_order() is None:
                 raise ValidationError(f"character value at {x} is not a root of unity")
         return Character(known)
-
-    def characters(self) -> list[Character]:
-        """All characters of an abelian kernel, in a deterministic order.
-
-        Built by extending characters one cyclic step at a time: if x has
-        least power k landing in the subgroup built so far, each character
-        extends in exactly k ways, by the k-th roots of its value there.
-        """
-        from .cyclo import zeta
-
-        wt = self.wtilde
-        e = wt.identity
-        for a in self.kernel:
-            for b in self.kernel:
-                if wt.mul(a, b) != wt.mul(b, a):
-                    raise DomainError("kernel is not abelian")
-        chars: list[dict[int, CycNumber]] = [{e: CycNumber.rational(1)}]
-        while len(chars[0]) < len(self.kernel):
-            x = next(y for y in self.kernel if y not in chars[0])
-            k = 1
-            power = x
-            while power not in chars[0]:
-                power = wt.mul(power, x)
-                k += 1
-            extended = []
-            for psi in chars:
-                t = psi[power]  # value at x^k; a root of unity
-                m = t.root_of_unity_order()
-                a = next(j for j in range(m) if zeta(m, j) == t)
-                base_root = zeta(k * m, a)
-                for j in range(k):
-                    v = base_root * zeta(k, j)
-                    new = dict(psi)
-                    cur, val = e, CycNumber.rational(1)
-                    for _ in range(1, k):
-                        cur = wt.mul(cur, x)
-                        val = val * v
-                        for h in psi:
-                            new[wt.mul(h, cur)] = psi[h] * val
-                    extended.append(new)
-            chars = extended
-        out = [Character(c) for c in chars]
-        out.sort(
-            key=lambda c: tuple(
-                (c.values[x].order, c.values[x].coeffs) for x in self.kernel
-            )
-        )
-        return out
 
 
 def validate(e: ExtensionDatum) -> ValidationReport:

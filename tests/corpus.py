@@ -3,14 +3,16 @@
 Every call parses its file again, so a test may mutate what it gets.
 """
 
+import functools
 import itertools
 import json
 from pathlib import Path
 
-from monodromy.cyclo import ONE, CycMatrix, CycNumber
-from monodromy.extension import ExtensionDatum, datum_from_json
-from monodromy.fixtures import table_from_elements
-from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
+from monodromy.cyclo import ONE, CycMatrix, CycNumber, CycPoly, zeta
+from monodromy.errors import ValidationError
+from monodromy.extension import ExtensionDatum, datum_from_json, datum_to_json
+from monodromy.fixtures import direct_product_datum, table_from_elements
+from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, word_lengths
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -29,10 +31,31 @@ def chi_specs(name: str) -> list:
     return next(e for e in manifest() if e["file"] == f"{name}.json")["chi_specs"]
 
 
+def characters(datum):
+    """Every character of the datum's abelian kernel, read through
+    ``character_from_values`` as an analyze reads its spec.  Generators are
+    taken greedily in kernel order; each of order k gets every k-th root of
+    unity, and an assignment that extends to no character is dropped."""
+    gens = []
+    for x in datum.kernel:
+        if x not in word_lengths(datum.wtilde, gens):
+            gens.append(x)
+    orders = [datum.wtilde.element_order(g) for g in gens]
+    out = []
+    for exponents in itertools.product(*map(range, orders)):
+        values = {g: zeta(k, j) for g, k, j in zip(gens, orders, exponents)}
+        try:
+            out.append(datum.character_from_values(values))
+        except ValidationError:
+            pass
+    out.sort(key=lambda c: tuple((c(x).order, c(x).coeffs) for x in datum.kernel))
+    return out
+
+
 def nontrivial_character(datum):
     """The first character of the datum's kernel with a value other than 1."""
     return next(
-        c for c in datum.characters() if not all(v.is_one() for v in c.values.values())
+        c for c in characters(datum) if not all(v.is_one() for v in c.values.values())
     )
 
 
@@ -142,3 +165,35 @@ def sign_cover(name, mpr, k):
         return (x + y) % k
 
     return _semidirect_datum(name, group, list(range(k)), act, add, [1])
+
+
+# the covers whose every character has its report digest recorded in
+# tests/family_digests.json: (name, builder of (datum, kernel generators),
+# G(m, p, r), modulus of the character specs)
+FAMILIES = (
+    ("swap_g114", swap_cover, (1, 1, 4), 2),
+    ("swap_g213", swap_cover, (2, 1, 3), 2),
+    ("swap_g223", swap_cover, (2, 2, 3), 2),
+    ("det_g412", det_cover, (4, 1, 2), 3),
+    ("det_g413", det_cover, (4, 1, 3), 3),
+    ("sign_g114", functools.partial(sign_cover, k=3), (1, 1, 4), 3),
+    ("sign_g213", functools.partial(sign_cover, k=3), (2, 1, 3), 3),
+    ("sign_g552", functools.partial(sign_cover, k=3), (5, 5, 2), 3),
+    ("sign_g223", functools.partial(sign_cover, k=4), (2, 2, 3), 4),
+    ("sign_g113", functools.partial(sign_cover, k=5), (1, 1, 3), 5),
+)
+
+
+def unsupported_hecke_run(workdir):
+    """Z/2 x G(4,2,2) with the sign tau, and (x - 3)(x + 1) on every
+    hyperplane as its relation override, both written to ``workdir``.  No
+    two reflections generate G(4,2,2), so the Coxeter build refuses every
+    candidate.  Returns the datum path and the override path."""
+    datum = direct_product_datum("z2_g422", catalog(4, 2, 2), 2, tau_exponent=1)
+    path = Path(workdir) / "z2_g422.json"
+    path.write_text(json.dumps(datum_to_json(datum)))
+    rat = CycNumber.rational
+    rbar = CycPoly([rat(-3), rat(-2), rat(1)]).to_json()
+    override = Path(workdir) / "z2_g422_rbar.json"
+    override.write_text(json.dumps({str(a): rbar for a in range(len(datum.arrangement))}))
+    return path, override

@@ -192,6 +192,27 @@ MUTANTS = (
         nodes("test_hecke", "test_closure_certificate_needs_the_unit_column"),
     ),
     Mutant(
+        "_check_relation: degree unchecked",
+        HECKE,
+        "    if poly.degree < 1:\n",
+        "    if False:\n",
+        nodes("test_hecke", "test_cyclic_rejects_a_constant_relation"),
+    ),
+    Mutant(
+        "t_of_element: group basis unchecked",
+        HECKE,
+        "        if self.group is None:\n",
+        "        if False:\n",
+        nodes("test_hecke", "test_element_operators_need_a_group_basis"),
+    ),
+    Mutant(
+        "build_coxeter: trivial group accepted",
+        HECKE,
+        "    if len(arr) == 0:\n",
+        "    if False:\n",
+        nodes("test_hecke", "test_coxeter_rejects_the_trivial_group"),
+    ),
+    Mutant(
         "_hecke_stage: relation agreement unchecked",
         CLI,
         "        if params.setdefault(oid, poly) != poly:\n",
@@ -280,6 +301,13 @@ MUTANTS = (
         "        elif {e.q[x] for x in sub} != set(e.arrangement[a].stabilizer_elements):\n",
         "        elif False:\n",
         nodes("test_extension", "test_local_subgroup_witness_names_the_first_failure[image]"),
+    ),
+    Mutant(
+        "inertia_part: decomposition unchecked",
+        EXTENSION,
+        "        if x not in self._kernel_set:\n            raise IntegrityError(\n",
+        "        if False:\n            raise IntegrityError(\n",
+        nodes("test_extension", "test_inertia_part_refuses_an_element_off_the_splitting"),
     ),
     Mutant(
         "character_from_values: root of unity unchecked",
@@ -456,6 +484,55 @@ MUTANTS = (
         "            == module.represent(datum.r_tilde(w2)),\n",
         "            True,\n",
         nodes("test_induce", "test_braid_relation_certificate_catches_a_wrong_generator"),
+    ),
+    Mutant(
+        "braid_lift: rotation generator accepted",
+        INDUCE,
+        "        if decomp is None:\n",
+        "        if False:\n",
+        nodes("test_induce", "test_braid_lift_refuses_a_generator_that_is_no_reflection_power"),
+    ),
+    Mutant(
+        "build_full_r2: jumps unchecked",
+        INDUCE,
+        "    if any(h.jump != 1 for h in inv.per_hyperplane):\n",
+        "    if False:\n",
+        nodes("test_induce", "test_r2_refuses_an_input_off_its_regime[jump]"),
+    ),
+    Mutant(
+        "build_full_r2: reflection subgroup unchecked",
+        INDUCE,
+        "    if len(inv.w_chi_zero) != len(group):\n",
+        "    if False:\n",
+        nodes("test_induce", "test_r2_refuses_an_input_off_its_regime[subgroup]"),
+    ),
+    Mutant(
+        "build_full_r2: algebra dimension unchecked",
+        INDUCE,
+        "    if hecke.dimension != len(group):\n",
+        "    if False:\n",
+        nodes("test_induce", "test_r2_refuses_an_input_off_its_regime[dimension]"),
+    ),
+    Mutant(
+        "build_full_r2: cyclic algebra on several hyperplanes",
+        INDUCE,
+        "        if len(arr) != 1:\n",
+        "        if False:\n",
+        nodes("test_induce", "test_r2_refuses_an_input_off_its_regime[cyclic]"),
+    ),
+    Mutant(
+        "build_full_r2: algebra over another group",
+        INDUCE,
+        "        if hecke.group is not group:\n",
+        "        if False:\n",
+        nodes("test_induce", "test_r2_refuses_an_input_off_its_regime[group]"),
+    ),
+    Mutant(
+        "build_full_r2: unknown algebra regime accepted",
+        INDUCE,
+        "    else:\n        raise RegimeError(\n            f\"no hyperplane mapping",
+        "    elif False:\n        raise RegimeError(\n            f\"no hyperplane mapping",
+        nodes("test_induce", "test_r2_refuses_an_input_off_its_regime[product]"),
     ),
     Mutant(
         "build_full_r2: missing conjugator unchecked",

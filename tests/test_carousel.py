@@ -20,7 +20,7 @@ from monodromy.cyclo import (
 from monodromy.errors import DomainError, IntegrityError
 from monodromy.extension import Character
 from monodromy.fixtures import direct_product_datum
-from corpus import load_datum, nontrivial_character, s3_rank2_generators
+from corpus import characters, load_datum, nontrivial_character, s3_rank2_generators
 
 
 def rat(x):
@@ -202,7 +202,7 @@ def test_model_identities_sweep():
 
 def test_twist_from_direct_product_is_one():
     d = direct_product_datum("dp", s3_rank2_generators(), 2)
-    chi = d.characters()[1]
+    chi = characters(d)[1]
     for alpha in range(len(d.arrangement)):
         assert twist_from_extension(d, alpha, chi).is_one()
 

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -20,7 +19,15 @@ from monodromy.extension import Character, datum_to_json
 from monodromy.fixtures import direct_product_datum
 from monodromy.reflgrp import catalog
 from monodromy.invariants import compute_chi_invariants
-from corpus import FIXTURES, chi_specs, det_cover, load_datum, manifest, sign_cover, swap_cover
+from corpus import (
+    FAMILIES,
+    FIXTURES,
+    chi_specs,
+    load_datum,
+    manifest,
+    swap_cover,
+    unsupported_hecke_run,
+)
 from test_cyclo import cyc_numbers, dense_matrices
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -502,18 +509,6 @@ def test_b2_swap_cover_reports_match_recorded_digests(tmp_path):
 # proper reflection subgroup, the sign covers before the kernel characters
 # left the package
 FAMILY_DIGESTS = Path(__file__).resolve().parent / "family_digests.json"
-FAMILIES = (
-    ("swap_g114", swap_cover, (1, 1, 4), 2),
-    ("swap_g213", swap_cover, (2, 1, 3), 2),
-    ("swap_g223", swap_cover, (2, 2, 3), 2),
-    ("det_g412", det_cover, (4, 1, 2), 3),
-    ("det_g413", det_cover, (4, 1, 3), 3),
-    ("sign_g114", functools.partial(sign_cover, k=3), (1, 1, 4), 3),
-    ("sign_g213", functools.partial(sign_cover, k=3), (2, 1, 3), 3),
-    ("sign_g552", functools.partial(sign_cover, k=3), (5, 5, 2), 3),
-    ("sign_g223", functools.partial(sign_cover, k=4), (2, 2, 3), 4),
-    ("sign_g113", functools.partial(sign_cover, k=5), (1, 1, 3), 5),
-)
 
 
 def test_family_reports_match_recorded_digests(tmp_path):
@@ -564,14 +559,7 @@ def test_unsupported_hecke_report_matches_recorded_digest(tmp_path):
     """G(4,2,2) is generated by no two of its reflections, so the Coxeter
     build refuses every candidate, the Hecke section only predicts its
     dimension, and the module stays ledger-only."""
-    datum = direct_product_datum("z2_g422", catalog(4, 2, 2), 2, tau_exponent=1)
-    path = tmp_path / "z2_g422.json"
-    path.write_text(json.dumps(datum_to_json(datum)))
-    rbar = CycPoly([CycNumber.rational(-3), CycNumber.rational(-2), CycNumber.rational(1)])
-    override = tmp_path / "rbar.json"
-    override.write_text(
-        json.dumps({str(a): rbar.to_json() for a in range(len(datum.arrangement))})
-    )
+    path, override = unsupported_hecke_run(tmp_path)
     report, code, warnings = run_analyze(str(path), "trivial", rbar_path=str(override))
     assert code == 0, report.get("error")
     assert report["hecke"] == {

@@ -17,7 +17,7 @@ from monodromy.extension import (
 )
 from monodromy.fixtures import direct_product_datum
 from monodromy.reflgrp import enumerate_group, hyperplanes
-from corpus import FIXTURES, load_datum, manifest, s3_rank2_generators
+from corpus import FIXTURES, characters, load_datum, manifest, s3_rank2_generators
 
 
 def rat(x):
@@ -95,11 +95,11 @@ def test_bad_splitting_fails_with_witness():
     d.splitting = {0: three_cycle}  # a 3-cycle covers the identity
     report = validate(d)
     assert not report.ok
-    failed = {c.name for c in report.failures()}
+    failed = {c.name for c in report.checks if c.status == "fail"}
     assert "splitting.maps_to_inverse_generator" in failed
     witness = next(
-        c.witness for c in report.failures()
-        if c.name == "splitting.maps_to_inverse_generator"
+        c.witness for c in report.checks
+        if c.status == "fail" and c.name == "splitting.maps_to_inverse_generator"
     )
     assert "0" in witness
 
@@ -111,7 +111,7 @@ def test_bad_q_fails_homomorphism():
     d.q = tuple(q)
     report = validate(d)
     assert not report.ok
-    assert "q.homomorphism" in {c.name for c in report.failures()}
+    assert "q.homomorphism" in {c.name for c in report.checks if c.status == "fail"}
 
 
 def test_local_subgroup_override_accepted_and_flagged():
@@ -138,7 +138,8 @@ def test_local_subgroup_override_rejected_when_not_closed():
     assert not report.ok
     assert any(
         c.name in ("local_subgroups.subgroup", "splitting.in_local_subgroup")
-        for c in report.failures()
+        for c in report.checks
+        if c.status == "fail"
     )
 
 
@@ -172,10 +173,10 @@ def test_kernel_of_s3_over_s2():
 
 
 def test_character_enumeration_counts():
-    assert len(load_datum("s3_over_s2").characters()) == 3
-    assert len(load_datum("cyclic_z8_over_z4").characters()) == 2
-    assert len(load_datum("s3xs3_over_v4").characters()) == 9
-    assert len(load_datum("dicyclic12_over_s2").characters()) == 6
+    assert len(characters(load_datum("s3_over_s2"))) == 3
+    assert len(characters(load_datum("cyclic_z8_over_z4"))) == 2
+    assert len(characters(load_datum("s3xs3_over_v4"))) == 9
+    assert len(characters(load_datum("dicyclic12_over_s2"))) == 6
 
 
 def check_character(d, chi):
@@ -190,20 +191,21 @@ def check_character(d, chi):
 
 
 def test_characters_are_multiplicative():
-    # every character of every corpus datum, as enumerated and as extended
-    # from its values, and the character of every manifest spec
-    characters = 0
+    # every character of every corpus datum, as extended from its values on
+    # kernel generators and on the whole kernel, and the character of every
+    # manifest spec
+    count = 0
     for entry in manifest():
         if entry["expected_exit"] != 0:
             continue
         d = load_datum(entry["file"].removesuffix(".json"))
-        for chi in d.characters():
+        for chi in characters(d):
             check_character(d, chi)
             check_character(d, d.character_from_values(chi.values))
-            characters += 1
+            count += 1
         for spec in entry["chi_specs"]:
             check_character(d, character_from_spec(d, spec))
-    assert characters == 48
+    assert count == 48
 
 
 def test_character_from_spec():
@@ -231,13 +233,13 @@ def test_s3_action_inverts_faithful_character():
     x = next(i for i in d.kernel if i != d.wtilde.identity)
     chi = d.character_from_values({x: zeta(3)})
     flipped = d.act_on_character(1, chi)  # 1 is the reflection
-    assert flipped == chi.inverse()
+    assert flipped == Character({y: v.inverse() for y, v in chi.values.items()})
     assert flipped != chi
 
 
 def test_abelian_cover_acts_trivially():
     d = load_datum("cyclic_z8_over_z4")
-    for chi in d.characters():
+    for chi in characters(d):
         for w in range(len(d.group)):
             assert d.act_on_character(w, chi) == chi
 
@@ -245,7 +247,7 @@ def test_abelian_cover_acts_trivially():
 def test_action_is_a_left_action():
     for name in ("s3_over_s2", "s4_over_s3", "quaternion_over_v4"):
         d = load_datum(name)
-        chis = d.characters()
+        chis = characters(d)
         for chi in chis:
             for w1 in range(len(d.group)):
                 for w2 in range(len(d.group)):
@@ -296,20 +298,30 @@ def test_fiber_check_rejects_mismatch():
         d.fiber_check(FiberElement(d.splitting[0], ()))
 
 
+def test_inertia_part_refuses_an_element_off_the_splitting():
+    # the splitting element lies over the reflection, so with the empty word
+    # it is no kernel element times the splitting of its word
+    d = load_datum("s3_over_s2")
+    g = FiberElement(d.splitting[0], ())
+    with pytest.raises(IntegrityError) as err:
+        d.inertia_part(g)
+    assert str(err.value) == f"element {g} does not decompose over the splitting"
+
+
 # ---------------------------------------------------------------------------
 # extended characters on the braid cover
 
 
 def test_chi_hat_is_one_on_splitting_image():
     d = load_datum("cyclic_z8_over_z4")
-    chi = d.characters()[1]
+    chi = characters(d)[1]
     g = d.r_tilde(((0, 1),))
     assert d.eval_chi_hat(chi, g).is_one()
 
 
 def test_chi_hat_restricts_to_chi():
     d = load_datum("s3_over_s2")
-    for chi in d.characters():
+    for chi in characters(d):
         for x in d.kernel:
             assert d.eval_chi_hat(chi, d.embed_inertia(x)) == chi(x)
 
@@ -344,7 +356,7 @@ def test_chi_hat_undefined_outside_stabilizer():
 
 def test_chi_hat_multiplicative_within_stabilizer_cover():
     d = load_datum("cyclic_z8_over_z4")
-    chi = d.characters()[1]  # faithful on the order-2 kernel
+    chi = characters(d)[1]  # faithful on the order-2 kernel
     words = [(), ((0, 1),), ((0, -1),), ((0, 1), (0, 1))]
     elems = [
         d.fiber_mul(d.embed_inertia(x), d.r_tilde(w))
@@ -369,7 +381,7 @@ def test_tau_hat_values():
 
 def test_direct_product_chi_hat_depends_only_on_kernel_component():
     d = direct_product_datum("dp", [CycMatrix([[zeta(3)]])], 3)
-    chi = d.characters()[1]
+    chi = characters(d)[1]
     words = [(), ((0, 1),), ((0, 1), (0, 1)), ((0, -1),)]
     for w in words:
         base = d.r_tilde(w)

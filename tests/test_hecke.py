@@ -6,7 +6,7 @@ import pytest
 
 from monodromy import cli
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
-from monodromy.errors import IntegrityError, ParameterError, RegimeError
+from monodromy.errors import DomainError, IntegrityError, ParameterError, RegimeError
 from monodromy.extension import datum_to_json
 from monodromy.fixtures import direct_product_datum
 from monodromy.hecke import (
@@ -103,6 +103,18 @@ def test_cyclic_generic_quadratic():
 def test_cyclic_rejects_zero_constant():
     with pytest.raises(ParameterError):
         build_cyclic(poly(0, 1, 1))
+
+
+def test_cyclic_rejects_a_constant_relation():
+    with pytest.raises(ParameterError) as err:
+        build_cyclic(poly(1))
+    assert str(err.value) == "cyclic relation: relation must have positive degree"
+
+
+def test_element_operators_need_a_group_basis():
+    with pytest.raises(DomainError) as err:
+        build_cyclic(poly(-1, 0, 1)).t_of_element(0)
+    assert str(err.value) == "element operators exist only over a group basis"
 
 
 def test_generator_certificate_refuses_a_singular_generator():
@@ -235,6 +247,13 @@ def test_star_transpositions_are_not_a_simple_system_at_q_two():
     # at q = 1 the algebra is the group algebra, where the star passes
     h = build_coxeter(arr, {0: quadratic(1)})
     assert h.simple_hyperplanes == [0, 1, 2]
+
+
+def test_coxeter_rejects_the_trivial_group():
+    g = enumerate_group([CycMatrix.identity(1)])
+    with pytest.raises(RegimeError) as err:
+        build_coxeter(hyperplanes(g), {})
+    assert str(err.value) == "the trivial group has no quadratic regime; use cyclic"
 
 
 def test_coxeter_rejects_higher_order_reflections():

@@ -14,7 +14,7 @@ from monodromy.extension import (
     datum_to_json,
 )
 from monodromy.fixtures import direct_product_datum, table_from_elements
-from monodromy.hecke import build_coxeter, build_cyclic
+from monodromy.hecke import build_coxeter, build_cyclic, build_product
 from monodromy import induce
 from monodromy.induce import (
     build_full_r1,
@@ -26,6 +26,7 @@ from monodromy.invariants import compute_chi_invariants, with_relation_character
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, left_cosets
 from corpus import (
     FIXTURES,
+    characters,
     chi_specs,
     load_datum,
     manifest,
@@ -143,7 +144,7 @@ def corpus_pairs():
     for entry in manifest():
         if entry["expected_exit"] == 0:
             d = load_datum(entry["file"].removesuffix(".json"))
-            for chi in d.characters():
+            for chi in characters(d):
                 yield d, chi
 
 
@@ -226,7 +227,7 @@ def test_inverse_ledger_matches_the_inverted_left_cosets_on_every_corpus_run():
 def test_inverse_r1_module_is_the_left_module_relabeled():
     modules = moved = 0
     z7 = z7_by_z3_datum()
-    for d, chi in [*corpus_pairs(), *((z7, chi) for chi in z7.characters())]:
+    for d, chi in [*corpus_pairs(), *((z7, chi) for chi in characters(z7))]:
         inv = compute_chi_invariants(d, chi)
         if inv.w_chi_zero != (d.group.identity,):
             continue
@@ -347,6 +348,19 @@ def test_letter_decomposition_matches_the_power_scan():
     assert letters[-2:] == [[(0, 2)], [None, (0, 1)]]
 
 
+def test_braid_lift_refuses_a_generator_that_is_no_reflection_power():
+    s1, s2 = s3_rank2_generators()
+    d = direct_product_datum("s3", [s1 * s2, s1], 1)  # slot 0 is a rotation
+    letters = induce.generator_letter_decomposition(d)
+    w = next(w for w in range(len(d.group)) if 0 in d.group.words[w])
+    with pytest.raises(RegimeError) as err:
+        induce.braid_lift(d, w, letters)
+    assert str(err.value) == (
+        "generator in slot 0 is not a power of a distinguished generator; "
+        "coset lifts are unavailable"
+    )
+
+
 # ---------------------------------------------------------------------------
 # regime R1
 
@@ -367,7 +381,7 @@ def test_r1_s3_matrices_frozen():
 
 def test_r1_trivial_group_degenerate_case():
     d = load_datum("trivial_w_z2")
-    chi = d.characters()[1]
+    chi = characters(d)[1]
     inv = compute_chi_invariants(d, chi)
     module = build_full_r1(d, chi, inv)
     assert module.ledger.dim_mchi == 1
@@ -673,16 +687,63 @@ def test_braid_relation_certificate_catches_a_wrong_generator(monkeypatch):
     assert regimes == ["R2"]
 
 
-def test_generator_relation_certificate_refuses_a_changed_relation():
+def s3_r2_inputs():
+    """Z/2 x S3 with the trivial character, in regime R2: the datum, the
+    character, its invariants, the Coxeter algebra of z^2 - 1 on the one
+    hyperplane orbit, and that relation on each hyperplane."""
     d = direct_product_datum("s3dp", s3_rank2_generators(), 2)
     chi = Character.trivial(d.kernel)
-    inv = compute_chi_invariants(d, chi)
     rbar = CycPoly([rat(-1), rat(0), rat(1)])
-    params = {oid: rbar for oid in {d.arrangement[a].orbit_id for a in range(3)}}
-    hecke = build_coxeter(d.arrangement, params)
-    changed = {0: CycPoly([rat(-2), rat(-1), rat(1)]), 1: rbar, 2: rbar}
+    hecke = build_coxeter(d.arrangement, {d.arrangement[0].orbit_id: rbar})
+    return d, chi, compute_chi_invariants(d, chi), hecke, {a: rbar for a in range(3)}
+
+
+def test_generator_relation_certificate_refuses_a_changed_relation():
+    d, chi, inv, hecke, rbars = s3_r2_inputs()
+    changed = {**rbars, 0: CycPoly([rat(-2), rat(-1), rat(1)])}
     with pytest.raises(IntegrityError, match=r"generator_relation\[alpha=0\]"):
         build_full_r2(d, chi, inv, hecke, changed)
+
+
+def z_power_minus_one(n):
+    return CycPoly([rat(-1)] + [rat(0)] * (n - 1) + [rat(1)])
+
+
+R2_REFUSALS = {
+    "jump": "regime R2 needs all jumps equal to one",
+    "subgroup": "regime R2 needs the reflections to generate the whole group",
+    "dimension": "algebra dimension 2 does not match the group order 6",
+    "cyclic": "cyclic algebra mapping needs a single hyperplane",
+    "group": "quadratic algebra must be built over the datum's group",
+    "product": "no hyperplane mapping for algebra regime 'product'",
+}
+
+
+@pytest.mark.parametrize("case", R2_REFUSALS)
+def test_r2_refuses_an_input_off_its_regime(case):
+    d, chi, inv, hecke, rbars = s3_r2_inputs()
+    if case == "jump":
+        inv.per_hyperplane[0].jump = 2  # fault injection
+    elif case == "subgroup":
+        # a rotation group has no reflections, so W_chi^0 = 1 though W_chi = W
+        s1, s2 = s3_rank2_generators()
+        d = direct_product_datum("c3", [s1 * s2], 2)
+        chi = Character.trivial(d.kernel)
+        inv = compute_chi_invariants(d, chi)
+        hecke = build_cyclic(z_power_minus_one(3))
+    elif case == "dimension":
+        hecke = build_cyclic(z_power_minus_one(2))
+    elif case == "cyclic":
+        hecke = build_cyclic(z_power_minus_one(6))
+    elif case == "group":
+        # the same group enumerated again: an equal table, another object
+        copy = direct_product_datum("copy", s3_rank2_generators(), 2)
+        hecke = build_coxeter(copy.arrangement, {copy.arrangement[0].orbit_id: rbars[0]})
+    else:
+        hecke = build_product([build_cyclic(z_power_minus_one(n)) for n in (2, 3)])
+    with pytest.raises(RegimeError) as err:
+        build_full_r2(d, chi, inv, hecke, rbars)
+    assert str(err.value) == R2_REFUSALS[case]
 
 
 def test_r2_refused_outside_regime():

@@ -13,7 +13,7 @@ from monodromy.invariants import (
     compute_chi_invariants,
     with_relation_character,
 )
-from corpus import FIXTURES, chi_specs, load_datum, manifest, s3_rank2_generators
+from corpus import FIXTURES, characters, chi_specs, load_datum, manifest, s3_rank2_generators
 
 
 def rat(x):
@@ -101,7 +101,7 @@ def test_dic12_character_ladder():
 def test_stabilizer_order_divides_group_order():
     for name in ("s3_over_s2", "s4_over_s3", "dicyclic12_over_s2"):
         d = load_datum(name)
-        for chi in d.characters():
+        for chi in characters(d):
             inv = compute_chi_invariants(d, chi)
             assert len(d.group) % len(inv.w_chi) == 0
             assert set(inv.w_chi_zero) <= set(inv.w_chi)
@@ -110,7 +110,7 @@ def test_stabilizer_order_divides_group_order():
 def test_check_generation_on_corpus():
     for name in ("s3_over_s2", "s4_over_s3", "cyclic_z8_over_z4"):
         d = load_datum(name)
-        for chi in d.characters():
+        for chi in characters(d):
             inv = compute_chi_invariants(d, chi)
             ok, witness = check_generation(d, inv)
             assert ok, witness
@@ -229,7 +229,7 @@ def test_hyperplane_order_is_constant_on_every_corpus_stabilizer_orbit():
         if entry["expected_exit"] != 0:
             continue
         d = load_datum(entry["file"].removesuffix(".json"))
-        for chi in d.characters():
+        for chi in characters(d):
             for orbit in compute_chi_invariants(d, chi).chi_orbits:
                 assert len({d.arrangement[a].order for a in orbit}) == 1, (entry["file"], orbit)
                 orbits += len(orbit) > 1
