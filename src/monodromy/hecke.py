@@ -1,21 +1,16 @@
 """Deformed group algebras presented by monic relations on braid-type
 generators, in three certified regimes.
 
-Supported regimes: cyclic (one generator, companion matrix of its
-relation), real groups with quadratic relations (basis indexed by group
-elements, descent-rule multiplication against a certified simple system),
-and tensor products of these.  Every build's claims hold on the regular
-representation, by construction or by certificate: basis independence,
-closed multiplication, generator relations, and (in the quadratic regime)
-the braid relations of the chosen simple system.  One ``word_lengths``
-search per candidate simple system tests generation and gives the
-lengths of the descent rule.  The basis operators T_w are built inside
-the closure certificate, one product T_s T_w at a time; a second ascent
-onto a built T_w is implied by the descent comparisons and forms no
-product.  For a Coxeter generator the closure certificate is also the
-relation and invertibility certificate, and it implies each braid
-relation whose words are reduced.  Unsupported inputs fail with a regime
-error naming the obstruction.
+Supported regimes: cyclic (companion matrix of one relation), real groups
+with quadratic relations (element basis, descent-rule multiplication
+against a certified Coxeter system), and tensor products of these.  Every
+build's claims hold on the regular representation, by construction or by
+certificate.  Reflections are a Coxeter system when the Coxeter group of
+their matrix, read off the Cayley table, has order |W|; their quadratic
+and braid relations are then checked once, by sparse products, and the
+T_w, built on first use, are a basis.  Under x^2 - 1 everywhere the
+algebra is C[W] over any generating set.  Unsupported inputs fail with a
+regime error naming the obstruction.
 """
 
 from __future__ import annotations
@@ -23,9 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .cyclo import ONE, CycMatrix, CycPoly
-from .errors import DomainError, ParameterError, RegimeError
-from .reflgrp import Arrangement, CayleyGroup, word_lengths
+from .cyclo import ONE, ZERO, CycMatrix, CycPoly, zeta
+from .errors import ClosureCapError, DomainError, IntegrityError, ParameterError, RegimeError
+from .reflgrp import Arrangement, CayleyGroup, enumerate_group, word_lengths
 
 
 class HeckeAlgebra:
@@ -40,13 +35,20 @@ class HeckeAlgebra:
         # filled by the quadratic-regime builder
         self.group: CayleyGroup | None = None
         self.simple_hyperplanes: list[int] = []
+        self._descents, self._lengths = [], {}  # (s, T_s) per simple slot; l(w)
         self._element_matrices: dict[int, CycMatrix] = {}
 
     def t_of_element(self, w: int) -> CycMatrix:
-        """Basis operator for a group element (quadratic regime only)."""
+        """Basis operator T_w (quadratic regime only), built on first use as
+        T_s T_sw along the first simple s with l(sw) < l(w), and kept."""
         if self.group is None:
             raise DomainError("element operators exist only over a group basis")
-        return self._element_matrices[w]
+        t = self._element_matrices.get(w)
+        if t is None:
+            group, lengths = self.group, self._lengths
+            s, t_s = next((s, t) for s, t in self._descents if lengths[group.mul(s, w)] < lengths[w])
+            t = self._element_matrices[w] = t_s * self.t_of_element(group.mul(s, w))
+        return t
 
     def to_json(self) -> dict:
         return {
@@ -111,35 +113,72 @@ def _descent_matrices(group, simple, polys, lengths):
     return mats
 
 
-def _braid_relation_holds(group, mats, simple, lengths, i, j) -> bool:
-    """The braid relation of simple slots i and j, once the closure
-    certificate passed.  It gives T_w e_1 = e_w, so a -> a e_1 is injective
-    on the span of the T_w, and T_s T_w = T_sw when l(sw) > l(w).  So if
-    d = sts... = tst... (m letters, m the order of st) has l(d) = m, as on
-    every Coxeter system (Humphreys, Reflection Groups and Coxeter Groups,
-    5.5), both sides send e_1 to e_d by ascents.  Only a set that is no
-    Coxeter system can have l(d) < m; only then are 2m products formed."""
-    m = group.element_order(group.mul(simple[i], simple[j]))
-    word = [i, j] * m  # sts... is word[:m], tst... is word[1 : m + 1]
-    d = group.identity
-    for slot in word[:m]:
-        d = group.mul(d, simple[slot])
-    if lengths[d] == m:
-        return True
-    lhs = rhs = CycMatrix.identity(len(group))
-    for k in range(m):
-        lhs, rhs = lhs * mats[word[k]], rhs * mats[word[k + 1]]
-    return lhs == rhs
+def _is_coxeter_system(group, simple) -> bool:
+    """Whether the involutions ``simple``, which generate ``group``, are a
+    Coxeter system.  They satisfy the relations of the Coxeter group W(M)
+    of their matrix m_ij, the order of s_i s_j, so the group is a quotient
+    of W(M): the system is Coxeter exactly when |W(M)| = |W|.  A connected
+    Coxeter graph of a finite group with a label m_ij > 5 is that pair
+    alone, a factor I2(m_ij) of order 2 m_ij (J. E. Humphreys, Reflection
+    Groups and Coxeter Groups, CUP 1990, 2.7 and 6.4).  The rest acts
+    faithfully by its Tits representation, s_i negating a_i and adding
+    2cos(pi/m_ij) a_i = (zeta_2m + zeta_2m^-1) a_i to each other a_j
+    (5.3-5.4); its closure, capped, decides its order."""
+    k, m = len(simple), {}
+    for i, j in itertools.combinations(range(k), 2):
+        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j]))
+    order, rest = 1, list(range(k))
+    for (i, j), m_ij in m.items():
+        if i < j and m_ij > 5:
+            if any(m[i, x] > 2 or m[j, x] > 2 for x in range(k) if x not in (i, j)):
+                return False
+            order, rest = order * 2 * m_ij, [x for x in rest if x not in (i, j)]
+    n, two_cos = len(rest), {c: zeta(2 * c) + zeta(2 * c, -1) for c in range(2, 6)}
+    rows = [[(b, b, -ONE if a == b else ONE) for b in range(n)] for a in range(n)]
+    for (a, i), (b, j) in itertools.permutations(enumerate(rest), 2):
+        rows[a].append((a, b, two_cos[m[i, j]]))  # every label left is at most 5
+    tits = [CycMatrix.from_triples(n, n, row) for row in rows]
+    try:
+        size = len(enumerate_group(tits, cap=len(group) // order + 1)) if rest else 1
+    except ClosureCapError:
+        return False
+    return order * size == len(group)
+
+
+def _relations_hold(group, simple, mats, polys) -> bool:
+    """Whether each T_s satisfies its quadratic relation and each pair its
+    braid relation.  Row v of T_s holds columns v and sv at most, so a row
+    of a braid word stays in the coset <s_i, s_j>v: the products are sparse."""
+    n = len(group)
+    for t, poly in zip(mats, polys):
+        if t * t != t * (-poly.coeffs[1]) + CycMatrix.scalar(n, -poly.coeffs[0]):
+            return False
+    for i, j in itertools.combinations(range(len(simple)), 2):
+        lhs = rhs = CycMatrix.identity(n)
+        for k in range(group.element_order(group.mul(simple[i], simple[j]))):
+            lhs, rhs = lhs * mats[(i, j)[k % 2]], rhs * mats[(j, i)[k % 2]]
+        if lhs != rhs:
+            return False
+    return True
 
 
 def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
     """Quadratic-relation algebra over the real reflection group of arr.
 
     params maps arrangement orbit ids to monic quadratic relations with
-    nonzero constant term.  The simple system is found by certified
-    search: the lexicographically first set of reflections that generates
-    the group and passes the closure certificate, which is also its basis
-    and relation certificate, and the braid certificate.
+    nonzero constant term.  The generators are the descent-rule operators
+    of the lexicographically first generating set of reflections that is a
+    Coxeter system, or, with x^2 - 1 on every orbit, that generates.  A
+    reflection's orbit is its conjugacy class, so (W, S) has the Hecke
+    algebra H(W, S) of these relations.  Operators T_s that satisfy them
+    span a quotient of H(W, S), spanned by the products T_w along reduced
+    words, each independent of the word (Matsumoto; Humphreys 7.1-7.3; M.
+    Geck and G. Pfeiffer, Characters of Finite Coxeter Groups and
+    Iwahori-Hecke Algebras, OUP 2000, 4.4).  Along a reduced word each T_s
+    meets an ascent, so T_w e_1 = e_w: the |W| operators T_w are
+    independent, and the algebra is H(W, S), of dimension |W|.  T_s e_1 =
+    e_s, so T_s is no scalar, its relation is its minimal polynomial, and
+    the nonzero constant term makes it invertible.
     """
     group = arr.group
     if len(arr) == 0:
@@ -161,6 +200,10 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
                 f"orbit {oid}: quadratic regime needs degree-2 relations, "
                 f"got degree {poly.degree}"
             )
+    # under x^2 - 1 the descent rule sends e_w to e_sw on an ascent and a
+    # descent alike, so T_s and T_w are the left-multiplication permutations:
+    # any generating set spans C[W] in its faithful left regular representation
+    unit = all(params[arr[o[0]].orbit_id] == CycPoly([-ONE, ZERO, ONE]) for o in orbits)
     reflections = sorted(
         (h.distinguished_generator, a) for a, h in enumerate(arr.hyperplanes)
     )
@@ -176,68 +219,23 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
             if len(lengths) != len(group):
                 continue
             candidates_tried += 1
+            if not unit and not _is_coxeter_system(group, elems):
+                continue
             alphas = [c[1] for c in combo]
             polys = [params[arr[a].orbit_id] for a in alphas]
             mats = _descent_matrices(group, elems, polys, lengths)
-            t_of = _closure_certificate(group, mats, elems, polys, lengths)
-            if t_of is None or not all(
-                _braid_relation_holds(group, mats, elems, lengths, i, j)
-                for i, j in itertools.combinations(range(size), 2)
-            ):
-                continue
-            h = HeckeAlgebra(
-                "coxeter",
-                len(group),
-                {f"s{a}": m for a, m in zip(alphas, mats)},
-                {f"s{a}": p for a, p in zip(alphas, polys)},
-            )
-            h.group = group
-            h.simple_hyperplanes = alphas
-            h._element_matrices = dict(enumerate(t_of))
-            # the closure certificate set T_s e_1 = e_s, so T_s is no scalar,
-            # and compared T_s T_s with -c0 - c1 T_s: the relation is the
-            # minimal polynomial of T_s, and c0 != 0 makes T_s invertible
+            if not unit and not _relations_hold(group, elems, mats, polys):
+                raise IntegrityError("descent operators break a Hecke relation")
+            keys = [f"s{a}" for a in alphas]
+            h = HeckeAlgebra("coxeter", len(group), dict(zip(keys, mats)), dict(zip(keys, polys)))
+            h.group, h.simple_hyperplanes = group, alphas
+            h._descents, h._lengths = list(zip(elems, mats)), lengths
+            h._element_matrices = {group.identity: CycMatrix.identity(len(group))}
             return h
     raise RegimeError(
         "unsupported regime 'coxeter': no certified simple system found "
         f"({candidates_tried} generating candidates tried)"
     )
-
-
-def _closure_certificate(group, mats, simple, polys, lengths):
-    """The basis operators T_w, built inside the certificate that their span
-    is closed under multiplication, or None when it fails.
-
-    Elements are visited by length.  For each simple s, T_s T_w must equal
-    the descent rule when s descends on w.  When s ascends, the first such
-    product sets T_{sw} once it sends the unit basis vector to sw; a later
-    ascent onto a set T_{sw} forms no product, since T_s T_w = T_{sw}
-    follows from two descent comparisons.  At (s, s) the rule gives
-    T_s^2 + c1 T_s + c0 = 0 with c0 != 0, so T_s + c1 = -c0 T_s^-1 is
-    invertible; at (sw, s) it gives (T_s + c1) T_{sw} = -c0 T_w, hence
-    (T_s + c1)(T_s T_w - T_{sw}) = 0.  So T_w does not depend on the
-    reduced word that first reaches it."""
-    n = len(group)
-    t_of: list[CycMatrix | None] = [None] * n
-    t_of[0] = CycMatrix.identity(n)
-    for w in sorted(range(n), key=lengths.__getitem__):
-        for slot, s in enumerate(simple):
-            sw = group.mul(s, w)
-            if lengths[sw] <= lengths[w]:
-                c0, c1 = polys[slot].coeffs[0], polys[slot].coeffs[1]
-                if mats[slot] * t_of[w] != t_of[sw] * (-c0) + t_of[w] * (-c1):
-                    return None
-            elif t_of[sw] is None:
-                prod = mats[slot] * t_of[w]
-                first_column = [
-                    (i, row[0][1])
-                    for i, row in enumerate(prod.sparse_rows)
-                    if row and row[0][0] == 0
-                ]
-                if first_column != [(sw, ONE)]:
-                    return None
-                t_of[sw] = prod
-    return t_of
 
 
 # ---------------------------------------------------------------------------

@@ -154,42 +154,79 @@ MUTANTS = (
         HECKE,
         "            if len(lengths) != len(group):\n                continue\n",
         "",
+        nodes(
+            "test_hecke",
+            "test_star_transpositions_are_not_a_simple_system_at_q_two",
+            "test_relations_other_than_unit_take_a_coxeter_system",
+        ),
+    ),
+    Mutant(
+        "build_coxeter: Coxeter filter always true",
+        HECKE,
+        "            if not unit and not _is_coxeter_system(group, elems):\n                continue\n",
+        "",
+        nodes(
+            "test_hecke",
+            "test_star_transpositions_are_not_a_simple_system_at_q_two",
+            "test_relations_other_than_unit_take_a_coxeter_system",
+        ),
+    ),
+    Mutant(
+        "build_coxeter: Coxeter filter always false",
+        HECKE,
+        "            if not unit and not _is_coxeter_system(group, elems):\n",
+        "            if not unit:\n",
+        nodes("test_hecke", "test_b2_with_numeric_parameter", "test_b4_with_a_generic_relation"),
+    ),
+    Mutant(
+        "build_coxeter: Coxeter filter under x^2 - 1",
+        HECKE,
+        "    unit = all(",
+        "    unit = False and all(",
         nodes("test_hecke", "test_star_transpositions_are_not_a_simple_system_at_q_two"),
     ),
     Mutant(
-        "_braid_relation_holds: always false",
+        "_is_coxeter_system: Tits entry for m_ij + 1",
         HECKE,
-        "    return lhs == rhs\n",
-        "    return False\n",
-        nodes("test_hecke", "test_braid_certificate_multiplies_on_words_that_are_not_reduced"),
+        "        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j]))\n",
+        "        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j])) + 1\n",
+        nodes(
+            "test_hecke",
+            "test_every_generating_pair_of_dihedral_reflections_is_a_coxeter_system",
+            "test_transposition_triples_are_a_coxeter_system_exactly_when_a_path",
+        ),
     ),
     Mutant(
-        "_braid_relation_holds: always true",
+        "_is_coxeter_system: Tits entry for m_ij - 1",
         HECKE,
-        "    return lhs == rhs\n",
-        "    return True\n",
-        nodes("test_hecke", "test_braid_certificate_multiplies_on_words_that_are_not_reduced"),
+        "        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j]))\n",
+        "        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j])) - 1\n",
+        nodes(
+            "test_hecke",
+            "test_every_generating_pair_of_dihedral_reflections_is_a_coxeter_system",
+            "test_transposition_triples_are_a_coxeter_system_exactly_when_a_path",
+        ),
     ),
     Mutant(
-        "_braid_relation_holds: products on reduced words",
+        "_is_coxeter_system: dihedral factor joined to a third reflection",
         HECKE,
-        "    if lengths[d] == m:\n",
-        "    if False:\n",
-        nodes("test_hecke", "test_braid_certificate_forms_no_product_on_a_coxeter_system"),
+        "            if any(m[i, x] > 2 or m[j, x] > 2 for x in range(k) if x not in (i, j)):\n",
+        "            if False:\n",
+        nodes("test_hecke", "test_no_generating_set_of_a_non_real_group_is_a_coxeter_system"),
     ),
     Mutant(
-        "_closure_certificate: descent unchecked",
+        "_relations_hold: quadratic relation unchecked",
         HECKE,
-        "                if mats[slot] * t_of[w] != t_of[sw] * (-c0) + t_of[w] * (-c1):\n",
-        "                if False:\n",
-        nodes("test_hecke", "test_closure_certificate_compares_descents_with_the_relation"),
+        "        if t * t != t * (-poly.coeffs[1]) + CycMatrix.scalar(n, -poly.coeffs[0]):\n",
+        "        if False:\n",
+        nodes("test_hecke", "test_relations_check_refuses_a_wrong_quadratic_relation"),
     ),
     Mutant(
-        "_closure_certificate: unit column unchecked",
+        "_relations_hold: braid relation unchecked",
         HECKE,
-        "                if first_column != [(sw, ONE)]:\n",
-        "                if False:\n",
-        nodes("test_hecke", "test_closure_certificate_needs_the_unit_column"),
+        "        if lhs != rhs:\n",
+        "        if False:\n",
+        nodes("test_hecke", "test_relations_check_refuses_a_broken_braid_relation"),
     ),
     Mutant(
         "_check_relation: degree unchecked",

@@ -1,19 +1,26 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from monodromy import cli
 from monodromy.cyclo import CycMatrix, CycNumber, CycPoly, minpoly_matrix, zeta
-from monodromy.errors import DomainError, IntegrityError, ParameterError, RegimeError
+from monodromy.errors import (
+    ClosureCapError,
+    DomainError,
+    IntegrityError,
+    ParameterError,
+    RegimeError,
+)
 from monodromy.extension import datum_to_json
 from monodromy.fixtures import direct_product_datum
 from monodromy.hecke import (
     HeckeAlgebra,
-    _braid_relation_holds,
-    _closure_certificate,
     _descent_matrices,
+    _is_coxeter_system,
+    _relations_hold,
     build_coxeter,
     build_cyclic,
     build_product,
@@ -39,7 +46,7 @@ def quadratic(q):
 
 def certify_generators(h):
     """The generator certificate that the builders leave to their
-    construction or to the closure certificate: each generator's minimal
+    construction or to the Hecke presentation: each generator's minimal
     polynomial is its declared relation, and its constant term is nonzero,
     which makes the generator invertible."""
     for key, m in h.generators.items():
@@ -73,6 +80,64 @@ def braid_relations_hold(arr, h):
         braid_relation_holds(arr.group, mats, simple, i, j)
         for i, j in itertools.combinations(range(len(simple)), 2)
     )
+
+
+def _closure_certificate(group, mats, simple, polys, lengths):
+    """The closure-certificate oracle: the basis operators T_w, built inside
+    the certificate that their span is closed under multiplication, or None
+    when it fails.
+
+    Elements are visited by length.  For each simple s, T_s T_w must equal
+    the descent rule when s descends on w.  When s ascends, the first such
+    product sets T_{sw} once it sends the unit basis vector to sw; a later
+    ascent onto a set T_{sw} forms no product, since T_s T_w = T_{sw}
+    follows from two descent comparisons.  At (s, s) the rule gives
+    T_s^2 + c1 T_s + c0 = 0 with c0 != 0, so T_s + c1 = -c0 T_s^-1 is
+    invertible; at (sw, s) it gives (T_s + c1) T_{sw} = -c0 T_w, hence
+    (T_s + c1)(T_s T_w - T_{sw}) = 0.  So T_w does not depend on the
+    reduced word that first reaches it."""
+    n = len(group)
+    t_of = [None] * n
+    t_of[0] = CycMatrix.identity(n)
+    for w in sorted(range(n), key=lengths.__getitem__):
+        for slot, s in enumerate(simple):
+            sw = group.mul(s, w)
+            if lengths[sw] <= lengths[w]:
+                c0, c1 = polys[slot].coeffs[0], polys[slot].coeffs[1]
+                if mats[slot] * t_of[w] != t_of[sw] * (-c0) + t_of[w] * (-c1):
+                    return None
+            elif t_of[sw] is None:
+                prod = mats[slot] * t_of[w]
+                first_column = [
+                    (i, row[0][1])
+                    for i, row in enumerate(prod.sparse_rows)
+                    if row and row[0][0] == 0
+                ]
+                if first_column != [(sw, rat(1))]:
+                    return None
+                t_of[sw] = prod
+    return t_of
+
+
+def _braid_relation_holds(group, mats, simple, lengths, i, j) -> bool:
+    """The braid check that completes the closure-certificate oracle.  The
+    certificate gives T_w e_1 = e_w, so a -> a e_1 is injective on the span
+    of the T_w, and T_s T_w = T_sw when l(sw) > l(w).  So if d = sts... =
+    tst... (m letters, m the order of st) has l(d) = m, as on every Coxeter
+    system (Humphreys, Reflection Groups and Coxeter Groups, 5.5), both
+    sides send e_1 to e_d by ascents.  Only a set that is no Coxeter system
+    can have l(d) < m; only then are 2m products formed."""
+    m = group.element_order(group.mul(simple[i], simple[j]))
+    word = [i, j] * m  # sts... is word[:m], tst... is word[1 : m + 1]
+    d = group.identity
+    for slot in word[:m]:
+        d = group.mul(d, simple[slot])
+    if lengths[d] == m:
+        return True
+    lhs = rhs = CycMatrix.identity(len(group))
+    for k in range(m):
+        lhs, rhs = lhs * mats[word[k]], rhs * mats[word[k + 1]]
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +677,247 @@ def test_associativity_on_random_triples():
     for _ in range(200):
         a, b, c = (ops[rng.randrange(len(ops))] for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+# ---------------------------------------------------------------------------
+# the Coxeter-system certificate and the presentation
+
+
+def generating_sets(group, largest=None):
+    """Every set of order-2 reflections, of at most ``largest`` elements,
+    that generates the group, each as the sorted list of its elements,
+    smallest sets first."""
+    reflections = sorted(
+        h.distinguished_generator for h in hyperplanes(group).hyperplanes if h.order == 2
+    )
+    return [
+        list(combo)
+        for size in range(1, (largest or len(reflections)) + 1)
+        for combo in itertools.combinations(reflections, size)
+        if len(word_lengths(group, combo)) == len(group)
+    ]
+
+
+def tits_closes_on_the_group(group, simple):
+    """The Coxeter-system test with no dihedral factor split off: the Tits
+    representation of the whole Coxeter matrix, closed under the cap
+    |W| + 1 (its entries need zeta_2m, so every m_ij must be at most 60)."""
+    k = len(simple)
+    rows = [[(j, j, rat(-1 if j == i else 1)) for j in range(k)] for i in range(k)]
+    for i, j in itertools.permutations(range(k), 2):
+        m = group.element_order(group.mul(simple[i], simple[j]))
+        rows[i].append((i, j, zeta(2 * m) + zeta(2 * m, -1)))
+    tits = [CycMatrix.from_triples(k, k, row) for row in rows]
+    try:
+        return len(enumerate_group(tits, cap=len(group) + 1)) == len(group)
+    except ClosureCapError:
+        return False
+
+
+def block_diagonal(a, b):
+    n = a.rows
+    return CycMatrix.from_triples(
+        n + b.rows,
+        n + b.rows,
+        [(i, j, x) for i, row in enumerate(a.sparse_rows) for j, x in row]
+        + [(n + i, n + j, x) for i, row in enumerate(b.sparse_rows) for j, x in row],
+    )
+
+
+def i2_6_times_a1():
+    """I2(6) x A1 in rank 3: a Coxeter group whose graph has an isolated
+    edge of label 6."""
+    gens = [block_diagonal(g, CycMatrix.identity(1)) for g in catalog(6, 6, 2)]
+    return enumerate_group(gens + [block_diagonal(CycMatrix.identity(2), CycMatrix([[rat(-1)]]))])
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_every_generating_pair_of_dihedral_reflections_is_a_coxeter_system(m):
+    g = enumerate_group(catalog(m, m, 2))
+    pairs = generating_sets(g, largest=2)
+    # reflections r_a and r_b generate I2(m) exactly when gcd(a - b, m) = 1
+    assert len(pairs) == m * sum(math.gcd(k, m) == 1 for k in range(1, m + 1)) // 2
+    assert all(_is_coxeter_system(g, pair) for pair in pairs)
+
+
+def test_a_dihedral_pair_needs_no_field_past_the_cyclotomic_bound():
+    # 2cos(pi/61) lies in Q(zeta_122), past the order bound 120, so the
+    # pair is certified as a factor I2(61) without its Tits representation
+    g = enumerate_group(catalog(61, 61, 2))
+    pair = generating_sets(g, largest=2)[0]
+    assert _is_coxeter_system(g, pair)
+    arr = hyperplanes(g)
+    h = build_coxeter(arr, {arr[a].orbit_id: quadratic(2) for a in range(len(arr))})
+    assert h.dimension == 122
+
+
+def test_transposition_triples_are_a_coxeter_system_exactly_when_a_path():
+    g = star_s4()
+
+    def moved(x):
+        return frozenset(i for i, row in enumerate(g.elements[x].sparse_rows) if row[0][0] != i)
+
+    kinds = []
+    for simple in generating_sets(g):
+        if len(simple) == 3:
+            edges = [moved(x) for x in simple]
+            star = any(all(point in edge for edge in edges) for point in range(4))
+            assert _is_coxeter_system(g, simple) == (not star), edges
+            kinds.append(star)
+    # the 16 spanning trees of the complete graph on four points
+    assert (kinds.count(False), kinds.count(True)) == (12, 4)
+
+
+def test_three_reflections_of_b2_are_no_coxeter_system():
+    g = enumerate_group(catalog(2, 1, 2))
+    triples = [s for s in generating_sets(g) if len(s) == 3]
+    assert len(triples) == 4
+    assert not any(_is_coxeter_system(g, s) for s in triples)
+
+
+@pytest.mark.parametrize("mpr, count", [((4, 2, 2), 27), ((6, 3, 2), 162)])
+def test_no_generating_set_of_a_non_real_group_is_a_coxeter_system(mpr, count):
+    # G(4,2,2) has the 27 candidates of the unsupported-Hecke pin; G(6,3,2)
+    # has pairs of order 6 joined to a third reflection, which no finite
+    # Coxeter graph has
+    g = enumerate_group(catalog(*mpr))
+    sets = generating_sets(g)
+    assert len(sets) == count
+    assert not any(_is_coxeter_system(g, s) for s in sets)
+
+
+@pytest.mark.parametrize(
+    "group, coxeter_sets",
+    [
+        (lambda: enumerate_group(catalog(1, 1, 3)), 3),
+        (lambda: enumerate_group(catalog(2, 1, 2)), 4),
+        (lambda: enumerate_group(catalog(1, 1, 4)), 12),
+        (star_s4, 12),
+        (lambda: enumerate_group(catalog(4, 2, 2)), 0),
+        (lambda: enumerate_group(catalog(6, 3, 2)), 0),
+        (i2_6_times_a1, 6),
+    ],
+    ids=["A2", "B2", "A3", "star", "G(4,2,2)", "G(6,3,2)", "I2(6)xA1"],
+)
+def test_coxeter_certificate_matches_the_tits_closure_of_the_whole_matrix(group, coxeter_sets):
+    g = group()
+    sets = generating_sets(g)
+    verdicts = [_is_coxeter_system(g, s) for s in sets]
+    assert verdicts == [tits_closes_on_the_group(g, s) for s in sets]
+    assert sum(verdicts) == coxeter_sets
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        lambda: enumerate_group(catalog(1, 1, 3)),
+        lambda: enumerate_group(catalog(2, 1, 2)),
+        lambda: enumerate_group(catalog(1, 1, 4)),
+        star_s4,
+        lambda: enumerate_group(catalog(4, 2, 2)),
+    ],
+    ids=["A2", "B2", "A3", "star", "G(4,2,2)"],
+)
+def test_closure_certificate_passes_on_every_coxeter_system(group):
+    # every generating set and every assignment of x^2 - 1, x^2 + 1 and
+    # (x - 2)(x + 1) to the orbits: on a Coxeter system the relations hold
+    # and the deleted closure and braid certificates pass, as the Hecke
+    # presentation predicts; with (x - 2)(x + 1) on every orbit they pass
+    # on nothing else, so the build takes the candidate it took before
+    relations = (poly(-1, 0, 1), poly(1, 0, 1), quadratic(2))
+    g = group()
+    arr = hyperplanes(g)
+    orbit_of = {h.distinguished_generator: h.orbit_id for h in arr.hyperplanes}
+    orbit_ids = sorted(set(orbit_of.values()))
+    sets = [(s, _is_coxeter_system(g, s)) for s in generating_sets(g)]
+    for assignment in itertools.product(relations, repeat=len(orbit_ids)):
+        params = dict(zip(orbit_ids, assignment))
+        for simple, coxeter in sets:
+            polys = [params[orbit_of[x]] for x in simple]
+            lengths = word_lengths(g, simple)
+            mats = _descent_matrices(g, simple, polys, lengths)
+            passed = _closure_certificate(g, mats, simple, polys, lengths) is not None and all(
+                _braid_relation_holds(g, mats, simple, lengths, i, j)
+                for i, j in itertools.combinations(range(len(simple)), 2)
+            )
+            if coxeter:
+                assert passed and _relations_hold(g, simple, mats, polys), simple
+            if set(assignment) == {quadratic(2)}:
+                assert passed == coxeter, simple
+
+
+def test_relations_check_refuses_a_wrong_quadratic_relation():
+    # operators of the relation at q = 2 checked against q = 3: the braid
+    # relations hold, the quadratic ones do not
+    g = enumerate_group(catalog(1, 1, 3))
+    lengths = word_lengths(g, g.generators)
+    mats = _descent_matrices(g, g.generators, [quadratic(2)] * 2, lengths)
+    assert _relations_hold(g, g.generators, mats, [quadratic(2)] * 2)
+    assert braid_relation_holds(g, mats, g.generators, 0, 1)
+    assert not _relations_hold(g, g.generators, mats, [quadratic(3)] * 2)
+
+
+def test_relations_check_refuses_a_broken_braid_relation():
+    # distinct relations on the conjugate simple reflections of A2: each
+    # quadratic relation holds by the descent rule, the braid relation not
+    g = enumerate_group(catalog(1, 1, 3))
+    lengths = word_lengths(g, g.generators)
+    polys = [poly(-1, 0, 1), quadratic(3)]
+    mats = _descent_matrices(g, g.generators, polys, lengths)
+    assert all(minpoly_matrix(m) == p for m, p in zip(mats, polys))
+    assert not _relations_hold(g, g.generators, mats, polys)
+
+
+def test_pipeline_basis_operators_match_the_closure_certificate(pipeline_algebras):
+    # the lazy T_w of every algebra the pipeline built against the T_w that
+    # the deleted closure certificate builds over the same simple system
+    for arr, h in pipeline_algebras["coxeter"]:
+        g = arr.group
+        simple = [arr[a].distinguished_generator for a in h.simple_hyperplanes]
+        polys = [h.params[f"s{a}"] for a in h.simple_hyperplanes]
+        mats = [h.generators[f"s{a}"] for a in h.simple_hyperplanes]
+        t_of = _closure_certificate(g, mats, simple, polys, word_lengths(g, simple))
+        assert t_of == [h.t_of_element(w) for w in range(len(g))]
+
+
+def test_b4_with_a_generic_relation():
+    # G(2,1,4) with (x - 2)(x + 1): every T_w beyond length one is dense,
+    # and the deleted closure certificate formed hundreds of such products
+    g = enumerate_group(catalog(2, 1, 4))
+    arr = hyperplanes(g)
+    h = build_coxeter(arr, {arr[a].orbit_id: quadratic(2) for a in range(len(arr))})
+    assert h.dimension == len(g) == 384
+    simple = [arr[a].distinguished_generator for a in h.simple_hyperplanes]
+    gens = [h.generators[f"s{a}"] for a in h.simple_hyperplanes]
+    one = CycMatrix.identity(384)
+    for t in gens:
+        assert t * t == t + CycMatrix.scalar(384, rat(2))
+    for i, j in itertools.combinations(range(4), 2):
+        assert braid_relation_holds(g, gens, simple, i, j)
+    words = _reduced_words(g, simple)
+    by_length = {}
+    for w, word in words.items():
+        by_length.setdefault(len(word), w)
+    assert max(by_length) == 16  # the longest element of B4
+    for length in (1, 2, 7, 16):
+        w = by_length[length]
+        product = one
+        for slot in words[w]:
+            product = product * gens[slot]
+        assert h.t_of_element(w) == product, words[w]
+
+
+def test_relations_other_than_unit_take_a_coxeter_system():
+    # the star transpositions pass the deleted closure certificate at x^2 + 1,
+    # where the descent operators are signed permutations, but no Coxeter
+    # filter; so do all 27 candidates of G(4,2,2), which is now refused
+    g = star_s4()
+    arr = hyperplanes(g)
+    assert build_coxeter(arr, {0: poly(1, 0, 1)}).simple_hyperplanes == [0, 1, 4]
+    g = enumerate_group(catalog(4, 2, 2))
+    arr = hyperplanes(g)
+    with pytest.raises(RegimeError, match=r"\(27 generating candidates tried\)"):
+        build_coxeter(arr, {arr[a].orbit_id: poly(1, 0, 1) for a in range(len(arr))})
 
 
 # ---------------------------------------------------------------------------
