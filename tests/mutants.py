@@ -250,6 +250,13 @@ MUTANTS = (
         nodes("test_hecke", "test_coxeter_rejects_the_trivial_group"),
     ),
     Mutant(
+        "_orbit_constant: first value taken",
+        CLI,
+        "    values = {mapping.get(a, default) for a in orbit}\n",
+        "    return mapping.get(orbit[0], default)\n",
+        nodes("test_cli", "test_sign_datum_must_be_constant_on_a_stabilizer_orbit"),
+    ),
+    Mutant(
         "_hecke_stage: relation agreement unchecked",
         CLI,
         "        if params.setdefault(oid, poly) != poly:\n",
