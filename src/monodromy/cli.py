@@ -199,34 +199,26 @@ def _rbar_overrides_from_file(datum, inv, path):
 def _hecke_stage(datum, inv, rbar_by_alpha):
     """Build the deformed algebra of the reflection subgroup when it falls
     in a supported regime; otherwise report the predicted dimension."""
-    group = datum.group
-    sub = inv.w_chi_zero
-    if len(sub) == 1:
+    gens = inv.zero_generators
+    if not gens:
         algebra = build_cyclic(CycPoly([CycNumber.rational(-1), CycNumber.rational(1)]))
         return algebra, {"regime": "cyclic", "dimension": 1,
                          "generators": {}, "note": "trivial reflection subgroup"}
-    # cyclic: one local meet is the whole subgroup
-    cyclic_alpha = None
-    for a in range(len(datum.arrangement)):
-        meet = inv.per_hyperplane[a].stabilizer_meet
-        if len(meet) == len(sub) and set(meet) == set(sub):
-            cyclic_alpha = a
-            break
-    if cyclic_alpha is not None:
-        algebra = build_cyclic(rbar_by_alpha[cyclic_alpha])
+    # cyclic: one nontrivial meet generates the subgroup alone; conversely a
+    # non-identity element of W_alpha fixes exactly H_alpha, so a meet equal
+    # to the subgroup is the only nontrivial meet
+    if len(gens) == 1:
+        algebra = build_cyclic(rbar_by_alpha[next(iter(gens))])
         return algebra, algebra.to_json()
     # quadratic: all nontrivial meets have order two; the whole group keeps
     # the datum's arrangement, since the R2 module needs its group object
-    gens = []
-    for a in range(len(datum.arrangement)):
+    for a in gens:
         meet = inv.per_hyperplane[a].stabilizer_meet
         if len(meet) > 2:
             return None, _unsupported_hecke(inv, f"local order {len(meet)} at hyperplane {a}")
-        if len(meet) == 2:
-            gens.append(next(i for i in meet if i != group.identity))
     arr, alphas = datum.arrangement, range(len(datum.arrangement))
-    if len(sub) != len(group):
-        arr, alphas = restrict(datum.arrangement, gens)
+    if len(inv.w_chi_zero) != len(datum.group):
+        arr, alphas = restrict(datum.arrangement, inv.zero_lengths, inv.zero_orbit_of)
     params = {}
     for h, alpha in zip(arr.hyperplanes, alphas):
         oid, poly = h.orbit_id, rbar_by_alpha[alpha]
@@ -257,13 +249,11 @@ def _mchi_stage(datum, chi, inv, hecke_algebra, rbar_by_alpha):
     try:
         if inv.w_chi_zero == (group.identity,):
             return build_full_r1(datum, chi, inv).to_json(), warnings
-        if (
-            len(inv.w_chi) == len(group)
-            and len(inv.w_chi_zero) == len(group)
-            and all(h.jump == 1 for h in inv.per_hyperplane)
-            and hecke_algebra is not None
-            and hecke_algebra.dimension == len(group)
-        ):
+        # the containment certificate of compute_chi_invariants puts W_chi^0
+        # in W_chi, so W_chi^0 = W makes W_chi = W, every meet W_alpha and
+        # every jump 1; and the hecke.dimension verdict has already raised
+        # unless the algebra's dimension is |W_chi^0|
+        if len(inv.w_chi_zero) == len(group) and hecke_algebra is not None:
             module = build_full_r2(datum, chi, inv, hecke_algebra, rbar_by_alpha)
             return module.to_json(), warnings
         warnings.append(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclo import CycNumber, json_int, json_key
+from .cyclo import CycMatrix, CycNumber, json_int, json_key, zeta
 from .errors import (
     ClosureCapError,
     DomainError,
@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .reflgrp import Arrangement, CayleyGroup, ReflectionGroup
+from .reflgrp import Arrangement, CayleyGroup, ReflectionGroup, enumerate_group, hyperplanes
 
 
 class Character:
@@ -496,9 +496,6 @@ def _object_items(value, what: str):
 
 
 def datum_from_json(obj) -> ExtensionDatum:
-    from .cyclo import CycMatrix
-    from .reflgrp import enumerate_group, hyperplanes
-
     try:
         wspec = obj["wtilde"]
         wtilde = CayleyGroup(wspec["table"], wspec.get("generators"))
@@ -572,8 +569,6 @@ def character_from_spec(e: ExtensionDatum, spec) -> Character:
     """Parse a character specification: "trivial", or a JSON object giving
     a modulus and exponents on kernel generators, either flat
     ({"<element>": exponent, "modulus": k}) or nested under "values"."""
-    from .cyclo import zeta
-
     if spec == "trivial":
         return Character.trivial(e.kernel)
     if not isinstance(spec, dict):

@@ -1,18 +1,20 @@
 """Stabilizer invariants of a character: the stabilizer subgroup, the local
-jump exponents per hyperplane, the reflection subgroup generated by the
-local stabilizers, the hyperplane orbits of both subgroups (from
+jump exponents per hyperplane, the reflection subgroup W_chi^0 generated by
+the local stabilizers, the hyperplane orbits of both subgroups (from
 ``reflgrp.orbit_partition``), and the degree-one relation character on the
 full-jump hyperplanes, set once from the per-hyperplane relation polynomials.
+W_chi^0 is closed by one ``word_lengths`` search over one generator per
+nontrivial meet; the Hecke stage and ``reflgrp.restrict`` read that search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .cyclo import CycNumber, CycPoly
+from .cyclo import CycMatrix, CycNumber, CycPoly
 from .errors import IntegrityError, ParameterError
 from .extension import Character, CheckResult, ExtensionDatum
-from .reflgrp import orbit_partition, subgroup_generated
+from .reflgrp import orbit_partition, subgroup_generated, word_lengths
 
 
 @dataclass
@@ -29,6 +31,9 @@ class ChiInvariants:
     w_chi_zero: tuple[int, ...]
     chi_orbits: list[list[int]]  # orbits of hyperplanes under the stabilizer
     zero_orbits: list[list[int]]  # orbits under the reflection subgroup
+    zero_generators: dict[int, int]  # alpha -> s_alpha^e_alpha, nontrivial meets
+    zero_lengths: dict[int, int]  # word_lengths over zero_generators
+    zero_orbit_of: list[int]  # the zero_orbits position of every hyperplane
     # keyed by least hyperplane of A1 orbits; set by with_relation_character
     rho_values: dict[int, CycNumber] = field(default_factory=dict)
     rho_trivial: bool = True
@@ -67,23 +72,20 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
     w_chi_set = set(w_chi)
 
     per: list[HyperplaneInvariant] = []
-    local_gens: list[int] = []
+    zero_generators: dict[int, int] = {}
     for a in range(len(arr)):
         h = arr[a]
         meet = tuple(i for i in h.stabilizer_elements if i in w_chi_set)
-        # check_generation certifies, before the Hecke stage of every
-        # analyze, that the meet is generated by the jump-th power
         jump = h.order // len(meet)
-        per.append(
-            HyperplaneInvariant(
-                stabilizer_meet=meet,
-                jump=jump,
-                a_class="A1" if jump == h.order else "A0",
-            )
-        )
-        local_gens.extend(meet)
+        per.append(HyperplaneInvariant(meet, jump, "A1" if jump == h.order else "A0"))
+        if len(meet) > 1:
+            # the meet is the subgroup of order n/e of the cyclic group
+            # W_alpha = <s_alpha> of order n, so it is <s_alpha^e>;
+            # check_generation certifies this as chi.local_generation
+            zero_generators[a] = group.power(h.distinguished_generator, jump)
 
-    w_chi_zero = subgroup_generated(group, local_gens)
+    zero_lengths = word_lengths(group, zero_generators.values())
+    w_chi_zero = tuple(sorted(zero_lengths))
 
     # containment in the stabilizer
     containment = set(w_chi_zero) <= w_chi_set
@@ -112,14 +114,13 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
     if witness is not None:
         raise IntegrityError(f"local meet identity failed: {witness}")
 
-    # every generator of the reflection subgroup fixes a hyperplane
+    # every non-identity meet element fixes a hyperplane
     witness = None
-    for g in sorted(set(local_gens)):
+    identity = CycMatrix.identity(group.rank)
+    for g in sorted({i for h in per for i in h.stabilizer_meet}):
         if g == group.identity:
             continue
-        from .cyclo import CycMatrix
-
-        diff = group.elements[g] - CycMatrix.identity(group.rank)
+        diff = group.elements[g] - identity
         if diff.rank() != 1:
             witness = f"generator {g} does not fix a hyperplane"
             break
@@ -137,14 +138,17 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
     if witness is not None:
         raise IntegrityError(f"jump invariance failed: {witness}")
 
-    zero_orbits = [list(o) for o in orbit_partition(len(arr), arr.act, w_chi_zero)[0]]
+    zero_members, zero_orbit_of = orbit_partition(len(arr), arr.act, w_chi_zero)
 
     return ChiInvariants(
         w_chi=w_chi,
         per_hyperplane=per,
         w_chi_zero=w_chi_zero,
         chi_orbits=chi_orbits,
-        zero_orbits=zero_orbits,
+        zero_orbits=[list(o) for o in zero_members],
+        zero_generators=zero_generators,
+        zero_lengths=zero_lengths,
+        zero_orbit_of=zero_orbit_of,
         checks=checks,
     )
 
@@ -183,16 +187,13 @@ def with_relation_character(
 
 
 def check_generation(datum: ExtensionDatum, inv: ChiInvariants):
-    """Confirm that each meet is the cyclic group on the jump-th power;
-    returns (ok, witness).  That the meets generate ``w_chi_zero`` holds by
-    construction: ``compute_chi_invariants`` builds it as
-    ``subgroup_generated`` of the same meets."""
+    """Confirm that each meet is the cyclic group on the jump-th power of its
+    hyperplane's distinguished generator, the power ``w_chi_zero`` is closed
+    over (the identity where the meet is trivial); returns (ok, witness).
+    That these powers generate ``w_chi_zero`` holds by construction."""
     group = datum.group
-    arr = datum.arrangement
-    for a in range(len(arr)):
-        meet = inv.per_hyperplane[a].stabilizer_meet
-        power = group.power(arr[a].distinguished_generator, inv.per_hyperplane[a].jump)
-        expected = subgroup_generated(group, [power])
-        if tuple(sorted(meet)) != expected:
+    for a, h in enumerate(inv.per_hyperplane):
+        power = inv.zero_generators.get(a, group.identity)
+        if tuple(sorted(h.stabilizer_meet)) != subgroup_generated(group, [power]):
             return False, f"hyperplane {a}: meet is not generated by the jump power"
     return True, None

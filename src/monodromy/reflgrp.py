@@ -15,12 +15,13 @@ discovery words with |W|^2 lookups and no matrix work.  The arrangement
 records, per reflection hyperplane, the cyclic pointwise stabilizer (found
 in the same pass over the elements as the normals), its order, the
 distinguished generator acting by the primitive counter-clockwise root of
-unity on the normal line, and the orbit decomposition under the group
-action.  An element w sends a hyperplane to the one whose distinguished
-generator is the conjugate of its own by w, so the action is read from the
-table too.  ``orbit_partition``, fed every element of a subgroup, gives both
-the hyperplane orbits of any subgroup and the cosets of a subgroup, and
-``restrict`` reads a reflection subgroup and its arrangement off the group's.
+unity on the normal line, and the orbit id under the group action.  An
+element w sends a hyperplane to the one whose distinguished generator is
+the conjugate of its own by w, so the action is read from the table too.
+``orbit_partition``, fed every element of a subgroup, gives both the
+hyperplane orbits of any subgroup and the cosets of a subgroup, and
+``restrict`` reads a reflection subgroup and its arrangement off the
+group's, given the subgroup's ``word_lengths`` search and orbits.
 """
 
 from __future__ import annotations
@@ -244,11 +245,12 @@ class Hyperplane:
     stabilizer_elements: tuple[int, ...]
     order: int  # the stabilizer size
     distinguished_generator: int  # element index
-    orbit_id: int = -1  # set by Arrangement
+    orbit_id: int = -1  # set by hyperplanes() or restrict()
 
 
 class Arrangement:
-    """The reflection hyperplanes of a group, each given its orbit id."""
+    """The reflection hyperplanes of a group; ``hyperplanes`` and
+    ``restrict`` set their orbit ids."""
 
     def __init__(self, group: CayleyGroup, hyperplanes: list[Hyperplane]):
         self.group = group
@@ -256,9 +258,6 @@ class Arrangement:
         self._by_generator = {
             h.distinguished_generator: a for a, h in enumerate(hyperplanes)
         }
-        _, orbit_of = orbit_partition(len(hyperplanes), self.act, range(len(group)))
-        for h, orbit in zip(hyperplanes, orbit_of):
-            h.orbit_id = orbit
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -319,7 +318,8 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
     A non-identity element fixes a hyperplane pointwise exactly when m - I
     has rank one and its rows are multiples of the hyperplane's normal, so
     one pass over the elements finds the normals, in order of first
-    appearance, and their stabilizers, the identity first."""
+    appearance, and their stabilizers, the identity first.  Orbit ids number
+    the group's orbits by least hyperplane."""
     identity = CycMatrix.identity(group.rank)
     stabilizers: dict[tuple, list[int]] = {}
     for i, m in enumerate(group.elements):
@@ -351,21 +351,30 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
                 f"normal line of {normal!r}; stabilizer is not cyclic of order {n_alpha}"
             )
         hps.append(Hyperplane(normal, tuple(stab), n_alpha, eigen[primitive]))
-    return Arrangement(group, hps)
+    arr = Arrangement(group, hps)
+    _, orbit_of = orbit_partition(len(hps), arr.act, range(len(group)))
+    for h, orbit in zip(hps, orbit_of):
+        h.orbit_id = orbit
+    return arr
 
 
-def restrict(arr: Arrangement, gens) -> tuple[Arrangement, list[int]]:
-    """The subgroup generated by ``gens`` with its arrangement, read off
-    ``arr`` and its group's table, and the index in ``arr`` of each of its
-    hyperplanes.  Labels follow ``word_lengths``, ``enumerate_group``'s
-    discovery order over the same generators (both search breadth-first by
-    right products with the sorted generators).  A subgroup reflection is
-    one of the group, and the subgroup meets the cyclic stabilizer <s> of
-    order n of a hyperplane in a cyclic group of some order n' | n, made by
-    s^(n/n'), which acts by zeta_n' on the normal line (G. I. Lehrer and
-    D. E. Taylor, Unitary Reflection Groups, CUP 2009)."""
+def restrict(arr: Arrangement, lengths, orbit_of) -> tuple[Arrangement, list[int]]:
+    """A reflection subgroup with its arrangement, read off ``arr`` and its
+    group's table, and the index in ``arr`` of each of its hyperplanes.
+
+    ``lengths`` is the subgroup's ``word_lengths`` search, and ``orbit_of``
+    its orbit (``orbit_partition``) of every hyperplane of ``arr``.  Labels
+    follow the search, ``enumerate_group``'s discovery order over the same
+    generators (both search breadth-first by right products with the
+    sorted generators).  A subgroup reflection is one of the group, and the
+    subgroup meets the cyclic stabilizer <s> of order n of a hyperplane in a
+    cyclic group of some order n' | n, made by s^(n/n'), which acts by
+    zeta_n' on the normal line (G. I. Lehrer and D. E. Taylor, Unitary
+    Reflection Groups, CUP 2009).  Conjugation keeps n', so the hyperplanes
+    met are whole orbits, renumbered by least subgroup hyperplane as
+    ``hyperplanes`` numbers them."""
     group = arr.group
-    labels = list(word_lengths(group, gens))
+    labels = list(lengths)
     label = {w: i for i, w in enumerate(labels)}
     table = group.table
     sub = CayleyGroup([[label[table[a][b]] for b in labels] for a in labels])
@@ -376,10 +385,12 @@ def restrict(arr: Arrangement, gens) -> tuple[Arrangement, list[int]]:
             met.append((meet, alpha))
     met.sort()  # by least non-identity label, the order hyperplanes() finds them in
     hps = []
+    orbit_ids: dict[int, int] = {}
     for meet, alpha in met:
         h = arr[alpha]
         s = group.power(h.distinguished_generator, h.order // len(meet))
-        hps.append(Hyperplane(h.normal, tuple(meet), len(meet), label[s]))
+        oid = orbit_ids.setdefault(orbit_of[alpha], len(orbit_ids))
+        hps.append(Hyperplane(h.normal, tuple(meet), len(meet), label[s], oid))
     return Arrangement(sub, hps), [alpha for _, alpha in met]
 
 

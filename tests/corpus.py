@@ -1,4 +1,6 @@
-"""The committed datum corpus as the tests read it.
+"""The committed datum corpus as the tests read it, the covers and datum
+variants whose reports are pinned by digest, and the matrices whose
+eliminated minimal polynomials are pinned by value.
 
 Every call parses its file again, so a test may mutate what it gets.
 """
@@ -6,12 +8,15 @@ Every call parses its file again, so a test may mutate what it gets.
 import functools
 import itertools
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
-from monodromy.cyclo import ONE, CycMatrix, CycNumber, CycPoly, zeta
+from monodromy.cyclo import ONE, CycMatrix, CycNumber, CycPoly, weighted_permutation, zeta
 from monodromy.errors import ValidationError
 from monodromy.extension import ExtensionDatum, datum_from_json, datum_to_json
 from monodromy.fixtures import direct_product_datum, table_from_elements
+from monodromy.hecke import build_coxeter, build_cyclic, build_product
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, word_lengths
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -197,3 +202,84 @@ def unsupported_hecke_run(workdir):
     override = Path(workdir) / "z2_g422_rbar.json"
     override.write_text(json.dumps({str(a): rbar for a in range(len(datum.arrangement))}))
     return path, override
+
+
+# b2_split_z2 has the stabilizer orbits [0, 3] and [1, 2] under both of its
+# characters; a sign of -1 and the wrap-around scalars -1 and zeta_4,
+# written as the datum's "sgn" and "twist" keys
+MINUS_ONE = {"order": 1, "terms": [[-1, 1, 0]]}
+ZETA_4 = {"order": 4, "terms": [[1, 1, 1]]}
+SIGN_TWIST_VARIANTS = {
+    "sgn": {"sgn": {"0": -1, "3": -1}},
+    "twist": {"twist": {"1": MINUS_ONE, "2": MINUS_ONE}},
+    "twist+sgn": {"twist": {"0": ZETA_4, "3": ZETA_4}, "sgn": {"1": -1, "2": -1}},
+}
+# the character specs each variant runs under, by name
+SIGN_TWIST_CHARACTERS = {"trivial": "trivial", "8": {"modulus": 2, "8": 1}}
+
+
+def takes_the_closed_form(m: CycMatrix) -> bool:
+    """Whether m is a weighted permutation whose cycles share one length and
+    one weight product, the matrices ``minpoly_matrix`` does not eliminate."""
+    perm = weighted_permutation(m)
+    if perm is None:
+        return False
+    targets, weights = perm
+    shapes, seen = set(), set()
+    for start in range(m.rows):
+        if start in seen:
+            continue
+        length, c, j = 1, weights[start], targets[start]
+        seen.add(start)
+        while j != start:
+            seen.add(j)
+            length, c, j = length + 1, c * weights[j], targets[j]
+        shapes.add((length, c))
+    return len(shapes) == 1
+
+
+def eliminated_matrices() -> dict[str, CycMatrix]:
+    """Matrices whose minimal polynomial ``minpoly_matrix`` finds by
+    elimination: the descent-rule T_s of A2 and B2 at (x - 2)(x + 1), the
+    Coxeter leg of acceptance criterion 4's mixed product (its cyclic legs
+    take the closed form), two block-diagonal matrices with mixed local
+    polynomials, and a seeded draw of sparse matrices over Q(zeta_12)."""
+    rat = CycNumber.rational
+    one = rat(1)
+    mats = {}
+    q = CycPoly([rat(-2), rat(-1), one])
+    for name, mpr in (("A2", (1, 1, 3)), ("B2", (2, 1, 2))):
+        arr = hyperplanes(enumerate_group(catalog(*mpr)))
+        h = build_coxeter(arr, {arr[a].orbit_id: q for a in range(len(arr))})
+        for key, m in sorted(h.generators.items()):
+            mats[f"{name} {key}"] = m
+    cox = build_coxeter(
+        hyperplanes(enumerate_group(catalog(1, 1, 2))), {0: CycPoly([rat(-3), rat(-2), one])}
+    )
+    mixed = build_product([build_cyclic(CycPoly([-zeta(4), one])), cox])
+    mats["criterion 4 leg1.s0"] = mixed.generators["leg1.s0"]
+    o, w = rat(0), zeta(3)
+    # a Jordan block, a swap and a scalar; then a swap and a scalar alone,
+    # a weighted permutation with two cycle shapes
+    mats["jordan+swap+scalar"] = CycMatrix(
+        [[one, one, o, o, o], [o, one, o, o, o], [o, o, o, one, o], [o, o, one, o, o],
+         [o, o, o, o, w]]
+    )
+    mats["swap+scalar"] = CycMatrix([[o, one, o], [one, o, o], [o, o, w]])
+    rng = random.Random(12)
+    scales = [rat(1), rat(-1), rat(2), rat(Fraction(1, 2)), rat(3)]
+    while len(mats) < 20:
+        d = rng.randint(2, 5)
+        m = CycMatrix(
+            [
+                [
+                    zeta(12, rng.randrange(12)) * rng.choice(scales)
+                    if rng.random() < 0.35 else o
+                    for _ in range(d)
+                ]
+                for _ in range(d)
+            ]
+        )
+        if not takes_the_closed_form(m):
+            mats[f"random {len(mats)}"] = m
+    return mats

@@ -136,6 +136,13 @@ MUTANTS = (
         nodes("test_reflgrp", "test_restrict_matches_the_re_enumerated_subgroup"),
     ),
     Mutant(
+        "restrict: orbit ids in W's hyperplane order",
+        REFLGRP,
+        "        oid = orbit_ids.setdefault(orbit_of[alpha], len(orbit_ids))\n",
+        "        oid = orbit_of[alpha]\n",
+        nodes("test_reflgrp", "test_restrict_matches_the_re_enumerated_subgroup"),
+    ),
+    Mutant(
         "ReflectionGroup.table: transposed",
         REFLGRP,
         "            table.append(row)\n        return table\n",
@@ -285,7 +292,8 @@ MUTANTS = (
             "of a relation of degree n/e (carousel_minpolys folds r of degree "
             "n by the e-th power, and an override must have degree n/e); a "
             "Coxeter algebra has one basis element per element of W or of the "
-            "subgroup of W restricted to the meets' closure, which is W_chi^0"
+            "subgroup of W restricted to the closure of the meets' generators, "
+            "which is W_chi^0"
         ),
     ),
     Mutant(
@@ -366,6 +374,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "compute_chi_invariants: W_chi^0 closed over the first power only",
+        INVARIANTS,
+        "    zero_lengths = word_lengths(group, zero_generators.values())\n",
+        "    zero_lengths = word_lengths(group, list(zero_generators.values())[:1])\n",
+        nodes("test_invariants", "test_the_meets_generate_w_chi_zero_on_every_corpus_run")
+        + nodes("test_cli", "test_family_reports_match_recorded_digests"),
+    ),
+    Mutant(
         "compute_chi_invariants: containment assumed",
         INVARIANTS,
         "    containment = set(w_chi_zero) <= w_chi_set\n",
@@ -391,8 +407,9 @@ MUTANTS = (
         "        if False:\n",
         INVARIANTS_SURVIVOR_TESTS,
         survives=(
-            "every generator is a non-identity element of a pointwise "
-            "stabilizer of a hyperplane, which fixes exactly that hyperplane"
+            "every non-identity meet element is a non-identity element of a "
+            "pointwise stabilizer of a hyperplane, which fixes exactly that "
+            "hyperplane"
         ),
     ),
     Mutant(
@@ -423,7 +440,7 @@ MUTANTS = (
     Mutant(
         "check_generation: meets unchecked",
         INVARIANTS,
-        "        if tuple(sorted(meet)) != expected:\n",
+        "        if tuple(sorted(h.stabilizer_meet)) != subgroup_generated(group, [power]):\n",
         "        if False:\n",
         nodes("test_invariants", "test_check_generation_detects_a_corrupted_meet"),
     ),

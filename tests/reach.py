@@ -6,10 +6,12 @@ Under a line tracer this runs every run whose output is pinned by a digest:
   characters of every ``coxeter-ladder`` and ``ledger-scale`` cover, and a
   seeded ``carousel-sweep`` draw (``bench/reference.json``);
 - the ``catalog``, ``carousel``, ``--rbar`` and ``--convention`` command
-  runs of ``STDOUT_DIGESTS`` and the four B2 swap-cover runs
-  (``tests/test_cli.py``);
+  runs of ``STDOUT_DIGESTS``, the four B2 swap-cover runs and the six
+  sign and twist variants of ``b2_split_z2`` (``tests/test_cli.py``);
 - every character of the covers in ``corpus.FAMILIES``
-  (``tests/family_digests.json``) and the unsupported-Hecke run.
+  (``tests/family_digests.json``) and the unsupported-Hecke run;
+- the minimal polynomial of each matrix of ``corpus.eliminated_matrices``
+  (``tests/minpoly_values.json``).
 
 It then prints, module by module and function by function, each statement
 inside a function that neither these runs nor the building of their data
@@ -45,9 +47,17 @@ SRC = ROOT / "src" / "monodromy"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from corpus import FAMILIES, FIXTURES, swap_cover, unsupported_hecke_run  # noqa: E402
+from corpus import (  # noqa: E402
+    FAMILIES,
+    FIXTURES,
+    SIGN_TWIST_CHARACTERS,
+    SIGN_TWIST_VARIANTS,
+    eliminated_matrices,
+    swap_cover,
+    unsupported_hecke_run,
+)
 from monodromy import cli  # noqa: E402
-from monodromy.cyclo import CycNumber, CycPoly  # noqa: E402
+from monodromy.cyclo import CycNumber, CycPoly, minpoly_matrix  # noqa: E402
 from monodromy.extension import datum_to_json  # noqa: E402
 
 CAROUSEL_SEED = 0
@@ -101,6 +111,13 @@ def pinned_runs(workdir: Path):
         spec = {str(x): a, str(y): b, "modulus": 2}
         yield "b2-swap", lambda path=path, spec=spec: cli.run_analyze(str(path), spec)
 
+    base = json.loads((FIXTURES / "b2_split_z2.json").read_text())
+    for variant, keys in SIGN_TWIST_VARIANTS.items():
+        path = workdir / f"b2_{variant}.json"
+        path.write_text(json.dumps({**base, **keys}))
+        for spec in SIGN_TWIST_CHARACTERS.values():
+            yield "sign-twist", lambda path=path, spec=spec: cli.run_analyze(str(path), spec)
+
     recorded = json.loads((ROOT / "tests" / "family_digests.json").read_text())
     for name, build, mpr, modulus in FAMILIES:
         datum, gens = build(name, mpr)
@@ -114,6 +131,9 @@ def pinned_runs(workdir: Path):
     yield "unsupported-hecke", lambda: cli.run_analyze(
         str(path), "trivial", rbar_path=str(override)
     )
+
+    for m in eliminated_matrices().values():
+        yield "minpoly", lambda m=m: minpoly_matrix(m)
 
 
 def trace_pinned_runs() -> dict[str, int]:

@@ -22,6 +22,8 @@ from monodromy.invariants import compute_chi_invariants
 from corpus import (
     FAMILIES,
     FIXTURES,
+    SIGN_TWIST_CHARACTERS,
+    SIGN_TWIST_VARIANTS,
     chi_specs,
     load_datum,
     manifest,
@@ -503,17 +505,8 @@ def test_b2_swap_cover_reports_match_recorded_digests(tmp_path):
         assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest, (a, b)
 
 
-# b2_split_z2 has the stabilizer orbits [0, 3] and [1, 2] under both of its
-# characters; a sign of -1 and the wrap-around scalars -1 and zeta_4,
-# written as the datum's "sgn" and "twist" keys
-MINUS_ONE = {"order": 1, "terms": [[-1, 1, 0]]}
-ZETA_4 = {"order": 4, "terms": [[1, 1, 1]]}
-SIGN_TWIST_VARIANTS = {
-    "sgn": {"sgn": {"0": -1, "3": -1}},
-    "twist": {"twist": {"1": MINUS_ONE, "2": MINUS_ONE}},
-    "twist+sgn": {"twist": {"0": ZETA_4, "3": ZETA_4}, "sgn": {"1": -1, "2": -1}},
-}
-# sha256 of the rendered report of each variant under each character
+# sha256 of the rendered report of each datum variant of b2_split_z2
+# (corpus.SIGN_TWIST_VARIANTS) under each character
 SIGN_TWIST_DIGESTS = {
     ("sgn", "trivial"): "3a2748db8080e66f8c82b302ceb4889d89571e949237d812e8ad2063e36ebf61",
     ("sgn", "8"): "be5f796f987d0aaa96bf6a6fd189795152bad9fa83e55086fb888979a31c985e",
@@ -528,11 +521,10 @@ def test_sign_and_twist_datum_reports_match_recorded_digests(tmp_path):
     """No fixture sets the datum's sign or wrap-around scalars, so the
     carousel inputs they give are pinned here, each run in regime R2."""
     base = json.loads((FIXTURES / "b2_split_z2.json").read_text())
-    specs = {"trivial": "trivial", "8": {"modulus": 2, "8": 1}}
     for (variant, chi), digest in SIGN_TWIST_DIGESTS.items():
         path = tmp_path / "b2_variant.json"
         path.write_text(json.dumps({**base, **SIGN_TWIST_VARIANTS[variant]}))
-        report, code, _ = run_analyze(str(path), specs[chi])
+        report, code, _ = run_analyze(str(path), SIGN_TWIST_CHARACTERS[chi])
         assert code == 0, (variant, chi, report.get("error"))
         assert report["m_chi"]["regime"] == "R2"
         assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest, (

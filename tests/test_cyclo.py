@@ -21,12 +21,10 @@ from monodromy.cyclo import (
     detect_power_factor,
     minpoly_matrix,
     theta,
-    weighted_permutation,
     zeta,
 )
 from monodromy.errors import CapacityError, DomainError
-from monodromy.hecke import build_coxeter, build_cyclic, build_product
-from monodromy.reflgrp import catalog, enumerate_group, hyperplanes
+from corpus import eliminated_matrices, takes_the_closed_form
 
 
 def rat(x):
@@ -478,72 +476,6 @@ def test_minpoly_divisor_search_small_dims():
         for d in monic_linear_divisors(p):
             if d.degree < p.degree:
                 assert not evaluate(d, m).is_zero() or poly_divides(p, d)
-
-
-def takes_the_closed_form(m: CycMatrix) -> bool:
-    """Whether m is a weighted permutation whose cycles share one length and
-    one weight product, the matrices ``minpoly_matrix`` does not eliminate."""
-    perm = weighted_permutation(m)
-    if perm is None:
-        return False
-    targets, weights = perm
-    shapes, seen = set(), set()
-    for start in range(m.rows):
-        if start in seen:
-            continue
-        length, c, j = 1, weights[start], targets[start]
-        seen.add(start)
-        while j != start:
-            seen.add(j)
-            length, c, j = length + 1, c * weights[j], targets[j]
-        shapes.add((length, c))
-    return len(shapes) == 1
-
-
-def eliminated_matrices() -> dict[str, CycMatrix]:
-    """Matrices whose minimal polynomial ``minpoly_matrix`` finds by
-    elimination: the descent-rule T_s of A2 and B2 at (x - 2)(x + 1), the
-    Coxeter leg of acceptance criterion 4's mixed product (its cyclic legs
-    take the closed form), two block-diagonal matrices with mixed local
-    polynomials, and a seeded draw of sparse matrices over Q(zeta_12)."""
-    one = rat(1)
-    mats = {}
-    q = CycPoly([rat(-2), rat(-1), one])
-    for name, mpr in (("A2", (1, 1, 3)), ("B2", (2, 1, 2))):
-        arr = hyperplanes(enumerate_group(catalog(*mpr)))
-        h = build_coxeter(arr, {arr[a].orbit_id: q for a in range(len(arr))})
-        for key, m in sorted(h.generators.items()):
-            mats[f"{name} {key}"] = m
-    cox = build_coxeter(
-        hyperplanes(enumerate_group(catalog(1, 1, 2))), {0: CycPoly([rat(-3), rat(-2), one])}
-    )
-    mixed = build_product([build_cyclic(CycPoly([-zeta(4), one])), cox])
-    mats["criterion 4 leg1.s0"] = mixed.generators["leg1.s0"]
-    o, w = rat(0), zeta(3)
-    # a Jordan block, a swap and a scalar; then a swap and a scalar alone,
-    # a weighted permutation with two cycle shapes
-    mats["jordan+swap+scalar"] = CycMatrix(
-        [[one, one, o, o, o], [o, one, o, o, o], [o, o, o, one, o], [o, o, one, o, o],
-         [o, o, o, o, w]]
-    )
-    mats["swap+scalar"] = CycMatrix([[o, one, o], [one, o, o], [o, o, w]])
-    rng = random.Random(12)
-    scales = [rat(1), rat(-1), rat(2), rat(Fraction(1, 2)), rat(3)]
-    while len(mats) < 20:
-        d = rng.randint(2, 5)
-        m = CycMatrix(
-            [
-                [
-                    zeta(12, rng.randrange(12)) * rng.choice(scales)
-                    if rng.random() < 0.35 else o
-                    for _ in range(d)
-                ]
-                for _ in range(d)
-            ]
-        )
-        if not takes_the_closed_form(m):
-            mats[f"random {len(mats)}"] = m
-    return mats
 
 
 # the to_json of minpoly_matrix on each of eliminated_matrices(), recorded

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from monodromy.invariants import (
     compute_chi_invariants,
     with_relation_character,
 )
-from corpus import FIXTURES, characters, chi_specs, load_datum, manifest, s3_rank2_generators
+from corpus import FAMILIES, FIXTURES, characters, chi_specs, load_datum, manifest, s3_rank2_generators
 
 
 def rat(x):
@@ -116,10 +117,21 @@ def test_check_generation_on_corpus():
             assert ok, witness
 
 
+def family_runs():
+    """(datum, character) for every character of each cover of
+    ``corpus.FAMILIES``, from the specs its digests are recorded under."""
+    for name, build, mpr, modulus in FAMILIES:
+        datum, gens = build(name, mpr)
+        for exponents in itertools.product(range(modulus), repeat=len(gens)):
+            spec = {"modulus": modulus, **{str(g): e for g, e in zip(gens, exponents)}}
+            yield datum, character_from_spec(datum, spec)
+
+
 def test_the_meets_generate_w_chi_zero_on_every_corpus_run():
     # the generation fact that check_generation takes from the construction
-    # of w_chi_zero, checked as it once was: all meets close to it
-    runs = 0
+    # of w_chi_zero, checked as it once was: all meets close to it, on the
+    # manifest runs and on every character of the family covers
+    runs = proper = 0
     for entry in manifest():
         if entry["expected_exit"] != 0:
             continue
@@ -129,7 +141,13 @@ def test_the_meets_generate_w_chi_zero_on_every_corpus_run():
             meets = [x for h in inv.per_hyperplane for x in h.stabilizer_meet]
             assert subgroup_generated(d.group, meets) == inv.w_chi_zero, entry["file"]
             runs += 1
-    assert runs == 33
+    for d, chi in family_runs():
+        inv = compute_chi_invariants(d, chi)
+        meets = [x for h in inv.per_hyperplane for x in h.stabilizer_meet]
+        assert subgroup_generated(d.group, meets) == inv.w_chi_zero, d.name
+        runs += 1
+        proper += 1 < len(inv.w_chi_zero) < len(d.group)
+    assert (runs, proper) == (33 + 56, 30)
 
 
 def test_check_generation_detects_a_corrupted_meet():

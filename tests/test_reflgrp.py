@@ -268,12 +268,16 @@ def test_conjugation_permutes_hyperplanes():
 def assert_restrict_matches_re_enumeration(arr, gens):
     """``restrict`` against the matrix closure of the generators and its
     arrangement, mapped back to ``arr`` by normal; returns the (n', n)
-    order pair of every compared hyperplane."""
+    order pair of every compared hyperplane.  ``restrict`` is given the
+    search of the generators and the subgroup's orbits on ``arr``, as the
+    character invariants hand them over."""
     group = arr.group
     sub = enumerate_group([group.elements[g] for g in sorted(set(gens))])
     sub_arr = hyperplanes(sub)
     by_normal = index_by_normal(arr)
-    got, alphas = restrict(arr, gens)
+    lengths = word_lengths(group, gens)
+    _, orbit_of = orbit_partition(len(arr), arr.act, list(lengths))
+    got, alphas = restrict(arr, lengths, orbit_of)
     assert [list(row) for row in got.group.table] == sub.table
     assert got.hyperplanes == sub_arr.hyperplanes
     assert alphas == [by_normal[h.normal] for h in sub_arr.hyperplanes]
