@@ -26,7 +26,6 @@ from .extension import (  # noqa: E402
     CayleyGroup,
     Character,
     ExtensionDatum,
-    FiberElement,
     validate,
 )
 from .invariants import (  # noqa: E402
@@ -55,7 +54,7 @@ __all__ = [
     "detect_power_factor", "minpoly_matrix",
     "ReflectionGroup", "Arrangement", "enumerate_group", "hyperplanes",
     "catalog", "subgroup_generated", "left_cosets",
-    "ExtensionDatum", "CayleyGroup", "Character", "FiberElement", "validate",
+    "ExtensionDatum", "CayleyGroup", "Character", "validate",
     "ChiInvariants", "compute_chi_invariants", "check_generation",
     "CarouselModel", "build_carousel", "carousel_minpolys", "twist_from_extension",
     "HeckeAlgebra", "build_cyclic", "build_coxeter", "build_product",

@@ -4,9 +4,9 @@ The covering group is a ``reflgrp.CayleyGroup`` read from the datum's
 table, the group law it shares with the base group.  The projection is an
 index map, and the splitting is one covering element per hyperplane.
 Characters of the kernel are stored by their values (roots of unity).
-Elements of the pulled-back braid cover are pairs (covering element, braid
-word); braid words are sequences of (hyperplane, +-1) letters and are only
-ever consumed through homomorphism evaluation, never compared for equality.
+Braid words are sequences of (hyperplane, +-1) letters, read only through
+their images ``p_of_word`` and ``r_of_word``; ``induce`` writes an element of
+the pulled-back braid cover as x·r(word), x in the kernel, with no type here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .cyclo import CycMatrix, CycNumber, json_int, json_key, zeta
 from .errors import (
     ClosureCapError,
     DomainError,
-    IntegrityError,
     ParseError,
     ValidationError,
 )
@@ -48,25 +47,6 @@ class Character:
     def __repr__(self):
         vals = ", ".join(f"{x}:{v!r}" for x, v in sorted(self.values.items()))
         return f"Character({vals})"
-
-
-@dataclass(frozen=True)
-class FiberElement:
-    """An element of the pulled-back braid cover: a covering element paired
-    with a braid word whose images agree in the base group."""
-
-    wt: int
-    word: tuple[tuple[int, int], ...]
-
-
-def free_reduce(word) -> tuple[tuple[int, int], ...]:
-    out: list[tuple[int, int]] = []
-    for letter in word:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(tuple(letter))
-    return tuple(out)
 
 
 @dataclass
@@ -180,7 +160,7 @@ class ExtensionDatum:
         target = set(members)
         return frozenset(wt for wt, w in enumerate(self.q) if w in target)
 
-    # -- words and the fiber product ----------------------------------------
+    # -- braid words --------------------------------------------------------
 
     def p_of_letter(self, letter) -> int:
         alpha, exp = letter
@@ -200,42 +180,6 @@ class ExtensionDatum:
             out = self.wtilde.mul(out, r if exp > 0 else self.wtilde.inv(r))
         return out
 
-    def r_tilde(self, word) -> FiberElement:
-        """The splitting applied to a braid word."""
-        word = free_reduce(word)
-        return FiberElement(self.r_of_word(word), word)
-
-    def embed_inertia(self, x: int) -> FiberElement:
-        if x not in self._kernel_set:
-            raise DomainError(f"{x} is not in the kernel")
-        return FiberElement(x, ())
-
-    def fiber_check(self, g: FiberElement):
-        if self.q[g.wt] != self.p_of_word(g.word):
-            raise IntegrityError(
-                f"fiber element invariant violated: q({g.wt}) != p({g.word})"
-            )
-
-    def fiber_mul(self, a: FiberElement, b: FiberElement) -> FiberElement:
-        self.fiber_check(a)
-        self.fiber_check(b)
-        return FiberElement(
-            self.wtilde.mul(a.wt, b.wt), free_reduce(a.word + b.word)
-        )
-
-    def fiber_inv(self, a: FiberElement) -> FiberElement:
-        word = tuple((alpha, -exp) for alpha, exp in reversed(a.word))
-        return FiberElement(self.wtilde.inv(a.wt), word)
-
-    def inertia_part(self, g: FiberElement) -> int:
-        """The kernel element g.wt * r(g.word)^{-1}."""
-        x = self.wtilde.mul(g.wt, self.wtilde.inv(self.r_of_word(g.word)))
-        if x not in self._kernel_set:
-            raise IntegrityError(
-                f"element {g} does not decompose over the splitting"
-            )
-        return x
-
     # -- characters ----------------------------------------------------------
 
     def act_on_character(self, w: int, chi: Character) -> Character:
@@ -252,20 +196,6 @@ class ExtensionDatum:
         return tuple(
             w for w in range(len(self.group)) if self.act_on_character(w, chi) == chi
         )
-
-    def eval_chi_hat(self, chi: Character, g: FiberElement) -> CycNumber:
-        """The canonical extension of the character over the stabilizer cover."""
-        w = self.q[g.wt]
-        if self.act_on_character(w, chi) != chi:
-            raise DomainError(
-                f"base image {w} does not stabilize the character; "
-                "the extension is undefined here"
-            )
-        return chi(self.inertia_part(g))
-
-    def eval_tau_hat(self, g: FiberElement) -> int:
-        """The sign character extended to the whole braid cover."""
-        return self.tau[self.inertia_part(g)]
 
     def character_from_values(self, values: dict[int, CycNumber]) -> Character:
         """Extend values on kernel elements multiplicatively to a character

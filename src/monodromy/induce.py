@@ -11,6 +11,10 @@ produced; the general word-level induction is deliberately not approximated.
 The ledger's blocks are the cosets of the character stabilizer, so their
 sizes and their sum need no check of their own, and an R2 generator's
 minimal polynomial is read from the algebra that certified it.
+
+An element x·r(word) of the pulled-back braid cover is written in splitting
+coordinates (x, word).  Each kernel part the builders need is that of an
+element with the empty reduced word, read off the cover's Cayley table.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .cyclo import ONE, CycMatrix, CycNumber, CycPoly, weighted_permutation
 from .errors import IntegrityError, RegimeError
-from .extension import Character, CheckResult, ExtensionDatum, FiberElement
+from .extension import Character, CheckResult, ExtensionDatum
 from .hecke import HeckeAlgebra
 from .invariants import ChiInvariants
 from .reflgrp import left_cosets, orbit_partition, word_lengths
@@ -157,9 +161,10 @@ def generator_letter_decomposition(datum: ExtensionDatum):
     ]
 
 
-def braid_lift(datum: ExtensionDatum, w: int, letter_table) -> FiberElement:
-    """Lift a group element through the splitting along its stored word;
-    ``letter_table`` is ``generator_letter_decomposition(datum)``.
+def braid_lift(datum: ExtensionDatum, w: int, letter_table) -> int:
+    """The covering element r(word) of a group element's lift through the
+    splitting along its stored word; ``letter_table`` is
+    ``generator_letter_decomposition(datum)``.
 
     Each word letter contributes inverse braid letters for its hyperplane
     power, so the base image of the lift is exactly the element."""
@@ -173,7 +178,7 @@ def braid_lift(datum: ExtensionDatum, w: int, letter_table) -> FiberElement:
             )
         alpha, j = decomp
         word.extend([(alpha, -1)] * j)
-    return datum.r_tilde(tuple(word))
+    return datum.r_of_word(word)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +195,11 @@ class InducedModule:
     checks: list[CheckResult]
     datum: ExtensionDatum
 
-    def represent(self, g: FiberElement) -> CycMatrix:
-        """Evaluate the module action on a fiber element by splitting it
-        into its kernel part and its braid word."""
-        x = self.datum.inertia_part(g)
+    def represent(self, x: int, word) -> CycMatrix:
+        """The module action on the cover element x·r(word), given in
+        splitting coordinates: i(x) times rho(sigma)^+-1 along the word."""
         out = self.i_matrices[x]
-        for alpha, exp in g.word:
+        for alpha, exp in word:
             m = self.gen_matrices[alpha]
             out = out * (m if exp > 0 else m.inverse())
         return out
@@ -222,10 +226,13 @@ def _check(checks, name, ok, witness=None):
 
 def _common_verifications(module: InducedModule):
     """Conjugation consistency, inertia-block match, and any supplied
-    braid-relation word pairs; failures are integrity errors."""
+    braid-relation word pairs; failures are integrity errors.  The module's
+    datum passed ``validate``, as ``run_analyze`` builds no module
+    otherwise: q is a homomorphism and q(r_alpha) = s_alpha^-1 = p(sigma_alpha),
+    so q(r(word)) = p(word) for every word and the kernel is normal."""
     datum = module.datum
     checks = module.checks
-    group = datum.group
+    wtilde = datum.wtilde
 
     for x in datum.kernel:
         expected = module.i_action.matrix(x)
@@ -237,13 +244,12 @@ def _common_verifications(module: InducedModule):
         )
 
     for alpha in sorted(module.gen_matrices):
-        sigma = datum.r_tilde(((alpha, 1),))
+        r_alpha = datum.splitting[alpha]
         rep_sigma = module.gen_matrices[alpha]
         for x in datum.kernel:
-            conj = datum.fiber_mul(
-                datum.fiber_mul(sigma, datum.embed_inertia(x)),
-                datum.fiber_inv(sigma),
-            )
+            # sigma x sigma^-1 freely reduces to the empty word, so it is its
+            # own kernel part r_alpha x r_alpha^-1 (the kernel is normal)
+            conj = wtilde.conjugate(r_alpha, x)
             # rho(s) rho(x) = rho(s x s^-1) rho(s) says the same as
             # rho(s) rho(x) rho(s)^-1 = rho(s x s^-1) because rho(s) is
             # already known to be invertible: in R1 by the monomial check,
@@ -254,15 +260,13 @@ def _common_verifications(module: InducedModule):
                 checks,
                 f"conjugation[alpha={alpha},x={x}]",
                 rep_sigma * module.i_matrices[x]
-                == module.represent(conj) * rep_sigma,
+                == module.represent(conj, ()) * rep_sigma,
                 "module action is not equivariant for the kernel",
             )
             _check(
                 checks,
                 f"kernel_product[alpha={alpha},x={x}]",
-                module.represent(
-                    datum.fiber_mul(datum.embed_inertia(x), sigma)
-                )
+                module.represent(x, ((alpha, 1),))
                 == module.i_matrices[x] * rep_sigma,
                 "kernel-by-generator product mismatch",
             )
@@ -278,8 +282,8 @@ def _common_verifications(module: InducedModule):
         _check(
             checks,
             f"braid_relation[{idx}]",
-            module.represent(datum.r_tilde(w1))
-            == module.represent(datum.r_tilde(w2)),
+            module.represent(wtilde.identity, w1)
+            == module.represent(wtilde.identity, w2),
             "module action separates an asserted braid relation",
         )
 
@@ -291,7 +295,8 @@ def build_full_r1(
 ) -> InducedModule:
     """Model on coset lifts, defined when the reflection subgroup is trivial
     and the degree-one relation character is trivial: the braid generators
-    permute the lifts, and the scalars enter through the kernel only."""
+    permute the lifts, and the scalars enter through the kernel only.  The
+    datum must have passed ``validate`` (see ``_common_verifications``)."""
     group = datum.group
     if inv.w_chi_zero != (group.identity,):
         raise RegimeError(
@@ -305,18 +310,16 @@ def build_full_r1(
     i_action = build_i_action(datum, chi, inv)
     ledger = i_action.ledger
     n = len(group)
+    wtilde = datum.wtilde
     letter_table = generator_letter_decomposition(datum)
-    lifts = []
-    for w in range(n):
-        label = w if datum.convention == "left" else group.inv(w)
-        lifts.append(braid_lift(datum, label, letter_table))
-    lift_inverses = [datum.fiber_inv(g) for g in lifts]
+    labels = range(n) if datum.convention == "left" else map(group.inv, range(n))
+    lift_inverses = [wtilde.inv(braid_lift(datum, w, letter_table)) for w in labels]
 
     checks: list[CheckResult] = []
     # h = lift(target)^-1 sigma_alpha lift(w) is a product of splitting
     # images and their inverses, so its kernel part is the identity and its
-    # entry chi(e) tau(e) is 1; fiber_check still checks each lift and
-    # sigma_alpha, in the inertia matrices and in _common_verifications
+    # entry chi(e) tau(e) is 1.  Each lift lies over its base element, as
+    # q(r(word)) = p(word) (see _common_verifications)
     gen_matrices = {}
     for alpha in range(len(datum.arrangement)):
         s = datum.arrangement[alpha].distinguished_generator
@@ -329,17 +332,13 @@ def build_full_r1(
             triples.append((target, w, ONE))
         gen_matrices[alpha] = CycMatrix.from_triples(n, n, triples)
 
+    # lift_w^-1 x lift_w freely reduces to the empty word, so it is its own
+    # kernel part c = r_w^-1 x r_w; its base image is the identity, which
+    # stabilizes chi, so the extended characters take chi(c) tau(c) there
     i_matrices = {}
     for x in datum.kernel:
-        entries = []
-        x_fiber = datum.embed_inertia(x)
-        for w in range(n):
-            h = datum.fiber_mul(datum.fiber_mul(lift_inverses[w], x_fiber), lifts[w])
-            entries.append(
-                datum.eval_chi_hat(chi, h)
-                * CycNumber.rational(datum.eval_tau_hat(h))
-            )
-        i_matrices[x] = CycMatrix.diagonal(entries)
+        parts = [wtilde.conjugate(r_inv, x) for r_inv in lift_inverses]
+        i_matrices[x] = CycMatrix.diagonal(chi(c) * CycNumber.rational(datum.tau[c]) for c in parts)
 
     module = InducedModule("R1", ledger, i_action, gen_matrices, i_matrices, checks, datum)
     for alpha, m in gen_matrices.items():
@@ -370,7 +369,8 @@ def build_full_r2(
     and every jump is one; braid generators act by the algebra generators
     or their conjugates t^-1 T t.  Each generator's minimal polynomial,
     read from the algebra that certified it, is compared with its relation
-    in ``rbar_by_alpha``; a conjugate shares the polynomial of T."""
+    in ``rbar_by_alpha``; a conjugate shares the polynomial of T.  The
+    datum must have passed ``validate`` (see ``_common_verifications``)."""
     group = datum.group
     if len(inv.w_chi) != len(group):
         raise RegimeError("regime R2 needs an invariant character")

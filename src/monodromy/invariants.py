@@ -127,7 +127,8 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
     checks.append(CheckResult.of("chi.generators_are_reflections", witness is None, witness))
 
     # jump constancy along stabilizer orbits
-    chi_orbits = [list(o) for o in orbit_partition(len(arr), arr.act, w_chi)[0]]
+    partition = orbit_partition(len(arr), arr.act, w_chi)
+    chi_orbits = [list(o) for o in partition[0]]
     witness = None
     for orbit in chi_orbits:
         jumps = {per[a].jump for a in orbit}
@@ -138,7 +139,10 @@ def compute_chi_invariants(datum: ExtensionDatum, chi: Character) -> ChiInvarian
     if witness is not None:
         raise IntegrityError(f"jump invariance failed: {witness}")
 
-    zero_members, zero_orbit_of = orbit_partition(len(arr), arr.act, w_chi_zero)
+    if len(w_chi_zero) < len(w_chi):
+        # W_chi^0 lies in W_chi (certified above): equal orders, one group
+        partition = orbit_partition(len(arr), arr.act, w_chi_zero)
+    zero_members, zero_orbit_of = partition
 
     return ChiInvariants(
         w_chi=w_chi,

@@ -1,6 +1,8 @@
 """The committed datum corpus as the tests read it, the covers and datum
-variants whose reports are pinned by digest, and the matrices whose
-eliminated minimal polynomials are pinned by value.
+variants whose reports are pinned by digest, the matrices whose
+eliminated minimal polynomials are pinned by value, and the fiber route: the
+braid cover's general fiber product, the oracle for the splitting
+coordinates of ``induce``.
 
 Every call parses its file again, so a test may mutate what it gets.
 """
@@ -9,12 +11,13 @@ import functools
 import itertools
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from monodromy.cyclo import ONE, CycMatrix, CycNumber, CycPoly, weighted_permutation, zeta
-from monodromy.errors import ValidationError
-from monodromy.extension import ExtensionDatum, datum_from_json, datum_to_json
+from monodromy.errors import DomainError, IntegrityError, ValidationError
+from monodromy.extension import Character, ExtensionDatum, datum_from_json, datum_to_json
 from monodromy.fixtures import direct_product_datum, table_from_elements
 from monodromy.hecke import build_coxeter, build_cyclic, build_product
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, word_lengths
@@ -283,3 +286,99 @@ def eliminated_matrices() -> dict[str, CycMatrix]:
         if not takes_the_closed_form(m):
             mats[f"random {len(mats)}"] = m
     return mats
+
+
+# ---------------------------------------------------------------------------
+# the fiber route
+
+
+@dataclass(frozen=True)
+class FiberElement:
+    """An element of the pulled-back braid cover: a covering element paired
+    with a braid word whose images agree in the base group."""
+
+    wt: int
+    word: tuple[tuple[int, int], ...]
+
+
+def free_reduce(word) -> tuple[tuple[int, int], ...]:
+    out: list[tuple[int, int]] = []
+    for letter in word:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+            out.pop()
+        else:
+            out.append(tuple(letter))
+    return tuple(out)
+
+
+class FiberRoute:
+    """A datum's braid cover as pairs (covering element, braid word): every
+    product checks that both factors lie over their words, and the extended
+    characters split an element over the splitting, refusing one whose base
+    image does not stabilize the character.  Every other attribute is the
+    datum's."""
+
+    def __init__(self, datum):
+        self.datum = datum
+
+    def __getattr__(self, name):
+        return getattr(self.datum, name)
+
+    def lift(self, w: int, letter_table) -> FiberElement:
+        """The inverse-letter lift of a group element along its stored word,
+        as ``induce.braid_lift`` builds it, with its word kept."""
+        word: list[tuple[int, int]] = []
+        for slot in self.group.words[w]:
+            alpha, j = letter_table[slot]
+            word.extend([(alpha, -1)] * j)
+        return self.r_tilde(tuple(word))
+
+    def r_tilde(self, word) -> FiberElement:
+        """The splitting applied to a braid word."""
+        word = free_reduce(word)
+        return FiberElement(self.r_of_word(word), word)
+
+    def embed_inertia(self, x: int) -> FiberElement:
+        if x not in self._kernel_set:
+            raise DomainError(f"{x} is not in the kernel")
+        return FiberElement(x, ())
+
+    def fiber_check(self, g: FiberElement):
+        if self.q[g.wt] != self.p_of_word(g.word):
+            raise IntegrityError(
+                f"fiber element invariant violated: q({g.wt}) != p({g.word})"
+            )
+
+    def fiber_mul(self, a: FiberElement, b: FiberElement) -> FiberElement:
+        self.fiber_check(a)
+        self.fiber_check(b)
+        return FiberElement(
+            self.wtilde.mul(a.wt, b.wt), free_reduce(a.word + b.word)
+        )
+
+    def fiber_inv(self, a: FiberElement) -> FiberElement:
+        word = tuple((alpha, -exp) for alpha, exp in reversed(a.word))
+        return FiberElement(self.wtilde.inv(a.wt), word)
+
+    def inertia_part(self, g: FiberElement) -> int:
+        """The kernel element g.wt * r(g.word)^{-1}."""
+        x = self.wtilde.mul(g.wt, self.wtilde.inv(self.r_of_word(g.word)))
+        if x not in self._kernel_set:
+            raise IntegrityError(
+                f"element {g} does not decompose over the splitting"
+            )
+        return x
+
+    def eval_chi_hat(self, chi: Character, g: FiberElement) -> CycNumber:
+        """The canonical extension of the character over the stabilizer cover."""
+        w = self.q[g.wt]
+        if self.act_on_character(w, chi) != chi:
+            raise DomainError(
+                f"base image {w} does not stabilize the character; "
+                "the extension is undefined here"
+            )
+        return chi(self.inertia_part(g))
+
+    def eval_tau_hat(self, g: FiberElement) -> int:
+        """The sign character extended to the whole braid cover."""
+        return self.tau[self.inertia_part(g)]

@@ -1,7 +1,8 @@
 """Mutation checks for the certificates of the group layer, the Hecke build
-and stage, the local-subgroup and character checks of datum validation,
-the character invariants, the carousel and the induced module, and for the
-report writer's refusals and its handling of a closed stdout.
+and stage, the projection, splitting, local-subgroup and character checks
+of datum validation, the character invariants, the carousel and the induced
+module, and for the report writer's refusals and its handling of a closed
+stdout.
 
 Each entry is one exact text edit of a file under ``src/monodromy`` and the
 pytest node ids that must fail once the edit is made.  The script first
@@ -77,6 +78,7 @@ CHARACTER_SURVIVOR_TESTS = GOLDEN + nodes(
 MODULE_SURVIVOR_TESTS = GOLDEN + nodes(
     "test_induce",
     "test_r1_generators_match_the_fiber_route_on_every_corpus_run",
+    "test_r1_inertia_matrices_match_the_fiber_route",
     "test_inverse_r1_module_is_the_left_module_relabeled",
     "test_r2_s3_group_algebra",
     "test_r2_b2_split",
@@ -355,11 +357,19 @@ MUTANTS = (
         nodes("test_extension", "test_local_subgroup_witness_names_the_first_failure[image]"),
     ),
     Mutant(
-        "inertia_part: decomposition unchecked",
+        "validate: q.homomorphism forced to pass",
         EXTENSION,
-        "        if x not in self._kernel_set:\n            raise IntegrityError(\n",
-        "        if False:\n            raise IntegrityError(\n",
-        nodes("test_extension", "test_inertia_part_refuses_an_element_off_the_splitting"),
+        '    checks.append(CheckResult.of("q.homomorphism", hom_witness is None, hom_witness))\n',
+        '    checks.append(CheckResult.of("q.homomorphism", True, hom_witness))\n',
+        nodes("test_extension", "test_bad_q_fails_homomorphism")
+        + nodes("test_cli", "test_sign_checks_refuse_a_kernel_that_is_not_closed"),
+    ),
+    Mutant(
+        "validate: splitting.maps_to_inverse_generator forced to pass",
+        EXTENSION,
+        '        CheckResult.of("splitting.maps_to_inverse_generator", witness is None, witness)\n',
+        '        CheckResult.of("splitting.maps_to_inverse_generator", True, witness)\n',
+        nodes("test_extension", "test_bad_splitting_fails_with_witness"),
     ),
     Mutant(
         "character_from_values: root of unity unchecked",
@@ -495,6 +505,13 @@ MUTANTS = (
         nodes("test_induce", "test_ledger_refuses_a_coset_with_two_block_characters"),
     ),
     Mutant(
+        "build_full_r1: inertia entry conjugated by r_w, not r_w^-1",
+        INDUCE,
+        "        parts = [wtilde.conjugate(r_inv, x) for r_inv in lift_inverses]\n",
+        "        parts = [wtilde.conjugate(wtilde.inv(r_inv), x) for r_inv in lift_inverses]\n",
+        nodes("test_induce", "test_r1_inertia_matrices_match_the_fiber_route"),
+    ),
+    Mutant(
         "build_full_r1: monomial assumed",
         INDUCE,
         "            _is_monomial_of_roots(m),\n",
@@ -513,23 +530,25 @@ MUTANTS = (
         "_common_verifications: conjugation assumed",
         INDUCE,
         "                rep_sigma * module.i_matrices[x]\n"
-        "                == module.represent(conj) * rep_sigma,\n",
+        "                == module.represent(conj, ()) * rep_sigma,\n",
         "                True,\n",
         nodes("test_induce", "test_conjugation_certificate_catches_a_wrong_generator"),
     ),
     Mutant(
         "_common_verifications: kernel product assumed",
         INDUCE,
-        "                module.represent(\n"
-        "                    datum.fiber_mul(datum.embed_inertia(x), sigma)\n"
-        "                )\n"
+        "                module.represent(x, ((alpha, 1),))\n"
         "                == module.i_matrices[x] * rep_sigma,\n",
         "                True,\n",
         MODULE_SURVIVOR_TESTS,
-        survives=(
-            "represent splits x sigma into the kernel part x and the word "
-            "sigma, so both sides compute the same product"
-        ),
+        survives="represent(x, sigma_alpha) is i(x) rho(sigma_alpha) by definition",
+    ),
+    Mutant(
+        "_common_verifications: conjugate taken as r^-1 x r",
+        INDUCE,
+        "            conj = wtilde.conjugate(r_alpha, x)\n",
+        "            conj = wtilde.conjugate(wtilde.inv(r_alpha), x)\n",
+        nodes("test_induce", "test_r1_inertia_matrices_match_the_fiber_route"),
     ),
     Mutant(
         "_common_verifications: braid relation base images assumed",
@@ -541,8 +560,8 @@ MUTANTS = (
     Mutant(
         "_common_verifications: braid relation assumed",
         INDUCE,
-        "            module.represent(datum.r_tilde(w1))\n"
-        "            == module.represent(datum.r_tilde(w2)),\n",
+        "            module.represent(wtilde.identity, w1)\n"
+        "            == module.represent(wtilde.identity, w2),\n",
         "            True,\n",
         nodes("test_induce", "test_braid_relation_certificate_catches_a_wrong_generator"),
     ),

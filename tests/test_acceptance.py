@@ -28,7 +28,7 @@ from monodromy.hecke import build_coxeter, build_cyclic, build_product
 from monodromy.induce import build_full_r1, build_full_r2, build_i_action
 from monodromy.invariants import compute_chi_invariants
 from monodromy.reflgrp import catalog, catalog_order, enumerate_group, hyperplanes
-from corpus import FIXTURES, chi_specs, load_datum, manifest
+from corpus import FIXTURES, FiberRoute, chi_specs, load_datum, manifest
 
 rat = CycNumber.rational
 
@@ -244,15 +244,16 @@ def test_criterion_6_representation_consistency():
     chi = character_from_spec(datum, spec)
     inv = compute_chi_invariants(datum, chi)
     module = build_full_r1(datum, chi, inv)
+    route = FiberRoute(datum)
     for alpha in module.gen_matrices:
-        sigma = datum.r_tilde(((alpha, 1),))
+        sigma = route.r_tilde(((alpha, 1),))
         rep_s = module.gen_matrices[alpha]
         for x in datum.kernel:
-            conj_elem = datum.fiber_mul(
-                datum.fiber_mul(sigma, datum.embed_inertia(x)), datum.fiber_inv(sigma)
+            conj_elem = route.fiber_mul(
+                route.fiber_mul(sigma, route.embed_inertia(x)), route.fiber_inv(sigma)
             )
             lhs = rep_s * module.i_matrices[x] * rep_s.inverse()
-            assert lhs == module.represent(conj_elem)
+            assert lhs == module.represent(route.inertia_part(conj_elem), conj_elem.word)
     _stamp("6 representation-consistency", start, 30)
 
 

@@ -8,16 +8,23 @@ from monodromy.extension import (
     CayleyGroup,
     Character,
     ExtensionDatum,
-    FiberElement,
     character_from_spec,
     datum_from_json,
     datum_to_json,
-    free_reduce,
     validate,
 )
 from monodromy.fixtures import direct_product_datum
 from monodromy.reflgrp import enumerate_group, hyperplanes
-from corpus import FIXTURES, characters, load_datum, manifest, s3_rank2_generators
+from corpus import (
+    FIXTURES,
+    FiberElement,
+    FiberRoute,
+    characters,
+    free_reduce,
+    load_datum,
+    manifest,
+    s3_rank2_generators,
+)
 
 
 def rat(x):
@@ -264,7 +271,7 @@ def test_tau_is_action_invariant():
 
 
 # ---------------------------------------------------------------------------
-# fiber elements
+# fiber elements, through the fiber route of tests/corpus.py
 
 
 def test_free_reduction():
@@ -273,19 +280,19 @@ def test_free_reduction():
 
 
 def test_fiber_identity_product():
-    d = load_datum("s3_over_s2")
+    d = FiberRoute(load_datum("s3_over_s2"))
     e = FiberElement(d.wtilde.identity, ())
     assert d.fiber_mul(e, e) == e
 
 
 def test_fiber_splitting_inverse_cancels():
-    d = load_datum("s3_over_s2")
+    d = FiberRoute(load_datum("s3_over_s2"))
     g = d.r_tilde(((0, 1),))
     assert d.fiber_mul(g, d.fiber_inv(g)) == FiberElement(d.wtilde.identity, ())
 
 
 def test_fiber_componentwise_inertia_product():
-    d = load_datum("s3_over_s2")
+    d = FiberRoute(load_datum("s3_over_s2"))
     x = next(i for i in d.kernel if i != d.wtilde.identity)
     g = d.fiber_mul(d.embed_inertia(x), d.r_tilde(((0, 1),)))
     assert g.wt == d.wtilde.mul(x, d.splitting[0])
@@ -293,7 +300,7 @@ def test_fiber_componentwise_inertia_product():
 
 
 def test_fiber_check_rejects_mismatch():
-    d = load_datum("s3_over_s2")
+    d = FiberRoute(load_datum("s3_over_s2"))
     with pytest.raises(IntegrityError):
         d.fiber_check(FiberElement(d.splitting[0], ()))
 
@@ -301,7 +308,7 @@ def test_fiber_check_rejects_mismatch():
 def test_inertia_part_refuses_an_element_off_the_splitting():
     # the splitting element lies over the reflection, so with the empty word
     # it is no kernel element times the splitting of its word
-    d = load_datum("s3_over_s2")
+    d = FiberRoute(load_datum("s3_over_s2"))
     g = FiberElement(d.splitting[0], ())
     with pytest.raises(IntegrityError) as err:
         d.inertia_part(g)
@@ -313,14 +320,14 @@ def test_inertia_part_refuses_an_element_off_the_splitting():
 
 
 def test_chi_hat_is_one_on_splitting_image():
-    d = load_datum("cyclic_z8_over_z4")
+    d = FiberRoute(load_datum("cyclic_z8_over_z4"))
     chi = characters(d)[1]
     g = d.r_tilde(((0, 1),))
     assert d.eval_chi_hat(chi, g).is_one()
 
 
 def test_chi_hat_restricts_to_chi():
-    d = load_datum("s3_over_s2")
+    d = FiberRoute(load_datum("s3_over_s2"))
     for chi in characters(d):
         for x in d.kernel:
             assert d.eval_chi_hat(chi, d.embed_inertia(x)) == chi(x)
@@ -329,7 +336,7 @@ def test_chi_hat_restricts_to_chi():
 def test_chi_hat_mixed_product_formula():
     # brute force over the six-element cover: chi_hat(x * r(sigma) * y)
     # equals chi(x) * chi(r y r^{-1})
-    d = load_datum("s3_over_s2")
+    d = FiberRoute(load_datum("s3_over_s2"))
     chi = d.character_from_values(
         {next(i for i in d.kernel if i != d.wtilde.identity): zeta(3)}
     )
@@ -347,7 +354,7 @@ def test_chi_hat_mixed_product_formula():
 
 
 def test_chi_hat_undefined_outside_stabilizer():
-    d = load_datum("s3_over_s2")
+    d = FiberRoute(load_datum("s3_over_s2"))
     x = next(i for i in d.kernel if i != d.wtilde.identity)
     chi = d.character_from_values({x: zeta(3)})
     with pytest.raises(DomainError):
@@ -355,7 +362,7 @@ def test_chi_hat_undefined_outside_stabilizer():
 
 
 def test_chi_hat_multiplicative_within_stabilizer_cover():
-    d = load_datum("cyclic_z8_over_z4")
+    d = FiberRoute(load_datum("cyclic_z8_over_z4"))
     chi = characters(d)[1]  # faithful on the order-2 kernel
     words = [(), ((0, 1),), ((0, -1),), ((0, 1), (0, 1))]
     elems = [
@@ -370,7 +377,7 @@ def test_chi_hat_multiplicative_within_stabilizer_cover():
 
 
 def test_tau_hat_values():
-    d = load_datum("quaternion_over_v4")
+    d = FiberRoute(load_datum("quaternion_over_v4"))
     alpha = next(iter(d.splitting))
     assert d.eval_tau_hat(d.r_tilde(((alpha, 1),))) == 1
     minus_one = next(x for x in d.kernel if x != d.wtilde.identity)
@@ -380,7 +387,7 @@ def test_tau_hat_values():
 
 
 def test_direct_product_chi_hat_depends_only_on_kernel_component():
-    d = direct_product_datum("dp", [CycMatrix([[zeta(3)]])], 3)
+    d = FiberRoute(direct_product_datum("dp", [CycMatrix([[zeta(3)]])], 3))
     chi = characters(d)[1]
     words = [(), ((0, 1),), ((0, 1), (0, 1)), ((0, -1),)]
     for w in words:

@@ -25,7 +25,9 @@ from monodromy.induce import (
 from monodromy.invariants import compute_chi_invariants, with_relation_character
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, left_cosets
 from corpus import (
+    FAMILIES,
     FIXTURES,
+    FiberRoute,
     characters,
     chi_specs,
     load_datum,
@@ -444,20 +446,31 @@ def test_r1_flip_convention_consistency():
     assert all(c.status == "pass" for c in module.checks)
 
 
+def fiber_lifts(datum):
+    """The coset lifts through the fiber route, each checked against the
+    covering element ``induce.braid_lift`` returns for it."""
+    group = datum.group
+    route = FiberRoute(datum)
+    letter_table = induce.generator_letter_decomposition(datum)
+    lifts = []
+    for w in range(len(group)):
+        label = w if datum.convention == "left" else group.inv(w)
+        lift = route.lift(label, letter_table)
+        assert lift.wt == induce.braid_lift(datum, label, letter_table)
+        lifts.append(lift)
+    return route, lifts
+
+
 def fiber_route_generators(datum, chi):
     """The R1 generator matrices through the fiber product: the entry at
     (target, w) is chi-hat times tau-hat of lift(target)^-1 sigma lift(w)."""
     group = datum.group
     n = len(group)
-    letter_table = induce.generator_letter_decomposition(datum)
-    lifts = []
-    for w in range(n):
-        label = w if datum.convention == "left" else group.inv(w)
-        lifts.append(induce.braid_lift(datum, label, letter_table))
-    lift_inverses = [datum.fiber_inv(g) for g in lifts]
+    route, lifts = fiber_lifts(datum)
+    lift_inverses = [route.fiber_inv(g) for g in lifts]
     gen_matrices = {}
     for alpha in range(len(datum.arrangement)):
-        sigma = datum.r_tilde(((alpha, 1),))
+        sigma = route.r_tilde(((alpha, 1),))
         s = datum.arrangement[alpha].distinguished_generator
         triples = []
         for w in range(n):
@@ -465,8 +478,8 @@ def fiber_route_generators(datum, chi):
                 target = group.mul(group.inv(s), w)
             else:
                 target = group.mul(w, s)
-            h = datum.fiber_mul(datum.fiber_mul(lift_inverses[target], sigma), lifts[w])
-            scalar = datum.eval_chi_hat(chi, h) * CycNumber.rational(datum.eval_tau_hat(h))
+            h = route.fiber_mul(route.fiber_mul(lift_inverses[target], sigma), lifts[w])
+            scalar = route.eval_chi_hat(chi, h) * CycNumber.rational(route.eval_tau_hat(h))
             triples.append((target, w, scalar))
         gen_matrices[alpha] = CycMatrix.from_triples(n, n, triples)
     return gen_matrices
@@ -492,6 +505,57 @@ def test_r1_generators_match_the_fiber_route_on_every_corpus_run():
             if got:
                 runs.append(name)
     assert runs == ["dicyclic12_over_s2", "s3_over_s2", "s3xs3_over_v4"]
+
+
+def r1_runs():
+    """Every R1 run: the corpus modules, the sign-cover characters with a
+    trivial reflection subgroup, and the nontrivial characters of Z/7 x| Z/3,
+    the one base here whose inversion moves elements, as (name, datum, chi,
+    invariants)."""
+    z7 = z7_by_z3_datum()
+    pairs = [(d.name, d, chi) for d, chi in corpus_pairs()]
+    for name, build, mpr, _ in FAMILIES:
+        if name.startswith("sign_"):
+            datum, _ = build(name, mpr)
+            pairs += [(name, datum, chi) for chi in characters(datum)]
+    pairs += [("z7_by_z3", z7, chi) for chi in characters(z7)]
+    for name, d, chi in pairs:
+        inv = compute_chi_invariants(d, chi)
+        if inv.w_chi_zero == (d.group.identity,):
+            yield name, d, chi, inv
+
+
+def test_r1_inertia_matrices_match_the_fiber_route():
+    """The inertia entry at w is chi-hat times tau-hat of lift(w)^-1 x lift(w)
+    through the fiber product, its fiber checks on, and r_alpha x r_alpha^-1
+    is the kernel part of sigma_alpha x sigma_alpha^-1 there."""
+    runs = []
+    for name, d, chi, inv in r1_runs():
+        for convention in ("left", "inverse"):
+            d.convention = convention
+            module = build_full_r1(d, chi, inv)
+            route, lifts = fiber_lifts(d)
+            for x in d.kernel:
+                entries = []
+                for lift in lifts:
+                    h = route.fiber_mul(
+                        route.fiber_mul(route.fiber_inv(lift), route.embed_inertia(x)), lift
+                    )
+                    entries.append(
+                        route.eval_chi_hat(chi, h) * CycNumber.rational(route.eval_tau_hat(h))
+                    )
+                assert module.i_matrices[x] == CycMatrix.diagonal(entries), (name, convention)
+        for alpha in range(len(d.arrangement)):
+            sigma = route.r_tilde(((alpha, 1),))
+            for x in d.kernel:
+                conj = route.fiber_mul(
+                    route.fiber_mul(sigma, route.embed_inertia(x)), route.fiber_inv(sigma)
+                )
+                assert conj.word == ()
+                assert route.inertia_part(conj) == d.wtilde.conjugate(d.splitting[alpha], x)
+        runs.append(name)
+    assert len(runs) == 12 + 12 + 6
+    assert runs.count("z7_by_z3") == 6
 
 
 def test_conjugation_certificate_catches_a_wrong_generator(monkeypatch):
