@@ -207,6 +207,104 @@ def unsupported_hecke_run(workdir):
     return path, override
 
 
+def z7_by_z3_datum():
+    """Z/7 x| Z/3 over the rank-one group of cube roots of unity, the
+    generator acting on the kernel by doubling.  Every nontrivial
+    character has a trivial stabilizer, so it is in regime R1 over a base
+    whose inversion moves elements (every R1 base in the corpus is an
+    elementary abelian 2-group, where w^-1 = w)."""
+    group = enumerate_group([CycMatrix([[zeta(3)]])])
+    arr = hyperplanes(group)
+    s = group.generators[0]
+    exponent = {group.identity: 0, s: 1, group.mul(s, s): 2}
+    elements = [(a, w) for w in range(3) for a in range(7)]
+
+    def mul(x, y):
+        return ((x[0] + 2 ** exponent[x[1]] * y[0]) % 7, group.mul(x[1], y[1]))
+
+    wtilde, index = table_from_elements(elements, mul, [(1, 0), (0, s)])
+    splitting = {0: index[(0, group.inv(arr[0].distinguished_generator))]}
+    return ExtensionDatum(group, arr, wtilde, [w for _, w in elements], splitting)
+
+
+def rotation_cover(name="rotation_s3"):
+    """Z/3 x| S3 with S3 generated by a rotation and a reflection,
+    [s1·s2, s1], acting on Z/3 by det.  Generator slot 0 is no power of a
+    distinguished generator, so R1 refuses the datum.  Returns the datum
+    and the kernel generator 1."""
+    s1, s2 = s3_rank2_generators()
+    group = enumerate_group([s1 * s2, s1])
+    # det is 1 on the rotation and -1 on the reflection of slot 1
+    signs = [(-1) ** group.words[w].count(1) for w in range(len(group))]
+
+    def act(w, x):
+        return x * signs[w] % 3
+
+    def add(x, y):
+        return (x + y) % 3
+
+    return _semidirect_datum(name, group, [0, 1, 2], act, add, [1])
+
+
+def r1_pinned_runs(workdir):
+    """The runs of ``tests/r1_digests.json``, each as (cover, key, datum
+    path, chi spec, convention), keyed as ``_run_key`` writes; covers that are not corpus files are written to
+    ``workdir``.  They are
+
+    - under ``flip-inertia``, every corpus run and every sign-family run
+      whose report is in regime R1;
+    - under both conventions, the nontrivial characters of Z/7 x| Z/3 and
+      every character of two covers with a rotation generator,
+      ``rotation_cover`` and Z/2 x the rotation group of order 3, whose
+      R1 build is refused unless the reflections generate W_chi."""
+    from monodromy.cli import run_analyze
+
+    runs = []
+    for entry in manifest():
+        if entry["expected_exit"] == 0:
+            runs += [
+                (entry["file"].removesuffix(".json"), FIXTURES / entry["file"], spec)
+                for spec in entry["chi_specs"]
+            ]
+    for name, build, mpr, modulus in FAMILIES:
+        if name.startswith("sign_"):
+            datum, (g,) = build(name, mpr)
+            path = Path(workdir) / f"{name}.json"
+            path.write_text(json.dumps(datum_to_json(datum)))
+            runs += [(name, path, {str(g): e, "modulus": modulus}) for e in range(modulus)]
+    for name, path, spec in runs:
+        if run_analyze(str(path), spec)[0]["m_chi"]["regime"] == "R1":
+            yield name, _run_key("flip-inertia", spec), path, spec, "flip-inertia"
+
+    s1, s2 = s3_rank2_generators()
+    z7 = z7_by_z3_datum()
+    rotation, (r,) = rotation_cover()
+    c3 = direct_product_datum("c3", [s1 * s2], 2)
+    for name, datum, g, modulus, exponents in (
+        ("z7_by_z3", z7, _kernel_generator(z7), 7, range(1, 7)),
+        ("rotation_s3", rotation, r, 3, range(3)),
+        ("c3", c3, _kernel_generator(c3), 2, range(2)),
+    ):
+        path = Path(workdir) / f"{name}.json"
+        path.write_text(json.dumps(datum_to_json(datum)))
+        for convention in ("left", "inverse"):
+            for e in exponents:
+                spec = {str(g): e, "modulus": modulus}
+                yield name, _run_key(convention, spec), path, spec, convention
+
+
+def _run_key(convention, spec) -> str:
+    """The convention and the spec, e.g. ``left 1=2,modulus=7``."""
+    if isinstance(spec, dict):
+        spec = ",".join(f"{k}={v}" for k, v in sorted(spec.items()))
+    return f"{convention} {spec}"
+
+
+def _kernel_generator(datum):
+    """The first element other than the identity of a kernel of prime order."""
+    return next(x for x in datum.kernel if x != datum.wtilde.identity)
+
+
 # b2_split_z2 has the stabilizer orbits [0, 3] and [1, 2] under both of its
 # characters; a sign of -1 and the wrap-around scalars -1 and zeta_4,
 # written as the datum's "sgn" and "twist" keys

@@ -10,6 +10,8 @@ Under a line tracer this runs every run whose output is pinned by a digest:
   sign and twist variants of ``b2_split_z2`` (``tests/test_cli.py``);
 - every character of the covers in ``corpus.FAMILIES``
   (``tests/family_digests.json``) and the unsupported-Hecke run;
+- the R1 runs under the inverse convention and the rotation-generator
+  refusals of ``corpus.r1_pinned_runs`` (``tests/r1_digests.json``);
 - the minimal polynomial of each matrix of ``corpus.eliminated_matrices``
   (``tests/minpoly_values.json``).
 
@@ -53,6 +55,7 @@ from corpus import (  # noqa: E402
     SIGN_TWIST_CHARACTERS,
     SIGN_TWIST_VARIANTS,
     eliminated_matrices,
+    r1_pinned_runs,
     swap_cover,
     unsupported_hecke_run,
 )
@@ -131,6 +134,11 @@ def pinned_runs(workdir: Path):
     yield "unsupported-hecke", lambda: cli.run_analyze(
         str(path), "trivial", rbar_path=str(override)
     )
+
+    for _, _, path, spec, convention in r1_pinned_runs(workdir):
+        yield "r1-pins", lambda path=path, spec=spec, convention=convention: cli.run_analyze(
+            str(path), spec, convention=convention
+        )
 
     for m in eliminated_matrices().values():
         yield "minpoly", lambda m=m: minpoly_matrix(m)

@@ -27,6 +27,7 @@ from corpus import (
     chi_specs,
     load_datum,
     manifest,
+    r1_pinned_runs,
     swap_cover,
     unsupported_hecke_run,
 )
@@ -611,6 +612,34 @@ def test_unsupported_hecke_report_matches_recorded_digest(tmp_path):
     assert report["m_chi"]["regime"] == "ledger-only"
     assert len(warnings) == 2
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == UNSUPPORTED_HECKE_DIGEST
+
+
+# sha256 of the rendered report of each run of corpus.r1_pinned_runs, keyed
+# by cover and then by convention and spec: the R1 runs under the inverse
+# convention and the refusals of a rotation generator, recorded while the
+# R1 inertia entries were still built from braid lifts of the coset labels
+R1_DIGESTS = Path(__file__).resolve().parent / "r1_digests.json"
+
+
+def test_r1_reports_match_recorded_digests(tmp_path):
+    """17 corpus and sign-family R1 runs under the inverse convention, and
+    11 covers' characters under both: Z/7 x| Z/3 in R1, and two rotation
+    covers whose 8 runs off the trivial stabilizer refuse R1 with a
+    warning."""
+    recorded = json.loads(R1_DIGESTS.read_text())
+    runs = refused = 0
+    for cover, key, path, spec, convention in r1_pinned_runs(tmp_path):
+        report, code, warnings = run_analyze(str(path), spec, convention=convention)
+        assert code == 0, (cover, key, report.get("error"))
+        digest = hashlib.sha256(render_report(report).encode()).hexdigest()
+        assert digest == recorded[cover][key], (cover, key)
+        refused += warnings == [
+            "full module downgraded to ledger-only: generator in slot 0 is not a "
+            "power of a distinguished generator; coset lifts are unavailable"
+        ]
+        runs += 1
+    assert runs == sum(map(len, recorded.values())) == 39
+    assert refused == 8
 
 
 # sha256 of the stdout of each command, recorded before the report writer

@@ -8,12 +8,11 @@ from monodromy.errors import IntegrityError, RegimeError
 from monodromy.cli import run_analyze
 from monodromy.extension import (
     Character,
-    ExtensionDatum,
     character_from_spec,
     datum_from_json,
     datum_to_json,
 )
-from monodromy.fixtures import direct_product_datum, table_from_elements
+from monodromy.fixtures import direct_product_datum
 from monodromy.hecke import build_coxeter, build_cyclic, build_product
 from monodromy import induce
 from monodromy.induce import (
@@ -23,7 +22,7 @@ from monodromy.induce import (
     build_ledger,
 )
 from monodromy.invariants import compute_chi_invariants, with_relation_character
-from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, left_cosets
+from monodromy.reflgrp import catalog, left_cosets
 from corpus import (
     FAMILIES,
     FIXTURES,
@@ -34,6 +33,7 @@ from corpus import (
     manifest,
     nontrivial_character,
     s3_rank2_generators,
+    z7_by_z3_datum,
 )
 
 
@@ -148,26 +148,6 @@ def corpus_pairs():
             d = load_datum(entry["file"].removesuffix(".json"))
             for chi in characters(d):
                 yield d, chi
-
-
-def z7_by_z3_datum():
-    """Z/7 x| Z/3 over the rank-one group of cube roots of unity, the
-    generator acting on the kernel by doubling.  Every nontrivial
-    character has a trivial stabilizer, so it is in regime R1 over a base
-    whose inversion moves elements (every R1 base in the corpus is an
-    elementary abelian 2-group, where w^-1 = w)."""
-    group = enumerate_group([CycMatrix([[zeta(3)]])])
-    arr = hyperplanes(group)
-    s = group.generators[0]
-    exponent = {group.identity: 0, s: 1, group.mul(s, s): 2}
-    elements = [(a, w) for w in range(3) for a in range(7)]
-
-    def mul(x, y):
-        return ((x[0] + 2 ** exponent[x[1]] * y[0]) % 7, group.mul(x[1], y[1]))
-
-    wtilde, index = table_from_elements(elements, mul, [(1, 0), (0, s)])
-    splitting = {0: index[(0, group.inv(arr[0].distinguished_generator))]}
-    return ExtensionDatum(group, arr, wtilde, [w for _, w in elements], splitting)
 
 
 def test_inverse_ledger_is_the_left_ledger_inverted():
