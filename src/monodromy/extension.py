@@ -5,8 +5,9 @@ table, the group law it shares with the base group.  The projection is an
 index map, and the splitting is one covering element per hyperplane.
 Characters of the kernel are stored by their values (roots of unity).
 Braid words are sequences of (hyperplane, +-1) letters, read only through
-their images ``p_of_word`` and ``r_of_word``; ``induce`` writes an element of
-the pulled-back braid cover as x·r(word), x in the kernel, with no type here.
+their base images ``p_of_word``.  ``induce`` writes an element of the
+pulled-back braid cover as x·r(word), x in the kernel, with no type here:
+each kernel part it needs is read off the cover's table.
 """
 
 from __future__ import annotations
@@ -171,13 +172,6 @@ class ExtensionDatum:
         out = self.group.identity
         for letter in word:
             out = self.group.mul(out, self.p_of_letter(letter))
-        return out
-
-    def r_of_word(self, word) -> int:
-        out = self.wtilde.identity
-        for alpha, exp in word:
-            r = self.splitting[alpha]
-            out = self.wtilde.mul(out, r if exp > 0 else self.wtilde.inv(r))
         return out
 
     # -- characters ----------------------------------------------------------

@@ -13,8 +13,10 @@ sizes and their sum need no check of their own, and an R2 generator's
 minimal polynomial is read from the algebra that certified it.
 
 An element x·r(word) of the pulled-back braid cover is written in splitting
-coordinates (x, word).  Each kernel part the builders need is that of an
-element with the empty reduced word, read off the cover's Cayley table.
+coordinates (x, word).  The kernel acts on the summand at w through the
+twisted character w·chi, which the ledger already holds, so R1 builds no
+braid lift; the one kernel part read off the cover's Cayley table is
+r_alpha x r_alpha^-1, for the conjugation check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import IntegrityError, RegimeError
 from .extension import Character, CheckResult, ExtensionDatum
 from .hecke import HeckeAlgebra
 from .invariants import ChiInvariants
-from .reflgrp import left_cosets, orbit_partition, word_lengths
+from .reflgrp import left_cosets, orbit_partition
 
 
 @dataclass
@@ -143,45 +145,6 @@ def build_i_action(
 
 
 # ---------------------------------------------------------------------------
-# braid-word lifts
-
-
-def generator_letter_decomposition(datum: ExtensionDatum):
-    """For each group generator, its expression as a power of a
-    distinguished generator: a list of (hyperplane, exponent) or None."""
-    group = datum.group
-    # the word length of s^j in s alone is the least such exponent j
-    exponents = [
-        word_lengths(group, [h.distinguished_generator]) for h in datum.arrangement.hyperplanes
-    ]
-    return [
-        (None, 0) if g == group.identity
-        else next(((alpha, ex[g]) for alpha, ex in enumerate(exponents) if g in ex), None)
-        for g in group.generators
-    ]
-
-
-def braid_lift(datum: ExtensionDatum, w: int, letter_table) -> int:
-    """The covering element r(word) of a group element's lift through the
-    splitting along its stored word; ``letter_table`` is
-    ``generator_letter_decomposition(datum)``.
-
-    Each word letter contributes inverse braid letters for its hyperplane
-    power, so the base image of the lift is exactly the element."""
-    word: list[tuple[int, int]] = []
-    for slot in datum.group.words[w]:
-        decomp = letter_table[slot]
-        if decomp is None:
-            raise RegimeError(
-                f"generator in slot {slot} is not a power of a distinguished "
-                "generator; coset lifts are unavailable"
-            )
-        alpha, j = decomp
-        word.extend([(alpha, -1)] * j)
-    return datum.r_of_word(word)
-
-
-# ---------------------------------------------------------------------------
 # full modules
 
 
@@ -293,10 +256,11 @@ def build_full_r1(
     chi: Character,
     inv: ChiInvariants,
 ) -> InducedModule:
-    """Model on coset lifts, defined when the reflection subgroup is trivial
-    and the degree-one relation character is trivial: the braid generators
-    permute the lifts, and the scalars enter through the kernel only.  The
-    datum must have passed ``validate`` (see ``_common_verifications``)."""
+    """Model on coset lifts, defined when the reflection subgroup is trivial,
+    the degree-one relation character is trivial and every generator of W
+    is a power of a distinguished generator: the braid generators permute
+    the lifts, and the scalars enter through the kernel only.  The datum
+    must have passed ``validate`` (see ``_common_verifications``)."""
     group = datum.group
     if inv.w_chi_zero != (group.identity,):
         raise RegimeError(
@@ -310,10 +274,17 @@ def build_full_r1(
     i_action = build_i_action(datum, chi, inv)
     ledger = i_action.ledger
     n = len(group)
-    wtilde = datum.wtilde
-    letter_table = generator_letter_decomposition(datum)
-    labels = range(n) if datum.convention == "left" else map(group.inv, range(n))
-    lift_inverses = [wtilde.inv(braid_lift(datum, w, letter_table)) for w in labels]
+    # the lift of w is r(word) along w's stored word, each letter g taken
+    # as sigma_alpha^-j for g = s_alpha^j; it exists when every generator
+    # lies in some stabilizer <s_alpha>, which hyperplanes() certifies
+    # cyclic on s_alpha
+    powers = set().union(*(h.stabilizer_elements for h in datum.arrangement.hyperplanes))
+    for slot, g in enumerate(group.generators):
+        if g != group.identity and g not in powers:
+            raise RegimeError(
+                f"generator in slot {slot} is not a power of a distinguished "
+                "generator; coset lifts are unavailable"
+            )
 
     checks: list[CheckResult] = []
     # h = lift(target)^-1 sigma_alpha lift(w) is a product of splitting
@@ -332,13 +303,15 @@ def build_full_r1(
             triples.append((target, w, ONE))
         gen_matrices[alpha] = CycMatrix.from_triples(n, n, triples)
 
-    # lift_w^-1 x lift_w freely reduces to the empty word, so it is its own
-    # kernel part c = r_w^-1 x r_w; its base image is the identity, which
-    # stabilizes chi, so the extended characters take chi(c) tau(c) there
-    i_matrices = {}
-    for x in datum.kernel:
-        parts = [wtilde.conjugate(r_inv, x) for r_inv in lift_inverses]
-        i_matrices[x] = CycMatrix.diagonal(chi(c) * CycNumber.rational(datum.tau[c]) for c in parts)
+    # The entry of x at w is chi(c) tau(c), c = r^-1 x r, r the lift of v = w
+    # (v = w^-1 under the inverse convention).  q is a homomorphism
+    # (validate), so r = section(v) k with k in the kernel, and chi is
+    # multiplicative on the kernel (character_from_values), so
+    # chi(k^-1 y k) = chi(y); tau.conjugation_invariant gives tau(c) = tau(x).
+    # The entry is act_on_character(v, chi)(x) tau(x), and build_ledger
+    # certifies that character to be the block character of w's coset: the
+    # entry is the inertia action's
+    i_matrices = {x: i_action.matrix(x) for x in datum.kernel}
 
     module = InducedModule("R1", ledger, i_action, gen_matrices, i_matrices, checks, datum)
     for alpha, m in gen_matrices.items():

@@ -1,8 +1,9 @@
 """The committed datum corpus as the tests read it, the covers and datum
 variants whose reports are pinned by digest, the matrices whose
 eliminated minimal polynomials are pinned by value, and the fiber route: the
-braid cover's general fiber product, the oracle for the splitting
-coordinates of ``induce``.
+braid cover's general fiber product with the inverse-letter coset lifts, the
+oracle for the splitting coordinates and the R1 inertia entries of
+``induce``.
 
 Every call parses its file again, so a test may mutate what it gets.
 """
@@ -422,14 +423,40 @@ class FiberRoute:
     def __getattr__(self, name):
         return getattr(self.datum, name)
 
-    def lift(self, w: int, letter_table) -> FiberElement:
-        """The inverse-letter lift of a group element along its stored word,
-        as ``induce.braid_lift`` builds it, with its word kept."""
+    @functools.cached_property
+    def letters(self) -> list:
+        """For each group generator, its expression as a power of a
+        distinguished generator: (hyperplane, exponent), (None, 0) for the
+        identity, or None."""
+        group = self.group
+        # the word length of s^j in s alone is the least such exponent j
+        exponents = [
+            word_lengths(group, [h.distinguished_generator])
+            for h in self.arrangement.hyperplanes
+        ]
+        return [
+            (None, 0) if g == group.identity
+            else next(((alpha, ex[g]) for alpha, ex in enumerate(exponents) if g in ex), None)
+            for g in group.generators
+        ]
+
+    def lift(self, w: int) -> FiberElement:
+        """The inverse-letter lift of a group element along its stored word:
+        each generator s_alpha^j of the word contributes sigma_alpha^-j, so
+        the lift lies over the element."""
         word: list[tuple[int, int]] = []
         for slot in self.group.words[w]:
-            alpha, j = letter_table[slot]
+            alpha, j = self.letters[slot]
             word.extend([(alpha, -1)] * j)
         return self.r_tilde(tuple(word))
+
+    def r_of_word(self, word) -> int:
+        """The covering element r(word): the splitting images along the word."""
+        out = self.wtilde.identity
+        for alpha, exp in word:
+            r = self.splitting[alpha]
+            out = self.wtilde.mul(out, r if exp > 0 else self.wtilde.inv(r))
+        return out
 
     def r_tilde(self, word) -> FiberElement:
         """The splitting applied to a braid word."""

@@ -1,7 +1,7 @@
 """Mutation checks for the certificates of the group layer, the Hecke build
 and stage, the projection, splitting, local-subgroup and character checks
-of datum validation, the character invariants, the carousel and the induced
-module, and for the report writer's refusals and its handling of a closed
+of datum validation, the action of W on kernel characters, the character
+invariants, the carousel and the induced module, and for the report writer's refusals and its handling of a closed
 stdout.
 
 Each entry is one exact text edit of a file under ``src/monodromy`` and the
@@ -372,6 +372,18 @@ MUTANTS = (
         nodes("test_extension", "test_bad_splitting_fails_with_witness"),
     ),
     Mutant(
+        "act_on_character: conjugates by w·x·w^-1",
+        EXTENSION,
+        "                x: chi(self.wtilde.mul(self.wtilde.mul(wt_inv, x), wt))\n",
+        "                x: chi(self.wtilde.mul(self.wtilde.mul(wt, x), wt_inv))\n",
+        nodes("test_induce", "test_r1_inertia_matrices_match_the_fiber_route")
+        + nodes(
+            "test_cli",
+            "test_r1_reports_match_recorded_digests",
+            "test_reports_match_reference_digests",
+        ),
+    ),
+    Mutant(
         "character_from_values: root of unity unchecked",
         EXTENSION,
         "            if known[x].root_of_unity_order() is None:\n",
@@ -505,13 +517,6 @@ MUTANTS = (
         nodes("test_induce", "test_ledger_refuses_a_coset_with_two_block_characters"),
     ),
     Mutant(
-        "build_full_r1: inertia entry conjugated by r_w, not r_w^-1",
-        INDUCE,
-        "        parts = [wtilde.conjugate(r_inv, x) for r_inv in lift_inverses]\n",
-        "        parts = [wtilde.conjugate(wtilde.inv(r_inv), x) for r_inv in lift_inverses]\n",
-        nodes("test_induce", "test_r1_inertia_matrices_match_the_fiber_route"),
-    ),
-    Mutant(
         "build_full_r1: monomial assumed",
         INDUCE,
         "            _is_monomial_of_roots(m),\n",
@@ -566,11 +571,11 @@ MUTANTS = (
         nodes("test_induce", "test_braid_relation_certificate_catches_a_wrong_generator"),
     ),
     Mutant(
-        "braid_lift: rotation generator accepted",
+        "build_full_r1: rotation generator accepted",
         INDUCE,
-        "        if decomp is None:\n",
+        "        if g != group.identity and g not in powers:\n",
         "        if False:\n",
-        nodes("test_induce", "test_braid_lift_refuses_a_generator_that_is_no_reflection_power"),
+        nodes("test_induce", "test_r1_refuses_a_generator_that_is_no_reflection_power"),
     ),
     Mutant(
         "build_full_r2: jumps unchecked",

@@ -632,7 +632,7 @@ def test_r1_reports_match_recorded_digests(tmp_path):
         report, code, warnings = run_analyze(str(path), spec, convention=convention)
         assert code == 0, (cover, key, report.get("error"))
         digest = hashlib.sha256(render_report(report).encode()).hexdigest()
-        assert digest == recorded[cover][key], (cover, key)
+        assert digest == recorded.get(cover, {}).get(key), (cover, key)
         refused += warnings == [
             "full module downgraded to ledger-only: generator in slot 0 is not a "
             "power of a distinguished generator; coset lifts are unavailable"

@@ -32,6 +32,7 @@ from corpus import (
     load_datum,
     manifest,
     nontrivial_character,
+    rotation_cover,
     s3_rank2_generators,
     z7_by_z3_datum,
 )
@@ -325,22 +326,24 @@ def test_letter_decomposition_matches_the_power_scan():
         # a rotation is no reflection power
         direct_product_datum("s3", [s1 * s2, s1], 1),
     ]
-    letters = [induce.generator_letter_decomposition(d) for d in data]
+    letters = [FiberRoute(d).letters for d in data]
     assert letters == [power_scan_letters(d) for d in data]
     assert letters[-2:] == [[(0, 2)], [None, (0, 1)]]
 
 
-def test_braid_lift_refuses_a_generator_that_is_no_reflection_power():
-    s1, s2 = s3_rank2_generators()
-    d = direct_product_datum("s3", [s1 * s2, s1], 1)  # slot 0 is a rotation
-    letters = induce.generator_letter_decomposition(d)
-    w = next(w for w in range(len(d.group)) if 0 in d.group.words[w])
-    with pytest.raises(RegimeError) as err:
-        induce.braid_lift(d, w, letters)
-    assert str(err.value) == (
-        "generator in slot 0 is not a power of a distinguished generator; "
-        "coset lifts are unavailable"
-    )
+def test_r1_refuses_a_generator_that_is_no_reflection_power():
+    d, _ = rotation_cover()  # slot 0 is a rotation
+    chi = nontrivial_character(d)
+    inv = compute_chi_invariants(d, chi)
+    assert inv.w_chi_zero == (d.group.identity,) and inv.rho_trivial
+    for convention in ("left", "inverse"):
+        d.convention = convention
+        with pytest.raises(RegimeError) as err:
+            build_full_r1(d, chi, inv)
+        assert str(err.value) == (
+            "generator in slot 0 is not a power of a distinguished generator; "
+            "coset lifts are unavailable"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +430,12 @@ def test_r1_flip_convention_consistency():
 
 
 def fiber_lifts(datum):
-    """The coset lifts through the fiber route, each checked against the
-    covering element ``induce.braid_lift`` returns for it."""
+    """The fiber route and the coset lifts through it: at w, the lift of w,
+    or of w^-1 under the inverse convention."""
     group = datum.group
     route = FiberRoute(datum)
-    letter_table = induce.generator_letter_decomposition(datum)
-    lifts = []
-    for w in range(len(group)):
-        label = w if datum.convention == "left" else group.inv(w)
-        lift = route.lift(label, letter_table)
-        assert lift.wt == induce.braid_lift(datum, label, letter_table)
-        lifts.append(lift)
-    return route, lifts
+    labels = range(len(group)) if datum.convention == "left" else map(group.inv, range(len(group)))
+    return route, [route.lift(label) for label in labels]
 
 
 def fiber_route_generators(datum, chi):
@@ -506,9 +503,10 @@ def r1_runs():
 
 
 def test_r1_inertia_matrices_match_the_fiber_route():
-    """The inertia entry at w is chi-hat times tau-hat of lift(w)^-1 x lift(w)
-    through the fiber product, its fiber checks on, and r_alpha x r_alpha^-1
-    is the kernel part of sigma_alpha x sigma_alpha^-1 there."""
+    """The inertia entry at w, which R1 reads off the ledger, is chi-hat
+    times tau-hat of lift(w)^-1 x lift(w) through the fiber product, its
+    fiber checks on, and r_alpha x r_alpha^-1 is the kernel part of
+    sigma_alpha x sigma_alpha^-1 there."""
     runs = []
     for name, d, chi, inv in r1_runs():
         for convention in ("left", "inverse"):
