@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from monodromy.cli import run_analyze
 from monodromy.cyclo import ONE, CycMatrix, CycNumber, CycPoly, weighted_permutation, zeta
 from monodromy.errors import DomainError, IntegrityError, ValidationError
 from monodromy.extension import Character, ExtensionDatum, datum_from_json, datum_to_json
@@ -231,8 +232,8 @@ def z7_by_z3_datum():
 def rotation_cover(name="rotation_s3"):
     """Z/3 x| S3 with S3 generated by a rotation and a reflection,
     [s1·s2, s1], acting on Z/3 by det.  Generator slot 0 is no power of a
-    distinguished generator, so R1 refuses the datum.  Returns the datum
-    and the kernel generator 1."""
+    distinguished generator, so R1 refuses it.  Returns the datum and the
+    kernel generator 1."""
     s1, s2 = s3_rank2_generators()
     group = enumerate_group([s1 * s2, s1])
     # det is 1 on the rotation and -1 on the reflection of slot 1
@@ -249,17 +250,15 @@ def rotation_cover(name="rotation_s3"):
 
 def r1_pinned_runs(workdir):
     """The runs of ``tests/r1_digests.json``, each as (cover, key, datum
-    path, chi spec, convention), keyed as ``_run_key`` writes; covers that are not corpus files are written to
-    ``workdir``.  They are
+    path, chi spec, convention), the key as ``_run_key`` writes it; covers
+    that are not corpus files are written to ``workdir``.  They are
 
     - under ``flip-inertia``, every corpus run and every sign-family run
       whose report is in regime R1;
     - under both conventions, the nontrivial characters of Z/7 x| Z/3 and
       every character of two covers with a rotation generator,
-      ``rotation_cover`` and Z/2 x the rotation group of order 3, whose
-      R1 build is refused unless the reflections generate W_chi."""
-    from monodromy.cli import run_analyze
-
+      ``rotation_cover`` and Z/2 x the rotation group of order 3, each of
+      whose runs with W_chi^0 = 1 refuses R1."""
     runs = []
     for entry in manifest():
         if entry["expected_exit"] == 0:

@@ -1,8 +1,8 @@
 """Mutation checks for the certificates of the group layer, the Hecke build
 and stage, the projection, splitting, local-subgroup and character checks
 of datum validation, the action of W on kernel characters, the character
-invariants, the carousel and the induced module, and for the report writer's refusals and its handling of a closed
-stdout.
+invariants, the carousel and the induced module, and for the report
+writer's refusals and its handling of a closed stdout.
 
 Each entry is one exact text edit of a file under ``src/monodromy`` and the
 pytest node ids that must fail once the edit is made.  The script first
