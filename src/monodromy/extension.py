@@ -243,7 +243,8 @@ def validate(e: ExtensionDatum) -> ValidationReport:
     if not identity_ok:
         return ValidationReport(checks)
 
-    bad = wt.associativity_witness()
+    gens = wt.generators_and_unreached()
+    bad = wt.associativity_witness(gens)
     checks.append(CheckResult.of("wtilde.associative", bad is None, f"triple {bad}"))
 
     lacking = next((a for a, b in enumerate(wt.inverses) if b is None), None)
@@ -251,15 +252,20 @@ def validate(e: ExtensionDatum) -> ValidationReport:
     if lacking is not None or bad is not None:
         return ValidationReport(checks)
 
+    # q(ab) = q(a)q(b) for every a and b once it holds for every b in gens.
+    # Each b outside gens is a product g_1...g_k, k >= 1, of W~'s generators
+    # (the identity too, as the power g^ord(g) of one), and by induction on k,
+    # q(a g_1...g_k) = q(a g_1...g_{k-1}) q(g_k) = q(a) q(g_1...g_{k-1}) q(g_k)
+    # = q(a) q(b): W~ is associative by Light's test above, W is a matrix
+    # group.  Only a failure needs the row-major scan, for its first pair.
+    q, wt_table, w_table, n = e.q, wt.table, e.group.table, len(wt)
+
+    def breaks(a, b):
+        return q[wt_table[a][b]] != w_table[q[a]][q[b]]
+
     hom_witness = None
-    for a in range(len(wt)):
-        qa = e.q[a]
-        for b in range(len(wt)):
-            if e.q[wt.mul(a, b)] != e.group.mul(qa, e.q[b]):
-                hom_witness = f"pair ({a},{b})"
-                break
-        if hom_witness:
-            break
+    if any(breaks(a, g) for a in range(n) for g in gens):
+        hom_witness = next(f"pair ({a},{b})" for a in range(n) for b in range(n) if breaks(a, b))
     checks.append(CheckResult.of("q.homomorphism", hom_witness is None, hom_witness))
 
     image = set(e.q)

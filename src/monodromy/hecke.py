@@ -5,12 +5,12 @@ Supported regimes: cyclic (companion matrix of one relation), real groups
 with quadratic relations (element basis, descent-rule multiplication
 against a certified Coxeter system), and tensor products of these.  Every
 build's claims hold on the regular representation, by construction or by
-certificate.  Reflections are a Coxeter system when the Coxeter group of
-their matrix, read off the Cayley table, has order |W|; their quadratic
-and braid relations are then checked once, by sparse products, and the
-T_w, built on first use, are a basis.  Under x^2 - 1 everywhere the
-algebra is C[W] over any generating set.  Unsupported inputs fail with a
-regime error naming the obstruction.
+certificate.  Reflections are a Coxeter system when their word lengths,
+read off the Cayley table, satisfy Tits' folding condition; their
+quadratic and braid relations are then checked once, by sparse products,
+and the T_w, built on first use, are a basis.  Only sets of the rank's
+size are tried.  Unsupported inputs fail with a regime error naming the
+obstruction.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .cyclo import ONE, ZERO, CycMatrix, CycPoly, zeta
-from .errors import ClosureCapError, DomainError, IntegrityError, ParameterError, RegimeError
-from .reflgrp import Arrangement, CayleyGroup, enumerate_group, word_lengths
+from .cyclo import ONE, CycMatrix, CycPoly
+from .errors import DomainError, IntegrityError, ParameterError, RegimeError
+from .reflgrp import Arrangement, CayleyGroup, word_lengths
 
 
 class HeckeAlgebra:
@@ -113,36 +113,26 @@ def _descent_matrices(group, simple, polys, lengths):
     return mats
 
 
-def _is_coxeter_system(group, simple) -> bool:
+def _is_coxeter_system(group, simple, lengths) -> bool:
     """Whether the involutions ``simple``, which generate ``group``, are a
-    Coxeter system.  They satisfy the relations of the Coxeter group W(M)
-    of their matrix m_ij, the order of s_i s_j, so the group is a quotient
-    of W(M): the system is Coxeter exactly when |W(M)| = |W|.  A connected
-    Coxeter graph of a finite group with a label m_ij > 5 is that pair
-    alone, a factor I2(m_ij) of order 2 m_ij (J. E. Humphreys, Reflection
-    Groups and Coxeter Groups, CUP 1990, 2.7 and 6.4).  The rest acts
-    faithfully by its Tits representation, s_i negating a_i and adding
-    2cos(pi/m_ij) a_i = (zeta_2m + zeta_2m^-1) a_i to each other a_j
-    (5.3-5.4); its closure, capped, decides its order."""
-    k, m = len(simple), {}
-    for i, j in itertools.combinations(range(k), 2):
-        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j]))
-    order, rest = 1, list(range(k))
-    for (i, j), m_ij in m.items():
-        if i < j and m_ij > 5:
-            if any(m[i, x] > 2 or m[j, x] > 2 for x in range(k) if x not in (i, j)):
-                return False
-            order, rest = order * 2 * m_ij, [x for x in rest if x not in (i, j)]
-    n, two_cos = len(rest), {c: zeta(2 * c) + zeta(2 * c, -1) for c in range(2, 6)}
-    rows = [[(b, b, -ONE if a == b else ONE) for b in range(n)] for a in range(n)]
-    for (a, i), (b, j) in itertools.permutations(enumerate(rest), 2):
-        rows[a].append((a, b, two_cos[m[i, j]]))  # every label left is at most 5
-    tits = [CycMatrix.from_triples(n, n, row) for row in rows]
-    try:
-        size = len(enumerate_group(tits, cap=len(group) // order + 1)) if rest else 1
-    except ClosureCapError:
-        return False
-    return order * size == len(group)
+    Coxeter system; ``lengths`` is ``word_lengths(group, simple)``.  By
+    Tits' folding condition they are exactly when, for every w and s, t in
+    ``simple`` with l(sw) = l(w) + 1 = l(wt), either l(swt) = l(w) + 2 or
+    swt = w (P. Abramenko and K. S. Brown, Buildings, Springer 2008, 2.3;
+    M. Ronan, Lectures on Buildings, ch. 2): |W|·|S|^2 table lookups."""
+    table = group.table
+    for w, lw in lengths.items():
+        row_w = table[w]
+        ascents = [row_w[t] for t in simple if lengths[row_w[t]] == lw + 1]
+        for s in simple:
+            row_s = table[s]
+            if lengths[row_s[w]] != lw + 1:
+                continue
+            for wt in ascents:
+                swt = row_s[wt]
+                if lengths[swt] != lw + 2 and swt != w:
+                    return False
+    return True
 
 
 def _relations_hold(group, simple, mats, polys) -> bool:
@@ -168,11 +158,12 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
     params maps arrangement orbit ids to monic quadratic relations with
     nonzero constant term.  The generators are the descent-rule operators
     of the lexicographically first generating set of reflections that is a
-    Coxeter system, or, with x^2 - 1 on every orbit, that generates.  A
+    Coxeter system by Tits' folding condition on its word lengths.  A
     reflection's orbit is its conjugacy class, so (W, S) has the Hecke
     algebra H(W, S) of these relations.  Operators T_s that satisfy them
     span a quotient of H(W, S), spanned by the products T_w along reduced
-    words, each independent of the word (Matsumoto; Humphreys 7.1-7.3; M.
+    words, each independent of the word (Matsumoto; J. E. Humphreys,
+    Reflection Groups and Coxeter Groups, CUP 1990, 7.1-7.3; M.
     Geck and G. Pfeiffer, Characters of Finite Coxeter Groups and
     Iwahori-Hecke Algebras, OUP 2000, 4.4).  Along a reduced word each T_s
     meets an ascent, so T_w e_1 = e_w: the |W| operators T_w are
@@ -200,38 +191,52 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
                 f"orbit {oid}: quadratic regime needs degree-2 relations, "
                 f"got degree {poly.degree}"
             )
-    # under x^2 - 1 the descent rule sends e_w to e_sw on an ascent and a
-    # descent alike, so T_s and T_w are the left-multiplication permutations:
-    # any generating set spans C[W] in its faithful left regular representation
-    unit = all(params[arr[o[0]].orbit_id] == CycPoly([-ONE, ZERO, ONE]) for o in orbits)
     reflections = sorted(
         (h.distinguished_generator, a) for a, h in enumerate(arr.hyperplanes)
     )
-    # reflections that generate the group fix only what every reflection
-    # fixes, and k of them fix a subspace of codimension at most k, so no
-    # set smaller than the rank of the span of the normals can generate it
+    # Only sets of the rank of the span of the normals are tried.  Fewer
+    # cannot generate: reflections that generate the group fix only what
+    # every reflection fixes, and k of them fix a subspace of codimension at
+    # most k.  More are no Coxeter system: let S be one, with roots a_s, so
+    # s(a_t) = a_t - c_st a_s and c_ss = 2.  Let s act on E = span(e_s) by
+    # the same formula; e_s -> a_s is equivariant, so its kernel K is
+    # stable, and for v = sum l_t e_t in K, s(v) - v = -(sum_t c_st l_t) e_s
+    # lies in K, so the coefficient is 0 since a_s != 0: K lies in ker C.
+    # For s != t the roots are not proportional (st would be unipotent), st
+    # is trivial on V modulo their plane P, so its finite order m_st is its
+    # order on P, where its trace is c_st c_ts - 2: c_st c_ts =
+    # 4cos^2(pi k / m_st) with k prime to m_st, and m_st = 2 makes st = -1
+    # on P, so c_st = c_ts = 0.  The Coxeter graph of a finite W is a forest
+    # whose edges are labelled 3, 4 or 6 but at most one per component
+    # (Humphreys 2.4, 2.7), and det C is a sum over matchings M of
+    # +-2^(n - 2|M|) prod c_st c_ts.  4cos^2 is 1, 2 or 3 on labels 3, 4, 6
+    # whatever k is, and a Galois conjugate of 4cos^2(pi / m) on the other
+    # edge, so each block of det C is a conjugate of the determinant of the
+    # Tits form, which is positive (Humphreys 6.4).  So the roots of S are
+    # independent, W acts trivially on V modulo their span, which therefore
+    # holds every root, and |S| is the rank of the span of all normals (the
+    # same argument on V* covers normals taken as linear forms).
     smallest = CycMatrix([h.normal for h in arr.hyperplanes]).rank()
     candidates_tried = 0
-    for size in range(smallest, len(reflections) + 1):
-        for combo in itertools.combinations(reflections, size):
-            elems = [c[0] for c in combo]
-            lengths = word_lengths(group, elems)
-            if len(lengths) != len(group):
-                continue
-            candidates_tried += 1
-            if not unit and not _is_coxeter_system(group, elems):
-                continue
-            alphas = [c[1] for c in combo]
-            polys = [params[arr[a].orbit_id] for a in alphas]
-            mats = _descent_matrices(group, elems, polys, lengths)
-            if not unit and not _relations_hold(group, elems, mats, polys):
-                raise IntegrityError("descent operators break a Hecke relation")
-            keys = [f"s{a}" for a in alphas]
-            h = HeckeAlgebra("coxeter", len(group), dict(zip(keys, mats)), dict(zip(keys, polys)))
-            h.group, h.simple_hyperplanes = group, alphas
-            h._descents, h._lengths = list(zip(elems, mats)), lengths
-            h._element_matrices = {group.identity: CycMatrix.identity(len(group))}
-            return h
+    for combo in itertools.combinations(reflections, smallest):
+        elems = [c[0] for c in combo]
+        lengths = word_lengths(group, elems)
+        if len(lengths) != len(group):
+            continue
+        candidates_tried += 1
+        if not _is_coxeter_system(group, elems, lengths):
+            continue
+        alphas = [c[1] for c in combo]
+        polys = [params[arr[a].orbit_id] for a in alphas]
+        mats = _descent_matrices(group, elems, polys, lengths)
+        if not _relations_hold(group, elems, mats, polys):
+            raise IntegrityError("descent operators break a Hecke relation")
+        keys = [f"s{a}" for a in alphas]
+        h = HeckeAlgebra("coxeter", len(group), dict(zip(keys, mats)), dict(zip(keys, polys)))
+        h.group, h.simple_hyperplanes = group, alphas
+        h._descents, h._lengths = list(zip(elems, mats)), lengths
+        h._element_matrices = {group.identity: CycMatrix.identity(len(group))}
+        return h
     raise RegimeError(
         "unsupported regime 'coxeter': no certified simple system found "
         f"({candidates_tried} generating candidates tried)"

@@ -120,15 +120,19 @@ class CayleyGroup:
     def element_order(self, a: int) -> int:
         return len(word_lengths(self, [a]))
 
-    def associativity_witness(self):
-        """A failing triple for Light's associativity test, or None.
-
-        The generators are augmented by every element they do not reach, so
-        the test stays sound for arbitrary input tables.
-        """
+    def generators_and_unreached(self) -> list[int]:
+        """The generators without repeats, then every element they do not
+        reach: a list that generates the table, whatever the generators."""
         gens = list(dict.fromkeys(self.generators))
         spanned = word_lengths(self, gens)
-        gens += [x for x in range(len(self)) if x not in spanned]
+        return gens + [x for x in range(len(self)) if x not in spanned]
+
+    def associativity_witness(self, gens):
+        """A failing triple for Light's associativity test, or None.
+
+        ``gens`` is ``generators_and_unreached()``, so the test stays sound
+        for arbitrary input tables.
+        """
         table = self.table
         for g in gens:
             row_g = table[g]

@@ -197,8 +197,9 @@ FAMILIES = (
 def unsupported_hecke_run(workdir):
     """Z/2 x G(4,2,2) with the sign tau, and (x - 3)(x + 1) on every
     hyperplane as its relation override, both written to ``workdir``.  No
-    two reflections generate G(4,2,2), so the Coxeter build refuses every
-    candidate.  Returns the datum path and the override path."""
+    two reflections generate G(4,2,2), and the Coxeter build tries only
+    pairs, its rank, so it finds no candidate and refuses.  Returns the
+    datum path and the override path."""
     datum = direct_product_datum("z2_g422", catalog(4, 2, 2), 2, tau_exponent=1)
     path = Path(workdir) / "z2_g422.json"
     path.write_text(json.dumps(datum_to_json(datum)))

@@ -161,7 +161,28 @@ MUTANTS = (
     Mutant(
         "build_coxeter: generation test dropped",
         HECKE,
-        "            if len(lengths) != len(group):\n                continue\n",
+        "        if len(lengths) != len(group):\n            continue\n",
+        "",
+        nodes(
+            "test_hecke",
+            "test_relations_other_than_unit_take_a_coxeter_system",
+            "test_a_group_with_no_coxeter_system_is_refused_among_rank_size_sets",
+        ),
+    ),
+    Mutant(
+        "build_coxeter: rank cut widened to every size",
+        HECKE,
+        "    for combo in itertools.combinations(reflections, smallest):\n",
+        "    for combo in (\n"
+        "        c for k in range(smallest, len(reflections) + 1)\n"
+        "        for c in itertools.combinations(reflections, k)\n"
+        "    ):\n",
+        nodes("test_hecke", "test_relations_other_than_unit_take_a_coxeter_system"),
+    ),
+    Mutant(
+        "build_coxeter: Coxeter certificate always true",
+        HECKE,
+        "        if not _is_coxeter_system(group, elems, lengths):\n            continue\n",
         "",
         nodes(
             "test_hecke",
@@ -170,58 +191,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "build_coxeter: Coxeter filter always true",
+        "build_coxeter: Coxeter certificate always false",
         HECKE,
-        "            if not unit and not _is_coxeter_system(group, elems):\n                continue\n",
-        "",
-        nodes(
-            "test_hecke",
-            "test_star_transpositions_are_not_a_simple_system_at_q_two",
-            "test_relations_other_than_unit_take_a_coxeter_system",
-        ),
-    ),
-    Mutant(
-        "build_coxeter: Coxeter filter always false",
-        HECKE,
-        "            if not unit and not _is_coxeter_system(group, elems):\n",
-        "            if not unit:\n",
+        "        if not _is_coxeter_system(group, elems, lengths):\n",
+        "        if True:\n",
         nodes("test_hecke", "test_b2_with_numeric_parameter", "test_b4_with_a_generic_relation"),
     ),
     Mutant(
-        "build_coxeter: Coxeter filter under x^2 - 1",
+        "_is_coxeter_system: swt = w clause of the folding condition dropped",
         HECKE,
-        "    unit = all(",
-        "    unit = False and all(",
-        nodes("test_hecke", "test_star_transpositions_are_not_a_simple_system_at_q_two"),
+        "                if lengths[swt] != lw + 2 and swt != w:\n",
+        "                if lengths[swt] != lw + 2:\n",
+        nodes("test_hecke", "test_coxeter_certificate_matches_the_tits_closure_of_the_whole_matrix"),
     ),
     Mutant(
-        "_is_coxeter_system: Tits entry for m_ij + 1",
+        "_is_coxeter_system: l(wt) = l(w) + 1 test dropped",
         HECKE,
-        "        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j]))\n",
-        "        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j])) + 1\n",
-        nodes(
-            "test_hecke",
-            "test_every_generating_pair_of_dihedral_reflections_is_a_coxeter_system",
-            "test_transposition_triples_are_a_coxeter_system_exactly_when_a_path",
-        ),
+        "        ascents = [row_w[t] for t in simple if lengths[row_w[t]] == lw + 1]\n",
+        "        ascents = [row_w[t] for t in simple]\n",
+        nodes("test_hecke", "test_coxeter_certificate_matches_the_tits_closure_of_the_whole_matrix"),
     ),
     Mutant(
-        "_is_coxeter_system: Tits entry for m_ij - 1",
+        "_is_coxeter_system: l(swt) = l(w) + 2 weakened to l(swt) >= l(w)",
         HECKE,
-        "        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j]))\n",
-        "        m[i, j] = m[j, i] = group.element_order(group.mul(simple[i], simple[j])) - 1\n",
-        nodes(
-            "test_hecke",
-            "test_every_generating_pair_of_dihedral_reflections_is_a_coxeter_system",
-            "test_transposition_triples_are_a_coxeter_system_exactly_when_a_path",
-        ),
-    ),
-    Mutant(
-        "_is_coxeter_system: dihedral factor joined to a third reflection",
-        HECKE,
-        "            if any(m[i, x] > 2 or m[j, x] > 2 for x in range(k) if x not in (i, j)):\n",
-        "            if False:\n",
-        nodes("test_hecke", "test_no_generating_set_of_a_non_real_group_is_a_coxeter_system"),
+        "                if lengths[swt] != lw + 2 and swt != w:\n",
+        "                if lengths[swt] < lw and swt != w:\n",
+        nodes("test_hecke", "test_coxeter_certificate_matches_the_tits_closure_of_the_whole_matrix"),
     ),
     Mutant(
         "_relations_hold: quadratic relation unchecked",

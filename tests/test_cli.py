@@ -554,9 +554,11 @@ FAMILY_DIGESTS = Path(__file__).resolve().parent / "family_digests.json"
 
 def test_family_reports_match_recorded_digests(tmp_path):
     """Every character of the swap, det and sign covers: 30 of the 56 runs
-    build the Coxeter algebra of a proper reflection subgroup, and 4 of
-    those meet order-4 hyperplanes in order 2.  12 sign-cover runs are R1
-    with W_chi^0 = 1 inside a larger W_chi.  Each run also passes the
+    have a proper reflection subgroup W_chi^0, and 26 build its Coxeter
+    algebra.  The other 4 meet order-4 hyperplanes in order 2: their
+    W_chi^0 is the non-real G(4,2,2) or G(4,2,3), which has no Coxeter
+    system, so their Hecke regime is unsupported.  12 sign-cover runs are
+    R1 with W_chi^0 = 1 inside a larger W_chi.  Each run also passes the
     benchmark's identities."""
     recorded = json.loads(FAMILY_DIGESTS.read_text())
     proper = partial = r1_inside = 0
@@ -579,27 +581,30 @@ def test_family_reports_match_recorded_digests(tmp_path):
             assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest, (
                 name, key,
             )
-            if hecke["regime"] == "coxeter" and inv["w_chi_zero_order"] < len(datum.group):
-                proper += 1
+            if 1 < inv["w_chi_zero_order"] < len(datum.group):
                 orders = [h["order"] for h in report["arrangement"]]
-                partial += any(
+                met_partly = any(
                     1 < len(h["stabilizer_meet"]) < orders[h["index"]]
                     for h in inv["per_hyperplane"]
                 )
+                proper += hecke["regime"] == "coxeter"
+                partial += met_partly
+                assert hecke["regime"] == ("unsupported" if met_partly else "coxeter"), (name, key)
             r1_inside += report["m_chi"]["regime"] == "R1" and inv["w_chi_order"] > 1
-    assert (proper, partial, r1_inside) == (30, 4, 12)
+    assert (proper, partial, r1_inside) == (26, 4, 12)
 
 
 # sha256 of the report of Z/2 x G(4,2,2) with the sign tau, the trivial
-# character and (x - 3)(x + 1) on every hyperplane, recorded before the
-# kernel characters left the package
-UNSUPPORTED_HECKE_DIGEST = "b3b362203b591865ef38a2b9c04a25015b3ec4e717951f6c98c0adf1bb6f1fea"
+# character and (x - 3)(x + 1) on every hyperplane, recorded again when the
+# Coxeter build came to try only sets of the rank's size (27 candidates
+# before, none now)
+UNSUPPORTED_HECKE_DIGEST = "b019811770974725fd2af5bb705b91f0c7e3dbd144eb39907110ba4f2fad2140"
 
 
 def test_unsupported_hecke_report_matches_recorded_digest(tmp_path):
     """G(4,2,2) is generated by no two of its reflections, so the Coxeter
-    build refuses every candidate, the Hecke section only predicts its
-    dimension, and the module stays ledger-only."""
+    build finds no candidate of the rank's size, the Hecke section only
+    predicts its dimension, and the module stays ledger-only."""
     path, override = unsupported_hecke_run(tmp_path)
     report, code, warnings = run_analyze(str(path), "trivial", rbar_path=str(override))
     assert code == 0, report.get("error")
@@ -607,7 +612,7 @@ def test_unsupported_hecke_report_matches_recorded_digest(tmp_path):
         "regime": "unsupported",
         "predicted_dimension": 16,
         "note": "dimension asserted, not certified here (unsupported regime 'coxeter': "
-        "no certified simple system found (27 generating candidates tried))",
+        "no certified simple system found (0 generating candidates tried))",
     }
     assert report["m_chi"]["regime"] == "ledger-only"
     assert len(warnings) == 2

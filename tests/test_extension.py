@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodromy.cyclo import CycMatrix, CycNumber, zeta
 from monodromy.errors import DomainError, IntegrityError, ParseError, ValidationError
@@ -40,7 +42,7 @@ def test_cayley_group_identity_and_inverses():
     assert g.identity == 0
     for a in range(len(g)):
         assert g.mul(a, g.inv(a)) == g.identity
-    assert g.associativity_witness() is None
+    assert g.associativity_witness(g.generators_and_unreached()) is None
 
 
 def test_cayley_group_rejects_bad_table():
@@ -60,7 +62,7 @@ def test_associativity_witness_on_broken_table():
         [4, 3, 1, 2, 0],
     ]
     g = CayleyGroup(table)
-    assert g.associativity_witness() is not None
+    assert g.associativity_witness(g.generators_and_unreached()) is not None
 
 
 def test_inverses_are_found_per_element():
@@ -119,6 +121,62 @@ def test_bad_q_fails_homomorphism():
     report = validate(d)
     assert not report.ok
     assert "q.homomorphism" in {c.name for c in report.checks if c.status == "fail"}
+
+
+def full_homomorphism_witness(d):
+    """The q.homomorphism check over every pair of W~, row by row: the
+    first failing pair (a, b), or None."""
+    for a in range(len(d.wtilde)):
+        for b in range(len(d.wtilde)):
+            if d.q[d.wtilde.mul(a, b)] != d.group.mul(d.q[a], d.q[b]):
+                return f"pair ({a},{b})"
+    return None
+
+
+def relabelled_s3_over_s2():
+    """s3_over_s2 with covering element x renamed PERM[x], so that its
+    identity is element 3."""
+    perm = [3, 5, 0, 4, 1, 2]
+    raw = json.loads((FIXTURES / "s3_over_s2.json").read_text())
+    wspec, n = raw["wtilde"], len(raw["q"])
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[wspec["table"][a][b]]
+    q = [0] * n
+    for x in range(n):
+        q[perm[x]] = raw["q"][x]
+    raw.update(
+        wtilde={**wspec, "table": table, "generators": [perm[g] for g in wspec["generators"]]},
+        q=q,
+        splitting={a: perm[x] for a, x in raw["splitting"].items()},
+        tau={str(perm[int(x)]): v for x, v in raw["tau"].items()},
+    )
+    d = datum_from_json(raw)
+    assert d.wtilde.identity == 3 and validate(d).ok
+    return d
+
+
+HOMOMORPHISM_DATA = {
+    "s3_over_s2": lambda: load_datum("s3_over_s2"),
+    "s4_over_s3": lambda: load_datum("s4_over_s3"),
+    "s3_over_s2 relabelled": relabelled_s3_over_s2,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_homomorphism_on_generators_matches_the_full_loop(data):
+    # one entry of q damaged: validate checks q(ag) = q(a)q(g) on W~'s
+    # generators and unreached elements only, and scans every pair on a
+    # failure, so its verdict and witness are those of the full loop
+    d = HOMOMORPHISM_DATA[data.draw(st.sampled_from(sorted(HOMOMORPHISM_DATA)))]()
+    q = list(d.q)
+    q[data.draw(st.integers(0, len(q) - 1))] = data.draw(st.integers(0, len(d.group) - 1))
+    d.q = tuple(q)
+    check = next(c for c in validate(d).checks if c.name == "q.homomorphism")
+    expected = full_homomorphism_witness(d)
+    assert (check.status, check.witness) == ("pass" if expected is None else "fail", expected)
 
 
 def test_local_subgroup_override_accepted_and_flagged():

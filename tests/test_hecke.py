@@ -309,9 +309,10 @@ def test_star_transpositions_are_not_a_simple_system_at_q_two():
     assert h.simple_hyperplanes == [0, 1, 4]
     assert sorted(h.generators) == ["s0", "s1", "s4"]
     assert h.dimension == 24
-    # at q = 1 the algebra is the group algebra, where the star passes
+    # at q = 1 the algebra is the group algebra, but the certificate runs
+    # under every relation, so the star is refused there too
     h = build_coxeter(arr, {0: quadratic(1)})
-    assert h.simple_hyperplanes == [0, 1, 2]
+    assert h.simple_hyperplanes == [0, 1, 4]
 
 
 def test_coxeter_rejects_the_trivial_group():
@@ -714,6 +715,10 @@ def tits_closes_on_the_group(group, simple):
         return False
 
 
+def is_coxeter(group, simple):
+    return _is_coxeter_system(group, simple, word_lengths(group, simple))
+
+
 def block_diagonal(a, b):
     n = a.rows
     return CycMatrix.from_triples(
@@ -737,15 +742,16 @@ def test_every_generating_pair_of_dihedral_reflections_is_a_coxeter_system(m):
     pairs = generating_sets(g, largest=2)
     # reflections r_a and r_b generate I2(m) exactly when gcd(a - b, m) = 1
     assert len(pairs) == m * sum(math.gcd(k, m) == 1 for k in range(1, m + 1)) // 2
-    assert all(_is_coxeter_system(g, pair) for pair in pairs)
+    assert all(is_coxeter(g, pair) for pair in pairs)
 
 
 def test_a_dihedral_pair_needs_no_field_past_the_cyclotomic_bound():
-    # 2cos(pi/61) lies in Q(zeta_122), past the order bound 120, so the
-    # pair is certified as a factor I2(61) without its Tits representation
+    # the Tits representation of I2(61) needs 2cos(pi/61), which lies in
+    # Q(zeta_122), past the order bound 120; the folding condition reads
+    # only word lengths, so the pair is certified with no field at all
     g = enumerate_group(catalog(61, 61, 2))
     pair = generating_sets(g, largest=2)[0]
-    assert _is_coxeter_system(g, pair)
+    assert is_coxeter(g, pair)
     arr = hyperplanes(g)
     h = build_coxeter(arr, {arr[a].orbit_id: quadratic(2) for a in range(len(arr))})
     assert h.dimension == 122
@@ -762,7 +768,7 @@ def test_transposition_triples_are_a_coxeter_system_exactly_when_a_path():
         if len(simple) == 3:
             edges = [moved(x) for x in simple]
             star = any(all(point in edge for edge in edges) for point in range(4))
-            assert _is_coxeter_system(g, simple) == (not star), edges
+            assert is_coxeter(g, simple) == (not star), edges
             kinds.append(star)
     # the 16 spanning trees of the complete graph on four points
     assert (kinds.count(False), kinds.count(True)) == (12, 4)
@@ -772,39 +778,56 @@ def test_three_reflections_of_b2_are_no_coxeter_system():
     g = enumerate_group(catalog(2, 1, 2))
     triples = [s for s in generating_sets(g) if len(s) == 3]
     assert len(triples) == 4
-    assert not any(_is_coxeter_system(g, s) for s in triples)
+    assert not any(is_coxeter(g, s) for s in triples)
 
 
 @pytest.mark.parametrize("mpr, count", [((4, 2, 2), 27), ((6, 3, 2), 162)])
 def test_no_generating_set_of_a_non_real_group_is_a_coxeter_system(mpr, count):
-    # G(4,2,2) has the 27 candidates of the unsupported-Hecke pin; G(6,3,2)
+    # G(4,2,2) has 27 generating sets, none of them a pair; G(6,3,2)
     # has pairs of order 6 joined to a third reflection, which no finite
     # Coxeter graph has
     g = enumerate_group(catalog(*mpr))
     sets = generating_sets(g)
     assert len(sets) == count
-    assert not any(_is_coxeter_system(g, s) for s in sets)
+    assert not any(is_coxeter(g, s) for s in sets)
 
 
 @pytest.mark.parametrize(
-    "group, coxeter_sets",
+    "group, largest, coxeter_sets",
     [
-        (lambda: enumerate_group(catalog(1, 1, 3)), 3),
-        (lambda: enumerate_group(catalog(2, 1, 2)), 4),
-        (lambda: enumerate_group(catalog(1, 1, 4)), 12),
-        (star_s4, 12),
-        (lambda: enumerate_group(catalog(4, 2, 2)), 0),
-        (lambda: enumerate_group(catalog(6, 3, 2)), 0),
-        (i2_6_times_a1, 6),
+        (lambda: enumerate_group(catalog(1, 1, 3)), None, 3),
+        (lambda: enumerate_group(catalog(2, 1, 2)), None, 4),
+        (lambda: enumerate_group(catalog(1, 1, 4)), None, 12),
+        (lambda: enumerate_group(catalog(2, 1, 3)), None, 24),
+        (lambda: enumerate_group(catalog(5, 5, 2)), None, 10),
+        (lambda: enumerate_group(catalog(8, 8, 2)), None, 16),
+        (star_s4, None, 12),
+        (lambda: enumerate_group(catalog(4, 2, 2)), None, 0),
+        (lambda: enumerate_group(catalog(6, 3, 2)), None, 0),
+        # the oracle takes about 30 s over all 3834 generating sets of
+        # G(4,4,3), so it is run on the 128 of the rank's size only
+        (lambda: enumerate_group(catalog(4, 4, 3)), 3, 0),
+        (lambda: enumerate_group(catalog(3, 3, 3)), None, 0),
+        (i2_6_times_a1, None, 6),
     ],
-    ids=["A2", "B2", "A3", "star", "G(4,2,2)", "G(6,3,2)", "I2(6)xA1"],
+    ids=[
+        "A2", "B2", "A3", "B3", "I2(5)", "I2(8)", "star", "G(4,2,2)", "G(6,3,2)",
+        "G(4,4,3)", "G(3,3,3)", "I2(6)xA1",
+    ],
 )
-def test_coxeter_certificate_matches_the_tits_closure_of_the_whole_matrix(group, coxeter_sets):
+def test_coxeter_certificate_matches_the_tits_closure_of_the_whole_matrix(
+    group, largest, coxeter_sets
+):
+    # the folding condition against the Tits representation of the whole
+    # Coxeter matrix; every set that passes has the size of the rank of the
+    # span of the normals, the only size build_coxeter tries
     g = group()
-    sets = generating_sets(g)
-    verdicts = [_is_coxeter_system(g, s) for s in sets]
+    sets = generating_sets(g, largest)
+    verdicts = [is_coxeter(g, s) for s in sets]
     assert verdicts == [tits_closes_on_the_group(g, s) for s in sets]
     assert sum(verdicts) == coxeter_sets
+    rank = CycMatrix([h.normal for h in hyperplanes(g).hyperplanes]).rank()
+    assert {len(s) for s, coxeter in zip(sets, verdicts) if coxeter} <= {rank}
 
 
 @pytest.mark.parametrize(
@@ -829,7 +852,7 @@ def test_closure_certificate_passes_on_every_coxeter_system(group):
     arr = hyperplanes(g)
     orbit_of = {h.distinguished_generator: h.orbit_id for h in arr.hyperplanes}
     orbit_ids = sorted(set(orbit_of.values()))
-    sets = [(s, _is_coxeter_system(g, s)) for s in generating_sets(g)]
+    sets = [(s, is_coxeter(g, s)) for s in generating_sets(g)]
     for assignment in itertools.product(relations, repeat=len(orbit_ids)):
         params = dict(zip(orbit_ids, assignment))
         for simple, coxeter in sets:
@@ -910,14 +933,26 @@ def test_b4_with_a_generic_relation():
 def test_relations_other_than_unit_take_a_coxeter_system():
     # the star transpositions pass the deleted closure certificate at x^2 + 1,
     # where the descent operators are signed permutations, but no Coxeter
-    # filter; so do all 27 candidates of G(4,2,2), which is now refused
+    # certificate; so do all 27 generating sets of G(4,2,2), which is
+    # refused, and none of them has the size of the rank, 2
     g = star_s4()
     arr = hyperplanes(g)
     assert build_coxeter(arr, {0: poly(1, 0, 1)}).simple_hyperplanes == [0, 1, 4]
     g = enumerate_group(catalog(4, 2, 2))
     arr = hyperplanes(g)
-    with pytest.raises(RegimeError, match=r"\(27 generating candidates tried\)"):
+    with pytest.raises(RegimeError, match=r"\(0 generating candidates tried\)"):
         build_coxeter(arr, {arr[a].orbit_id: poly(1, 0, 1) for a in range(len(arr))})
+
+
+@pytest.mark.parametrize("mpr, tried", [((4, 2, 3), 0), ((4, 4, 3), 128)])
+def test_a_group_with_no_coxeter_system_is_refused_among_rank_size_sets(mpr, tried):
+    # G(4,2,3) needs four reflections to be generated, so no set of the
+    # rank's size generates it; 128 triples generate G(4,4,3), of its 3834
+    # generating sets, and the certificate refuses each
+    g = enumerate_group(catalog(*mpr))
+    arr = hyperplanes(g)
+    with pytest.raises(RegimeError, match=rf"\({tried} generating candidates tried\)"):
+        build_coxeter(arr, {arr[a].orbit_id: quadratic(2) for a in range(len(arr))})
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_mul_table_matches_matrix_products():
 def test_enumerated_groups_pass_light_and_invert_as_matrices():
     for gens in [[mat([[1]])], catalog(3, 1, 1), catalog(3, 1, 2), catalog(2, 1, 3)]:
         g = enumerate_group(gens)
-        assert g.associativity_witness() is None
+        assert g.associativity_witness(g.generators_and_unreached()) is None
         assert [g.elements[b] for b in g.inverses] == [m.inverse() for m in g.elements]
 
 
@@ -484,7 +484,7 @@ def test_cayley_group_with_identity_elsewhere_matches_brute_force():
     assert subgroup_generated(g, []) == (e,)
     assert subgroup_generated(g, g.generators) == brute_closure(g, g.generators)[1]
     assert len(subgroup_generated(g, g.generators)) == n
-    assert g.associativity_witness() is None
+    assert g.associativity_witness(g.generators_and_unreached()) is None
     assert all(
         g.table[g.table[a][b]][c] == g.table[a][g.table[b][c]]
         for a in range(n) for b in range(n) for c in range(n)
@@ -502,7 +502,7 @@ def test_associativity_witness_on_relabelled_loop():
     ]
     g = relabelled(loop, [1], [2, 0, 1, 3, 4])
     assert g.identity == 2
-    a, x, b = g.associativity_witness()
+    a, x, b = g.associativity_witness(g.generators_and_unreached())
     assert g.table[g.table[a][x]][b] != g.table[a][g.table[x][b]]
 
 
