@@ -194,18 +194,19 @@ FAMILIES = (
 )
 
 
-def unsupported_hecke_run(workdir):
-    """Z/2 x G(4,2,2) with the sign tau, and (x - 3)(x + 1) on every
-    hyperplane as its relation override, both written to ``workdir``.  No
-    two reflections generate G(4,2,2), and the Coxeter build tries only
-    pairs, its rank, so it finds no candidate and refuses.  Returns the
-    datum path and the override path."""
-    datum = direct_product_datum("z2_g422", catalog(4, 2, 2), 2, tau_exponent=1)
-    path = Path(workdir) / "z2_g422.json"
+def unsupported_hecke_run(workdir, mpr):
+    """Z/2 x G(m, p, r) with the sign tau, and (x - 3)(x + 1) on every
+    hyperplane as its relation override, both written to ``workdir``.  The
+    Coxeter build tries only generating sets of the rank's size: G(4,2,2)
+    has none, and G(4,4,3) and G(3,3,3) have some, each refused by the
+    Coxeter certificate.  Returns the datum path and the override path."""
+    name = "z2_g" + "".join(map(str, mpr))
+    datum = direct_product_datum(name, catalog(*mpr), 2, tau_exponent=1)
+    path = Path(workdir) / f"{name}.json"
     path.write_text(json.dumps(datum_to_json(datum)))
     rat = CycNumber.rational
     rbar = CycPoly([rat(-3), rat(-2), rat(1)]).to_json()
-    override = Path(workdir) / "z2_g422_rbar.json"
+    override = Path(workdir) / f"{name}_rbar.json"
     override.write_text(json.dumps({str(a): rbar for a in range(len(datum.arrangement))}))
     return path, override
 

@@ -9,7 +9,8 @@ Under a line tracer this runs every run whose output is pinned by a digest:
   runs of ``STDOUT_DIGESTS``, the four B2 swap-cover runs and the six
   sign and twist variants of ``b2_split_z2`` (``tests/test_cli.py``);
 - every character of the covers in ``corpus.FAMILIES``
-  (``tests/family_digests.json``) and the unsupported-Hecke run;
+  (``tests/family_digests.json``), the unsupported-Hecke run and the two
+  Coxeter-certificate refusals;
 - the R1 runs under the inverse convention and the rotation-generator
   refusals of ``corpus.r1_pinned_runs`` (``tests/r1_digests.json``);
 - the minimal polynomial of each matrix of ``corpus.eliminated_matrices``
@@ -130,10 +131,11 @@ def pinned_runs(workdir: Path):
             spec = {**{str(g): int(e) for g, e in zip(gens, key)}, "modulus": modulus}
             yield "families", lambda path=path, spec=spec: cli.run_analyze(str(path), spec)
 
-    path, override = unsupported_hecke_run(workdir)
-    yield "unsupported-hecke", lambda: cli.run_analyze(
-        str(path), "trivial", rbar_path=str(override)
-    )
+    for mpr in ((4, 2, 2), (4, 4, 3), (3, 3, 3)):
+        path, override = unsupported_hecke_run(workdir, mpr)
+        yield "unsupported-hecke", lambda path=path, override=override: cli.run_analyze(
+            str(path), "trivial", rbar_path=str(override)
+        )
 
     for _, _, path, spec, convention in r1_pinned_runs(workdir):
         yield "r1-pins", lambda path=path, spec=spec, convention=convention: cli.run_analyze(

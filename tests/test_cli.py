@@ -605,7 +605,7 @@ def test_unsupported_hecke_report_matches_recorded_digest(tmp_path):
     """G(4,2,2) is generated by no two of its reflections, so the Coxeter
     build finds no candidate of the rank's size, the Hecke section only
     predicts its dimension, and the module stays ledger-only."""
-    path, override = unsupported_hecke_run(tmp_path)
+    path, override = unsupported_hecke_run(tmp_path, (4, 2, 2))
     report, code, warnings = run_analyze(str(path), "trivial", rbar_path=str(override))
     assert code == 0, report.get("error")
     assert report["hecke"] == {
@@ -617,6 +617,33 @@ def test_unsupported_hecke_report_matches_recorded_digest(tmp_path):
     assert report["m_chi"]["regime"] == "ledger-only"
     assert len(warnings) == 2
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == UNSUPPORTED_HECKE_DIGEST
+
+
+# sha256 of the reports of Z/2 x G(4,4,3) and Z/2 x G(3,3,3) with the sign
+# tau, the trivial character and (x - 3)(x + 1) on every hyperplane: some
+# sets of the rank's size generate each group, and the Coxeter certificate
+# refuses every one of them
+CERTIFICATE_REFUSAL_DIGESTS = {
+    (4, 4, 3): (128, 96, "d77387458b724548d4820d22d470f5e8c68510ae6c60cbba6d0e21c7346dc723"),
+    (3, 3, 3): (72, 54, "feb680ad7ac4495c126a7b355ea3474a23fff9f04e27b66fc373c65969c3d656"),
+}
+
+
+@pytest.mark.parametrize("mpr", CERTIFICATE_REFUSAL_DIGESTS)
+def test_coxeter_certificate_refusal_reports_match_recorded_digests(tmp_path, mpr):
+    tried, dimension, digest = CERTIFICATE_REFUSAL_DIGESTS[mpr]
+    path, override = unsupported_hecke_run(tmp_path, mpr)
+    report, code, warnings = run_analyze(str(path), "trivial", rbar_path=str(override))
+    assert code == 0, report.get("error")
+    assert report["hecke"] == {
+        "regime": "unsupported",
+        "predicted_dimension": dimension,
+        "note": "dimension asserted, not certified here (unsupported regime 'coxeter': "
+        f"no certified simple system found ({tried} generating candidates tried))",
+    }
+    assert report["m_chi"]["regime"] == "ledger-only"
+    assert len(warnings) == 2
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
 
 
 # sha256 of the rendered report of each run of corpus.r1_pinned_runs, keyed
