@@ -39,7 +39,7 @@ from .carousel import (  # noqa: E402
     carousel_minpolys,
     twist_from_extension,
 )
-from .hecke import HeckeAlgebra, build_coxeter, build_cyclic, build_product  # noqa: E402
+from .hecke import HeckeAlgebra, build_coxeter, build_cyclic  # noqa: E402
 from .induce import (  # noqa: E402
     InducedLedger,
     InducedModule,
@@ -57,7 +57,7 @@ __all__ = [
     "ExtensionDatum", "CayleyGroup", "Character", "validate",
     "ChiInvariants", "compute_chi_invariants", "check_generation",
     "CarouselModel", "build_carousel", "carousel_minpolys", "twist_from_extension",
-    "HeckeAlgebra", "build_cyclic", "build_coxeter", "build_product",
+    "HeckeAlgebra", "build_cyclic", "build_coxeter",
     "InducedLedger", "InducedModule", "build_ledger", "build_i_action",
     "build_full_r1", "build_full_r2",
 ]

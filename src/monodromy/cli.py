@@ -78,6 +78,7 @@ def _load_json_file(path: str):
 
 
 def _refuse_number(text: str):
+    # an input check that no pinned run needs; test_bad_chi_spec_is_parse_error covers it
     raise ParseError(f"character spec has a non-integer number {text}")
 
 

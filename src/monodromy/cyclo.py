@@ -260,6 +260,7 @@ class CycNumber:
         return self
 
     def __reduce__(self):
+        # kept for the module's promise: copying and unpickling reuse the table
         return (CycNumber, (self.order, self.coeffs))
 
     # -- constructors ------------------------------------------------------
@@ -335,9 +336,6 @@ class CycNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -355,21 +353,6 @@ class CycNumber:
         if self is ZERO:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         return _inverse(self)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def conjugate(self) -> "CycNumber":
-        """Complex conjugation (zeta -> zeta^{-1})."""
-        n = self.order
-        vec = _reduce_exponents(n, ((-i % n, c) for i, c in enumerate(self.coeffs)))
-        return CycNumber(n, vec)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -806,19 +789,6 @@ class CycMatrix:
             out.append(ZERO if acc is None else acc)
         return tuple(out)
 
-    def kron(self, other: "CycMatrix") -> "CycMatrix":
-        """Kronecker product: block (i, j) is self[i][j] * other."""
-        width = other.cols
-        return CycMatrix._from_sparse(
-            self.rows * other.rows,
-            self.cols * width,
-            tuple([
-                tuple([(j * width + l, a * b) for j, a in ra for l, b in rb])
-                for ra in self.sparse_rows
-                for rb in other.sparse_rows
-            ]),
-        )
-
     def __pow__(self, k: int):
         if not self.is_square():
             raise DomainError("powers need a square matrix")
@@ -875,10 +845,8 @@ class CycMatrix:
             n, n, tuple([tuple([(j - n, row[j]) for j in sorted(row) if j >= n]) for row in a])
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
-
     def __repr__(self):
+        # a debugging aid: pytest prints it in assertion failures
         body = "; ".join(", ".join(repr(x) for x in row) for row in self.entries)
         return f"CycMatrix[{body}]"
 

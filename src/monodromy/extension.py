@@ -46,6 +46,7 @@ class Character:
         return {str(x): v.to_json() for x, v in sorted(self.values.items())}
 
     def __repr__(self):
+        # a debugging aid: pytest prints it in assertion failures
         vals = ", ".join(f"{x}:{v!r}" for x, v in sorted(self.values.items()))
         return f"Character({vals})"
 

@@ -1,22 +1,20 @@
 """Deformed group algebras presented by monic relations on braid-type
-generators, in three certified regimes.
+generators, in two certified regimes.
 
-Supported regimes: cyclic (companion matrix of one relation), real groups
-with quadratic relations (element basis, descent-rule multiplication
-against a certified Coxeter system), and tensor products of these.  Every
-build's claims hold on the regular representation, by construction or by
-certificate.  Reflections are a Coxeter system when their word lengths,
-read off the Cayley table, satisfy Tits' folding condition; their
-quadratic and braid relations are then checked once, by sparse products,
-and the T_w, built on first use, are a basis.  Only sets of the rank's
-size are tried.  Unsupported inputs fail with a regime error naming the
-obstruction.
+Supported regimes: cyclic (companion matrix of one relation) and real
+groups with quadratic relations (element basis, descent-rule
+multiplication against a certified Coxeter system).  Every build's claims
+hold on the regular representation, by construction or by certificate.
+Reflections are a Coxeter system when their word lengths, read off the
+Cayley table, satisfy Tits' folding condition; their quadratic and braid
+relations are then checked once, by sparse products, and the T_w, built
+on first use, are a basis.  Only sets of the rank's size are tried.
+Unsupported inputs fail with a regime error naming the obstruction.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from .cyclo import ONE, CycMatrix, CycPoly
 from .errors import DomainError, IntegrityError, ParameterError, RegimeError
@@ -241,32 +239,3 @@ def build_coxeter(arr: Arrangement, params: dict[int, CycPoly]) -> HeckeAlgebra:
         "unsupported regime 'coxeter': no certified simple system found "
         f"({candidates_tried} generating candidates tried)"
     )
-
-
-# ---------------------------------------------------------------------------
-# products
-
-
-def build_product(parts: list[HeckeAlgebra]) -> HeckeAlgebra:
-    """Tensor product; generators act on their own leg.
-
-    Each part must come from ``build_cyclic``, ``build_coxeter`` or
-    ``build_product``, whose builder certified its generators: the product
-    certifies nothing, since p(I x t x I) = I x p(t) x I gives each full
-    generator exactly the relations of its leg."""
-    if not parts:
-        raise DomainError("product of no algebras")
-    if len(parts) == 1:
-        return parts[0]
-    generators = {}
-    params = {}
-    for i, part in enumerate(parts):
-        for key, m in part.generators.items():
-            full = None
-            for j, other in enumerate(parts):
-                leg = m if j == i else CycMatrix.identity(other.dimension)
-                full = leg if full is None else full.kron(leg)
-            generators[f"leg{i}.{key}"] = full
-            params[f"leg{i}.{key}"] = part.params[key]
-    dimension = math.prod(p.dimension for p in parts)
-    return HeckeAlgebra("product", dimension, generators, params)

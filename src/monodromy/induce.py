@@ -369,7 +369,10 @@ def build_full_r2(
             )
         source[0] = "t"
         gen_matrices[0] = hecke.generators["t"]
-    elif hecke.regime == "coxeter":
+    else:
+        # the builders make only cyclic and coxeter algebras, and only
+        # build_coxeter sets a group: an algebra with no group, or over
+        # another group, is refused here
         if hecke.group is not group:
             raise RegimeError(
                 "quadratic algebra must be built over the datum's group"
@@ -397,10 +400,6 @@ def build_full_r2(
             t = hecke.t_of_element(group.inv(w))
             source[alpha] = f"s{beta}"
             gen_matrices[alpha] = t.inverse() * hecke.generators[f"s{beta}"] * t
-    else:
-        raise RegimeError(
-            f"no hyperplane mapping for algebra regime {hecke.regime!r}"
-        )
 
     i_action = build_i_action(datum, chi, inv)
     ledger = i_action.ledger

@@ -21,7 +21,7 @@ from monodromy.cyclo import ONE, CycMatrix, CycNumber, CycPoly, weighted_permuta
 from monodromy.errors import DomainError, IntegrityError, ValidationError
 from monodromy.extension import Character, ExtensionDatum, datum_from_json, datum_to_json
 from monodromy.fixtures import direct_product_datum, table_from_elements
-from monodromy.hecke import build_coxeter, build_cyclic, build_product
+from monodromy.hecke import build_coxeter
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, word_lengths
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -343,10 +343,10 @@ def takes_the_closed_form(m: CycMatrix) -> bool:
 
 def eliminated_matrices() -> dict[str, CycMatrix]:
     """Matrices whose minimal polynomial ``minpoly_matrix`` finds by
-    elimination: the descent-rule T_s of A2 and B2 at (x - 2)(x + 1), the
-    Coxeter leg of acceptance criterion 4's mixed product (its cyclic legs
-    take the closed form), two block-diagonal matrices with mixed local
-    polynomials, and a seeded draw of sparse matrices over Q(zeta_12)."""
+    elimination: the descent-rule T_s of A2 and B2 at (x - 2)(x + 1) and of
+    A1 at (x - 3)(x + 1) (keyed ``criterion 4 leg1.s0`` in
+    ``tests/minpoly_values.json``), two block-diagonal matrices with mixed
+    local polynomials, and a seeded draw of sparse matrices over Q(zeta_12)."""
     rat = CycNumber.rational
     one = rat(1)
     mats = {}
@@ -359,8 +359,7 @@ def eliminated_matrices() -> dict[str, CycMatrix]:
     cox = build_coxeter(
         hyperplanes(enumerate_group(catalog(1, 1, 2))), {0: CycPoly([rat(-3), rat(-2), one])}
     )
-    mixed = build_product([build_cyclic(CycPoly([-zeta(4), one])), cox])
-    mats["criterion 4 leg1.s0"] = mixed.generators["leg1.s0"]
+    mats["criterion 4 leg1.s0"] = cox.generators["s0"]
     o, w = rat(0), zeta(3)
     # a Jordan block, a swap and a scalar; then a swap and a scalar alone,
     # a weighted permutation with two cycle shapes

@@ -360,6 +360,20 @@ MUTANTS = (
         + nodes("test_cli", "test_sign_checks_refuse_a_kernel_that_is_not_closed"),
     ),
     Mutant(
+        "validate: q.homomorphism checked on the first generator only",
+        EXTENSION,
+        "    if any(breaks(a, g) for a in range(n) for g in gens):\n",
+        "    if any(breaks(a, g) for a in range(n) for g in gens[:1]):\n",
+        nodes("test_extension", "test_homomorphism_check_sees_q_twisted_on_one_coset[s4_over_s3-every]"),
+    ),
+    Mutant(
+        "validate: q.homomorphism checked without the elements the generators miss",
+        EXTENSION,
+        "    if any(breaks(a, g) for a in range(n) for g in gens):\n",
+        "    if any(breaks(a, g) for a in range(n) for g in wt.generators):\n",
+        nodes("test_extension", "test_homomorphism_check_sees_q_twisted_on_one_coset[s4_over_s3-first]"),
+    ),
+    Mutant(
         "validate: splitting.maps_to_inverse_generator forced to pass",
         EXTENSION,
         '        CheckResult.of("splitting.maps_to_inverse_generator", witness is None, witness)\n',
@@ -606,13 +620,6 @@ MUTANTS = (
         "        if hecke.group is not group:\n",
         "        if False:\n",
         nodes("test_induce", "test_r2_refuses_an_input_off_its_regime[group]"),
-    ),
-    Mutant(
-        "build_full_r2: unknown algebra regime accepted",
-        INDUCE,
-        "    else:\n        raise RegimeError(\n            f\"no hyperplane mapping",
-        "    elif False:\n        raise RegimeError(\n            f\"no hyperplane mapping",
-        nodes("test_induce", "test_r2_refuses_an_input_off_its_regime[product]"),
     ),
     Mutant(
         "build_full_r2: missing conjugator unchecked",

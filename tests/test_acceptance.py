@@ -24,7 +24,7 @@ from monodromy.cyclo import (
     zeta,
 )
 from monodromy.extension import character_from_spec
-from monodromy.hecke import build_coxeter, build_cyclic, build_product
+from monodromy.hecke import build_coxeter, build_cyclic
 from monodromy.induce import build_full_r1, build_full_r2, build_i_action
 from monodromy.invariants import compute_chi_invariants
 from monodromy.reflgrp import catalog, catalog_order, enumerate_group, hyperplanes
@@ -179,17 +179,6 @@ def test_criterion_4_hecke_dimensions():
             assert h.dimension == len(group), name
             for key, m in h.generators.items():
                 assert minpoly_matrix(m) == h.params[key], name
-    prod = build_product(
-        [build_cyclic(CycPoly([-zeta(3), rat(0), rat(0), one])),
-         build_cyclic(CycPoly([rat(-1), rat(0), one]))]
-    )
-    assert prod.dimension == 6
-    for key, m in prod.generators.items():
-        assert minpoly_matrix(m) == prod.params[key]
-    g = enumerate_group(catalog(1, 1, 2))
-    cox = build_coxeter(hyperplanes(g), {0: quadratics[1]})
-    mixed = build_product([build_cyclic(CycPoly([-zeta(4), one]))] + [cox])
-    assert mixed.dimension == 2
     _stamp("4 hecke-dimensions", start, 60)
 
 

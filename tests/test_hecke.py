@@ -23,7 +23,6 @@ from monodromy.hecke import (
     _relations_hold,
     build_coxeter,
     build_cyclic,
-    build_product,
 )
 from monodromy.reflgrp import catalog, enumerate_group, hyperplanes, word_lengths
 from corpus import FIXTURES, manifest, s3_rank2_generators
@@ -954,59 +953,3 @@ def test_a_group_with_no_coxeter_system_is_refused_among_rank_size_sets(mpr, tri
     with pytest.raises(RegimeError, match=rf"\({tried} generating candidates tried\)"):
         build_coxeter(arr, {arr[a].orbit_id: quadratic(2) for a in range(len(arr))})
 
-
-# ---------------------------------------------------------------------------
-# products
-
-
-def test_product_of_two_sign_algebras():
-    part = build_cyclic(poly(-1, 0, 1))
-    h = build_product([part, part])
-    assert h.dimension == 4
-    gens = list(h.generators.values())
-    assert gens[0] * gens[1] == gens[1] * gens[0]
-
-
-def test_product_single_factor_is_identity():
-    part = build_cyclic(poly(-1, 0, 1))
-    assert build_product([part]) is part
-
-
-def test_mixed_product_dimensions_and_commutation():
-    cyc3 = build_cyclic(poly(-1, 0, 0, 1))  # z^3 - 1
-    g = enumerate_group(catalog(1, 1, 2))
-    cox = build_coxeter(hyperplanes(g), {0: quadratic(2)})
-    h = build_product([cyc3, cox])
-    assert h.dimension == 6
-    a = h.generators["leg0.t"]
-    b = next(m for key, m in h.generators.items() if key.startswith("leg1."))
-    assert a * b == b * a
-    certify_generators(h)
-
-
-def test_product_generators_pass_the_generator_oracle():
-    # the products of the Hecke-dimension acceptance criterion
-    one = rat(1)
-    prod = build_product(
-        [build_cyclic(CycPoly([-zeta(3), rat(0), rat(0), one])),
-         build_cyclic(CycPoly([rat(-1), rat(0), one]))]
-    )
-    g = enumerate_group(catalog(1, 1, 2))
-    cox = build_coxeter(hyperplanes(g), {0: quadratic(3)})
-    mixed = build_product([build_cyclic(CycPoly([-zeta(4), one]))] + [cox])
-    nested = build_product([prod, cox])
-    assert (len(prod.generators), len(mixed.generators), len(nested.generators)) == (2, 2, 3)
-    certify_generators(prod)
-    certify_generators(mixed)
-    certify_generators(nested)
-
-
-def test_product_certifies_nothing_of_its_parts():
-    # build_product takes its parts from the builders, which certified their
-    # generators; a hand-built part's fault passes through to the product
-    nilpotent = CycMatrix.from_triples(2, 2, [(1, 0, rat(1))])
-    part = HeckeAlgebra("cyclic", 2, {"t": nilpotent}, {"t": poly(0, 0, 1)})
-    h = build_product([part, build_cyclic(poly(-1, 0, 1))])
-    assert h.dimension == 4
-    with pytest.raises(IntegrityError, match="not invertible"):
-        certify_generators(h)

@@ -13,7 +13,7 @@ from monodromy.extension import (
     datum_to_json,
 )
 from monodromy.fixtures import direct_product_datum
-from monodromy.hecke import build_coxeter, build_cyclic, build_product
+from monodromy.hecke import HeckeAlgebra, build_coxeter, build_cyclic
 from monodromy import induce
 from monodromy.induce import (
     build_full_r1,
@@ -757,7 +757,7 @@ R2_REFUSALS = {
     "dimension": "algebra dimension 2 does not match the group order 6",
     "cyclic": "cyclic algebra mapping needs a single hyperplane",
     "group": "quadratic algebra must be built over the datum's group",
-    "product": "no hyperplane mapping for algebra regime 'product'",
+    "product": "quadratic algebra must be built over the datum's group",
 }
 
 
@@ -782,7 +782,9 @@ def test_r2_refuses_an_input_off_its_regime(case):
         copy = direct_product_datum("copy", s3_rank2_generators(), 2)
         hecke = build_coxeter(copy.arrangement, {copy.arrangement[0].orbit_id: rbars[0]})
     else:
-        hecke = build_product([build_cyclic(z_power_minus_one(n)) for n in (2, 3)])
+        # no builder makes this regime, and an algebra with no group has no
+        # hyperplane mapping
+        hecke = HeckeAlgebra("product", 6, hecke.generators, hecke.params)
     with pytest.raises(RegimeError) as err:
         build_full_r2(d, chi, inv, hecke, rbars)
     assert str(err.value) == R2_REFUSALS[case]
