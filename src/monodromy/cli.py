@@ -30,7 +30,7 @@ import sys
 
 from . import __version__
 from .carousel import build_carousel, carousel_minpolys, twist_from_extension
-from .cyclo import ZERO, CycMatrix, CycNumber, CycPoly, json_key, zeta
+from .cyclo import ONE, ZERO, CycMatrix, CycNumber, CycPoly, json_key, zeta
 from .errors import (
     CapacityError,
     DomainError,
@@ -202,7 +202,7 @@ def _hecke_stage(datum, inv, rbar_by_alpha):
     in a supported regime; otherwise report the predicted dimension."""
     gens = inv.zero_generators
     if not gens:
-        algebra = build_cyclic(CycPoly([CycNumber.rational(-1), CycNumber.rational(1)]))
+        algebra = build_cyclic(CycPoly([-ONE, ONE]))
         return algebra, {"regime": "cyclic", "dimension": 1,
                          "generators": {}, "note": "trivial reflection subgroup"}
     # cyclic: one nontrivial meet generates the subgroup alone; conversely a

@@ -359,7 +359,7 @@ class CycNumber:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycNumber.rational(1)
+        result = ONE
         base = self
         while k:
             if k & 1:
@@ -381,6 +381,7 @@ class CycNumber:
         return self._hash
 
     def __repr__(self):
+        # the text of refusal messages and failure witnesses, which no pinned run prints
         if self.order == 1:
             return str(self.coeffs[0])
         parts = []
@@ -548,6 +549,7 @@ class CycPoly:
         return hash(self.coeffs)
 
     def __repr__(self):
+        # the text of R2's generator_relation witness, which no pinned run prints
         parts = []
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
@@ -777,6 +779,7 @@ class CycMatrix:
 
     def apply(self, vec):
         """Matrix times column vector (tuple of CycNumber)."""
+        # no caller in the package: bench/tracer.py times it and the action tests call it
         out = []
         for row in self.sparse_rows:
             acc = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclo import CycMatrix, CycNumber, json_int, json_key, zeta
+from .cyclo import ONE, CycMatrix, CycNumber, json_int, json_key, zeta
 from .errors import (
     ClosureCapError,
     DomainError,
@@ -33,8 +33,7 @@ class Character:
 
     @staticmethod
     def trivial(kernel) -> "Character":
-        one = CycNumber.rational(1)
-        return Character({x: one for x in kernel})
+        return Character({x: ONE for x in kernel})
 
     def __call__(self, x: int) -> CycNumber:
         return self.values[x]
@@ -198,7 +197,7 @@ class ExtensionDatum:
         nothing and compares every product of the final set, so the result
         is multiplicative."""
         e = self.wtilde.identity
-        known = {e: CycNumber.rational(1)}
+        known = {e: ONE}
         for x, v in values.items():
             if x not in self._kernel_set:
                 raise DomainError(f"{x} is not in the kernel")

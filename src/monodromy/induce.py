@@ -417,11 +417,12 @@ def build_full_r2(
         # polynomial, and a conjugate t^-1 T t by the exact inverse of t is
         # similar to T, so it has the same minimal polynomial
         got = hecke.params[source[alpha]]
+        ok = got == rbar
         _check(
             checks,
             f"generator_relation[alpha={alpha}]",
-            got == rbar,
-            f"minimal polynomial {got!r} differs from the relation {rbar!r}",
+            ok,
+            None if ok else f"minimal polynomial {got!r} differs from the relation {rbar!r}",
         )
     _common_verifications(module)
     return module

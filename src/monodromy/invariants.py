@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .cyclo import CycMatrix, CycNumber, CycPoly
+from .cyclo import ONE, CycMatrix, CycNumber, CycPoly
 from .errors import IntegrityError, ParameterError
 from .extension import Character, CheckResult, ExtensionDatum
 from .reflgrp import orbit_partition, subgroup_generated, word_lengths
@@ -166,14 +166,13 @@ def with_relation_character(
     root of the relation polynomial that rbar_by_alpha gives its least
     hyperplane, or the trivial value when it gives none."""
     rho_values: dict[int, CycNumber] = {}
-    one = CycNumber.rational(1)
     for orbit in inv.zero_orbits:
         rep = orbit[0]
         if inv.per_hyperplane[rep].a_class != "A1":
             continue
         poly = rbar_by_alpha.get(rep)
         if poly is None:
-            rho_values[rep] = one
+            rho_values[rep] = ONE
             continue
         if poly.degree != 1:
             raise ParameterError(

@@ -306,26 +306,18 @@ def _canonical_normal(row):
     return tuple(c * inv for c in row)
 
 
-def _normal_line_eigenvalue(m: CycMatrix, normal) -> CycNumber:
-    """Action of m on the quotient line: n(m v) / n(v) for any v off the
-    hyperplane; well defined because n vanishes on the hyperplane."""
-    pivot = next(i for i, c in enumerate(normal) if not c.is_zero())
-    v = tuple(ONE if i == pivot else ZERO for i in range(len(normal)))
-    mv = m.apply(v)
-    num = sum((a * b for a, b in zip(normal, mv)), ZERO)
-    return num * normal[pivot].inverse()
-
-
 def hyperplanes(group: ReflectionGroup) -> Arrangement:
     """Compute the reflection arrangement of an enumerated group.
 
     A non-identity element fixes a hyperplane pointwise exactly when m - I
-    has rank one and its rows are multiples of the hyperplane's normal, so
-    one pass over the elements finds the normals, in order of first
-    appearance, and their stabilizers, the identity first.  Orbit ids number
-    the group's orbits by least hyperplane."""
+    has rank one and its rows are multiples of the hyperplane's normal n,
+    m - I = u n.  So one pass over the elements finds the normals, in order
+    of first appearance, their stabilizers, the identity first, and each
+    element's eigenvalue n(m v) / n(v) on the normal line (v off the
+    hyperplane): n(m v) = n(v) + (n u) n(v) makes it 1 + n u = 1 + tr(m - I).
+    Orbit ids number the group's orbits by least hyperplane."""
     identity = CycMatrix.identity(group.rank)
-    stabilizers: dict[tuple, list[int]] = {}
+    stabilizers: dict[tuple, dict[int, CycNumber]] = {}
     for i, m in enumerate(group.elements):
         if i == 0:
             continue
@@ -335,13 +327,13 @@ def hyperplanes(group: ReflectionGroup) -> Arrangement:
         row = [ZERO] * group.rank
         for j, c in next(r for r in diff.sparse_rows if r):
             row[j] = c
-        stabilizers.setdefault(_canonical_normal(row), [0]).append(i)
+        trace = sum((c for k, r in enumerate(diff.sparse_rows) for j, c in r if j == k), ZERO)
+        stabilizers.setdefault(_canonical_normal(row), {0: ONE})[i] = ONE + trace
     hps: list[Hyperplane] = []
     for normal, stab in stabilizers.items():
         n_alpha = len(stab)
         eigen = {}
-        for i in stab:
-            lam = _normal_line_eigenvalue(group.elements[i], normal)
+        for i, lam in stab.items():
             if lam in eigen:
                 raise IntegrityError(
                     "pointwise stabilizer is not cyclic: elements "

@@ -635,8 +635,8 @@ MUTANTS = (
     Mutant(
         "build_full_r2: generator relation assumed",
         INDUCE,
-        "            got == rbar,\n",
-        "            True,\n",
+        "        ok = got == rbar\n",
+        "        ok = True\n",
         nodes("test_induce", "test_generator_relation_certificate_refuses_a_changed_relation"),
     ),
 )

@@ -916,6 +916,29 @@ def test_closed_stdout_pipe_is_usage_error(argv):
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_import_loads_only_the_modules_it_needs():
+    """The package holds only ``__version__``: importing it loads no module
+    of the library, and the carousel path loads no later pipeline stage."""
+    script = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('monodromy.'))\n"
+        "import monodromy\n"
+        "print(json.dumps(loaded()))\n"
+        "import monodromy.carousel\n"
+        "print(json.dumps(loaded()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    package, carousel = (json.loads(line) for line in proc.stdout.splitlines())
+    assert package == []
+    assert "monodromy.carousel" in carousel
+    later = {f"monodromy.{name}" for name in ("cli", "hecke", "induce", "invariants")}
+    assert later.isdisjoint(carousel)
+
+
 def test_out_file_holds_the_rendered_report(tmp_path):
     path = str(FIXTURES / "b2_split_z2.json")
     out = tmp_path / "report.json"

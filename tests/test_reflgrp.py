@@ -184,6 +184,15 @@ def _fixes_pointwise(m, normal):
     return True
 
 
+def _quotient_line_eigenvalue(m, normal):
+    """How m acts on the quotient line V / H of the hyperplane H that the
+    covector normal cuts out: n(m v) / n(v) for a basis vector v off H."""
+    pivot = next(i for i, c in enumerate(normal) if not c.is_zero())
+    v = tuple(rat(int(i == pivot)) for i in range(len(normal)))
+    value = sum((a * b for a, b in zip(normal, m.apply(v))), rat(0))
+    return value * normal[pivot].inverse()
+
+
 # the monomial groups of acceptance criterion 7 whose arrangement it checks,
 # rank one among them (there the hyperplane is the origin, fixed by every
 # element)
@@ -206,6 +215,12 @@ def test_stabilizers_fix_their_hyperplane_pointwise(mpr):
             i for i, m in enumerate(g.elements) if _fixes_pointwise(m, h.normal)
         )
         assert h.stabilizer_elements == expected
+        # the cyclic stabilizer of order n acts by each n-th root of unity
+        # once on the normal line, its distinguished generator by zeta_n
+        eigen = [_quotient_line_eigenvalue(g.elements[i], h.normal) for i in expected]
+        assert len(set(eigen)) == h.order
+        assert set(eigen) == {zeta(h.order, k) for k in range(h.order)}
+        assert eigen[expected.index(h.distinguished_generator)] == zeta(h.order)
 
 
 def _canonical(normal):
